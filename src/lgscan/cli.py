@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from .config import eval_expr, load_configs
+from .config import eval_expr, load_configs, parse_bias
 from .errors import ConfigError, InvariantError, LgscanError, NoBracket
 from .inequalities import elgi_all, slgi_all, wlgi_all
 from .measurement import QubitState, Schedule
@@ -27,6 +27,7 @@ from .jointmeas import jm_verdict
 from .nsit import disturbance_report, nsit_satisfied
 from .scan import (
     axis_from_angles,
+    bias_x,
     figure_records,
     report,
     scan,
@@ -37,16 +38,6 @@ from .scan import (
 
 def _angle(text: str) -> float:
     return eval_expr(text, "argument")
-
-
-def _bias(text: str) -> tuple[str, float]:
-    if text == "zero":
-        return "zero", 0.0
-    if text in ("eta-1", "eta - 1"):
-        return "eta-1", 0.0
-    if text.startswith("x="):
-        return "fixed", eval_expr(text[2:], "bias")
-    raise ConfigError("bias must be zero, eta-1 or x=<value>")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--config", required=True)
     ps.add_argument("--out", default=".", help="output directory")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
-    ps.add_argument("--jobs", type=int, default=None)
+    ps.add_argument("--jobs", type=int, default=None,
+                    help="accepted for compatibility (must be >= 1); no effect")
     ps.add_argument("--tolerance", type=float, default=None)
 
     pt = sub.add_parser("threshold", parents=[common_point],
@@ -94,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
-    mode, x_fixed = _bias(args.bias)
-    x = {"zero": 0.0, "eta-1": args.eta - 1.0, "fixed": x_fixed}[mode]
+    mode, x_fixed = parse_bias(args.bias)
+    x = float(bias_x(mode, args.eta, x_fixed))
     axis = axis_from_angles(args.axis_alpha, args.axis_beta)
     state = QubitState.pure(args.theta, args.phi)
     sched = Schedule(measured=(1, 2, 3), tau=args.tau, axis=axis, x=x, eta=args.eta)
@@ -121,8 +113,10 @@ def _cmd_eval(args) -> int:
         print(f"jm {pair}: {'compatible' if pr.jointly_measurable else 'incompatible'} "
               f"(margin {pr.margin:+.6g}){thr}")
     if verdict.triple is not None:
+        # the four-norm criterion is sufficient only: failing it decides nothing
         t = verdict.triple
-        print(f"jm triple: {'compatible' if t.jointly_measurable else 'incompatible'} "
+        print(f"jm triple: {'compatible' if t.jointly_measurable else 'inconclusive'} "
+              f"by the four-norm sufficient criterion "
               f"(margin {t.margin:+.6g}) threshold {t.threshold:.6g}")
     else:
         print("jm triple: not reported for biased effects")
@@ -146,7 +140,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    mode, x_fixed = _bias(args.bias)
+    mode, x_fixed = parse_bias(args.bias)
     axis = axis_from_angles(args.axis_alpha, args.axis_beta)
     eta = threshold_eta(
         args.family,
@@ -191,6 +185,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if not math.isfinite(getattr(args, "eta", 0.0)):
+            raise ConfigError(f"eta must be a finite number, got {args.eta!r}")
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "scan":

@@ -44,10 +44,16 @@ _BINOPS = {
 
 
 def eval_expr(text: str, where: str = "") -> float:
-    """Safely evaluate an arithmetic expression over numbers and pi."""
+    """Safely evaluate an arithmetic expression over numbers and pi.
+
+    The result is a finite float; a parse error, an arithmetic error
+    (division by zero, overflow) or a non-finite or complex result raises
+    ConfigError naming `where`.
+    """
     try:
         node = ast.parse(text.strip(), mode="eval").body
-    except SyntaxError as exc:
+    # too-deep nesting surfaces as RecursionError or MemoryError, NUL bytes as ValueError
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise ConfigError(f"{where}: cannot parse value {text!r}") from exc
 
     def walk(n):
@@ -62,7 +68,30 @@ def eval_expr(text: str, where: str = "") -> float:
             return _BINOPS[type(n.op)](walk(n.left), walk(n.right))
         raise ConfigError(f"{where}: unsupported expression {text!r}")
 
-    return walk(node)
+    try:
+        value = walk(node)
+    except (ArithmeticError, RecursionError) as exc:
+        raise ConfigError(f"{where}: cannot evaluate {text!r} ({type(exc).__name__})") from exc
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ConfigError(f"{where}: {text!r} is not a finite real number")
+    return value
+
+
+def parse_bias(text: str, where: str = "", label: str = "bias") -> tuple[str, float]:
+    """Bias mode and fixed x from 'zero', 'eta-1' or 'x=<expr>'.
+
+    `where` locates the value (e.g. 'line 4') and `label` names it in
+    diagnostics of the x expression.
+    """
+    text = text.strip()
+    if text == "zero":
+        return "zero", 0.0
+    if text in ("eta-1", "eta - 1"):
+        return "eta-1", 0.0
+    if text.startswith("x="):
+        return "fixed", eval_expr(text[2:], f"{where} ({label})" if where else label)
+    message = "bias must be zero, eta-1 or x=<value>"
+    raise ConfigError(f"{where}: {message}" if where else message)
 
 
 def parse_grid(text: str, where: str = "") -> np.ndarray:
@@ -75,7 +104,10 @@ def parse_grid(text: str, where: str = "") -> np.ndarray:
     start, stop, step = (eval_expr(p, where) for p in parts)
     if step <= 0:
         raise ConfigError(f"{where}: step must be positive")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ConfigError(f"{where}: range {text!r} has no finite number of steps")
+    n = int(math.floor(span + 1e-9)) + 1
     if n < 1:
         raise ConfigError(f"{where}: empty range {text!r}")
     return start + step * np.arange(n)
@@ -131,16 +163,7 @@ def _build(section: str, kv: dict[str, tuple[int, str]]) -> ScanConfig:
     bias_mode, x_fixed = "zero", 0.0
     if "bias" in kv:
         lineno, text = kv["bias"]
-        text = text.strip()
-        if text == "zero":
-            bias_mode = "zero"
-        elif text in ("eta-1", "eta - 1"):
-            bias_mode = "eta-1"
-        elif text.startswith("x="):
-            bias_mode = "fixed"
-            x_fixed = eval_expr(text[2:], f"line {lineno} ({section}.bias)")
-        else:
-            raise ConfigError(f"line {lineno}: bias must be zero, eta-1 or x=<value>")
+        bias_mode, x_fixed = parse_bias(text, f"line {lineno}", f"{section}.bias")
 
     families: tuple[str, ...] = FAMILIES
     if "families" in kv:

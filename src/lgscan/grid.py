@@ -10,9 +10,18 @@ vectors so that whole parameter grids evaluate as numpy array operations:
   vector ((p^2 - q^2) r + (2 p q + 2 q^2 (mhat.r)) mhat) / prob with
   p = (sqrt(c+d) + sqrt(c-d))/2 and q = (sqrt(c+d) - sqrt(c-d))/2.
 
-Equality with the operator pipeline (lgscan.measurement) to ~1e-14 is
-enforced by tests; scan results therefore carry the same semantics as the
-scalar reference implementation.
+The family reductions (SLGI, WLGI, ELGI), the disturbance functionals and
+the AoT residual are defined here and nowhere else.  They take a dict of
+outcome-probability arrays keyed by measured subset and accept any batch
+shape, including the shape-() vectors of one `run_schedule(...)` result, so
+the scalar evaluators in lgscan.inequalities and lgscan.nsit feed them the
+operator pipeline's distributions.
+
+The distributions agree with the operator pipeline (lgscan.measurement),
+which tests hold as the independent reference: to ~1e-15 when
+|x| + eta < 1, and to ~1e-9 on rank-one effects (|x| + eta = 1, e.g.
+x = eta - 1), where the Lueders square root is taken of the rounding residue
+of an eigenvalue that is 0 in exact arithmetic.
 
 Outcome ordering everywhere matches itertools.product((1, -1), repeat=k):
 the earliest measured time varies slowest.
@@ -20,13 +29,60 @@ the earliest measured time varies slowest.
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
+from itertools import product
 
-from .inequalities import ELGI_SPECS, SLGI_SPECS, WLGI_SPECS
+import numpy as np
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
-SUBSETS = ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
+PAIRS = ((1, 2), (1, 3), (2, 3))
+SUBSETS = ((1,), (2,), (3,)) + PAIRS + ((1, 2, 3),)
+
+
+@dataclass(frozen=True)
+class SlgiSpec:
+    """Outcome relabeling (s1, s2, s3); only the products s_i s_j matter."""
+
+    signs: tuple[int, int, int]
+
+
+@dataclass(frozen=True)
+class WlgiSpec:
+    """Positive pair (p, q), its outcomes (u, v), and the split sign s for the
+    marginalized time r."""
+
+    positive_pair: tuple[int, int]
+    u: int
+    v: int
+    s: int
+
+    @property
+    def marginalized(self) -> int:
+        (p, q) = self.positive_pair
+        return ({1, 2, 3} - {p, q}).pop()
+
+
+@dataclass(frozen=True)
+class ElgiSpec:
+    """Index of the conditioned middle variable."""
+
+    middle: int
+
+
+SLGI_SPECS: tuple[SlgiSpec, ...] = tuple(
+    SlgiSpec((1, s2, s3)) for s2, s3 in product((1, -1), repeat=2)
+)
+
+WLGI_SPECS: tuple[WlgiSpec, ...] = tuple(
+    WlgiSpec(pair, u, v, s)
+    for pair in PAIRS
+    for u in (1, -1)
+    for v in (1, -1)
+    for s in (1, -1)
+)
+
+ELGI_SPECS: tuple[ElgiSpec, ...] = tuple(ElgiSpec(m) for m in (1, 2, 3))
 
 
 def rotate_bloch(r: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
@@ -119,7 +175,7 @@ def _idx(*signs: int) -> int:
 
 def correlators(dists: dict) -> dict[tuple[int, int], np.ndarray]:
     out = {}
-    for pair in ((1, 2), (1, 3), (2, 3)):
+    for pair in PAIRS:
         d = dists[pair]
         out[pair] = d[..., _idx(1, 1)] + d[..., _idx(-1, -1)] - d[..., _idx(1, -1)] - d[..., _idx(-1, 1)]
     return out
@@ -127,18 +183,33 @@ def correlators(dists: dict) -> dict[tuple[int, int], np.ndarray]:
 
 def slgi_values(dists: dict) -> np.ndarray:
     """(..., 4) SLGI values in the canonical spec order."""
-    c = correlators(dists)
+    return slgi_from_correlators(correlators(dists))
+
+
+def slgi_from_correlators(c: dict, specs=SLGI_SPECS) -> np.ndarray:
+    """SLGI values from the two-time correlators c[(i, j)] = <M_i M_j>.
+
+    Specs 1 and 3 tie whenever c[(1, 2)] = c[(2, 3)] (every x = 0 point), so
+    the reported argmax follows the rounding of the correlators; each
+    pipeline therefore supplies its own (`correlators` here,
+    lgscan.measurement.correlator for the operator pipeline).
+    """
     cols = []
-    for spec in SLGI_SPECS:
+    for spec in specs:
         s1, s2, s3 = spec.signs
         cols.append(s1 * s2 * c[(1, 2)] + s2 * s3 * c[(2, 3)] - s1 * s3 * c[(1, 3)])
     return np.stack(cols, axis=-1)
 
 
-def wlgi_values(dists: dict) -> np.ndarray:
-    """(..., 24) WLGI values in the canonical spec order."""
+def wlgi_values(dists: dict, specs=WLGI_SPECS) -> np.ndarray:
+    """(..., len(specs)) WLGI values, by default in the canonical spec order.
+
+    Only the three pair experiments are read.  The subtracted terms pair the
+    marginalized time r (outcome s with the earlier of p, q; outcome -s with
+    the later), each temporally ordered.
+    """
     cols = []
-    for spec in WLGI_SPECS:
+    for spec in specs:
         (p, q), u, v, s = spec.positive_pair, spec.u, spec.v, spec.s
         r = spec.marginalized
         pos = dists[(p, q)][..., _idx(u, v)]
@@ -163,10 +234,11 @@ def entropy(probs: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1)
 
 
-def elgi_values(dists: dict) -> np.ndarray:
-    """(..., 3) ELGI values, specs ordered by middle index 1, 2, 3."""
+def elgi_values(dists: dict, specs=ELGI_SPECS) -> np.ndarray:
+    """(..., len(specs)) ELGI values; the default specs order the middle
+    index 1, 2, 3.  Reads the three pairs and the single at each middle."""
     cols = []
-    for spec in ELGI_SPECS:
+    for spec in specs:
         b = spec.middle
         a, c = sorted({1, 2, 3} - {b})
         h_ac = entropy(dists[(a, c)])
@@ -178,8 +250,8 @@ def elgi_values(dists: dict) -> np.ndarray:
 
 
 def disturbances(dists: dict) -> dict[str, np.ndarray]:
-    """D families stacked along the last axis, same index conventions as
-    lgscan.nsit (signs iterate (+1, -1), pairs in product order)."""
+    """D families stacked along the last axis (signs iterate (+1, -1), pairs
+    in product order); lgscan.nsit documents the sign convention."""
     tri = dists[(1, 2, 3)]
     p23, p13, p12 = dists[(2, 3)], dists[(1, 3)], dists[(1, 2)]
     p2, p3 = dists[(2,)], dists[(3,)]

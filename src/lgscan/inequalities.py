@@ -23,6 +23,12 @@ Families and canonical orderings
   b the conditioned middle variable; specs iterate middle = 1, 2, 3.
   Entropies are Shannon entropies in nats.
 
+The spec tables and the reductions themselves live in lgscan.grid, which
+defines each family once over outcome-probability arrays.  The evaluators
+here run the stand-alone experiments a family needs through the operator
+pipeline (lgscan.measurement) and hand their distributions to those
+reductions.
+
 Closed forms for two special parameter families are provided as cross-check
 targets; the measurement pipeline is the ground truth and any mismatch above
 1e-8 is treated as a transcription defect of the closed form, not patched
@@ -33,61 +39,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable
 
 import numpy as np
 
+from . import grid
+from .grid import (
+    ELGI_SPECS,
+    PAIRS,
+    SLGI_SPECS,
+    WLGI_SPECS,
+    ElgiSpec,
+    SlgiSpec,
+    WlgiSpec,
+)
 from .measurement import JointDistribution, QubitState, Schedule, correlator, run_schedule
 
 VIOLATION_TOL = 1e-12
-
-PAIRS = ((1, 2), (1, 3), (2, 3))
-
-
-@dataclass(frozen=True)
-class SlgiSpec:
-    """Outcome relabeling (s1, s2, s3); only the products s_i s_j matter."""
-
-    signs: tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class WlgiSpec:
-    """Positive pair (p, q), its outcomes (u, v), and the split sign s for the
-    marginalized time r."""
-
-    positive_pair: tuple[int, int]
-    u: int
-    v: int
-    s: int
-
-    @property
-    def marginalized(self) -> int:
-        (p, q) = self.positive_pair
-        return ({1, 2, 3} - {p, q}).pop()
-
-
-@dataclass(frozen=True)
-class ElgiSpec:
-    """Index of the conditioned middle variable."""
-
-    middle: int
-
-
-SLGI_SPECS: tuple[SlgiSpec, ...] = tuple(
-    SlgiSpec((1, s2, s3)) for s2, s3 in product((1, -1), repeat=2)
-)
-
-WLGI_SPECS: tuple[WlgiSpec, ...] = tuple(
-    WlgiSpec(pair, u, v, s)
-    for pair in PAIRS
-    for u in (1, -1)
-    for v in (1, -1)
-    for s in (1, -1)
-)
-
-ELGI_SPECS: tuple[ElgiSpec, ...] = tuple(ElgiSpec(m) for m in (1, 2, 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,27 +88,30 @@ def pair_distributions(state: QubitState, schedule: Schedule) -> dict[tuple[int,
     return {pair: run_schedule(state, schedule.with_measured(pair)) for pair in PAIRS}
 
 
+def experiment_probabilities(
+    state: QubitState, schedule: Schedule, subsets: Iterable[tuple[int, ...]]
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Outcome probabilities of the stand-alone experiments in `subsets`, run
+    through the operator pipeline and keyed as the lgscan.grid reductions read
+    them."""
+    return {s: run_schedule(state, schedule.with_measured(s)).probabilities() for s in subsets}
+
+
+def _results(values, bound: float, specs, state: QubitState, schedule: Schedule) -> list[InequalityResult]:
+    return [_result(v, bound, spec, state, schedule) for v, spec in zip(values, specs)]
+
+
 # --- SLGI -------------------------------------------------------------------
 
 
 def slgi_value(state: QubitState, schedule: Schedule, spec: SlgiSpec) -> InequalityResult:
     """s1 s2 <M1 M2> + s2 s3 <M2 M3> - s1 s3 <M1 M3> against the bound 1."""
-    s1, s2, s3 = spec.signs
-    c12 = correlator(state, schedule.with_measured((1, 2)))
-    c23 = correlator(state, schedule.with_measured((2, 3)))
-    c13 = correlator(state, schedule.with_measured((1, 3)))
-    value = s1 * s2 * c12 + s2 * s3 * c23 - s1 * s3 * c13
-    return _result(value, 1.0, spec, state, schedule)
+    return slgi_all(state, schedule, (spec,))[0]
 
 
-def slgi_all(state: QubitState, schedule: Schedule) -> list[InequalityResult]:
+def slgi_all(state: QubitState, schedule: Schedule, specs=SLGI_SPECS) -> list[InequalityResult]:
     c = {pair: correlator(state, schedule.with_measured(pair)) for pair in PAIRS}
-    out = []
-    for spec in SLGI_SPECS:
-        s1, s2, s3 = spec.signs
-        value = s1 * s2 * c[(1, 2)] + s2 * s3 * c[(2, 3)] - s1 * s3 * c[(1, 3)]
-        out.append(_result(value, 1.0, spec, state, schedule))
-    return out
+    return _results(grid.slgi_from_correlators(c, specs), 1.0, specs, state, schedule)
 
 
 def slgi_closed_form_spin(eta: float, tau: float) -> float:
@@ -176,38 +147,19 @@ def slgi_closed_form_biased(theta: float, phi: float, tau: float, eta: float) ->
 
 
 def wlgi_from_pairs(dists: dict[tuple[int, int], JointDistribution], spec: WlgiSpec) -> float:
-    """WLGI left-hand side from the three stand-alone pair distributions.
-
-    The subtracted terms pair the marginalized time r (outcome s with the
-    earlier of p, q; outcome -s with the later), each temporally ordered.
-    """
-    (p, q), u, v, s = spec.positive_pair, spec.u, spec.v, spec.s
-    r = spec.marginalized
-    pos = dists[(p, q)].prob((u, v))
-    if r == 1:
-        neg1 = dists[(1, 2)].prob((s, u))
-        neg2 = dists[(1, 3)].prob((-s, v))
-    elif r == 2:
-        neg1 = dists[(1, 2)].prob((u, s))
-        neg2 = dists[(2, 3)].prob((-s, v))
-    else:  # r == 3
-        neg1 = dists[(1, 3)].prob((u, s))
-        neg2 = dists[(2, 3)].prob((v, -s))
-    return pos - neg1 - neg2
+    """WLGI left-hand side from the three stand-alone pair distributions."""
+    probs = {pair: dist.probabilities() for pair, dist in dists.items()}
+    return float(grid.wlgi_values(probs, (spec,))[0])
 
 
 def wlgi_value(state: QubitState, schedule: Schedule, spec: WlgiSpec) -> InequalityResult:
-    dists = pair_distributions(state, schedule)
-    return _result(wlgi_from_pairs(dists, spec), 0.0, spec, state, schedule)
+    return wlgi_all(state, schedule, (spec,))[0]
 
 
-def wlgi_all(state: QubitState, schedule: Schedule) -> list[InequalityResult]:
-    """All 24 WLGIs, in canonical order, from one set of pair experiments."""
-    dists = pair_distributions(state, schedule)
-    return [
-        _result(wlgi_from_pairs(dists, spec), 0.0, spec, state, schedule)
-        for spec in WLGI_SPECS
-    ]
+def wlgi_all(state: QubitState, schedule: Schedule, specs=WLGI_SPECS) -> list[InequalityResult]:
+    """WLGIs (default: all 24, in canonical order) from one set of pair experiments."""
+    values = grid.wlgi_values(experiment_probabilities(state, schedule, PAIRS), specs)
+    return _results(values, 0.0, specs, state, schedule)
 
 
 # --- ELGI -------------------------------------------------------------------
@@ -219,8 +171,7 @@ def shannon_entropy(dist: JointDistribution | Iterable[float]) -> float:
         probs = dist.probabilities()
     else:
         probs = np.asarray(list(dist), dtype=float)
-    probs = probs[probs > 0.0]
-    return float(-(probs * np.log(probs)).sum()) if probs.size else 0.0
+    return float(grid.entropy(probs))
 
 
 def elgi_value(state: QubitState, schedule: Schedule, spec: ElgiSpec) -> InequalityResult:
@@ -229,16 +180,12 @@ def elgi_value(state: QubitState, schedule: Schedule, spec: ElgiSpec) -> Inequal
     Pair entropies come from two-time experiments, H(M_b) from the
     single-measurement experiment at t_b.
     """
-    b = spec.middle
-    if b not in (1, 2, 3):
+    return elgi_all(state, schedule, (spec,))[0]
+
+
+def elgi_all(state: QubitState, schedule: Schedule, specs=ELGI_SPECS) -> list[InequalityResult]:
+    if any(spec.middle not in (1, 2, 3) for spec in specs):
         raise ValueError("middle must be 1, 2 or 3")
-    a, c = sorted({1, 2, 3} - {b})
-    h_ac = shannon_entropy(run_schedule(state, schedule.with_measured((a, c))))
-    h_ab = shannon_entropy(run_schedule(state, schedule.with_measured(tuple(sorted((a, b))))))
-    h_bc = shannon_entropy(run_schedule(state, schedule.with_measured(tuple(sorted((b, c))))))
-    h_b = shannon_entropy(run_schedule(state, schedule.with_measured((b,))))
-    return _result(h_ac - h_ab - h_bc + h_b, 0.0, spec, state, schedule)
-
-
-def elgi_all(state: QubitState, schedule: Schedule) -> list[InequalityResult]:
-    return [elgi_value(state, schedule, spec) for spec in ELGI_SPECS]
+    subsets = PAIRS + tuple((spec.middle,) for spec in specs)
+    values = grid.elgi_values(experiment_probabilities(state, schedule, subsets), specs)
+    return _results(values, 0.0, specs, state, schedule)

@@ -25,9 +25,11 @@ from itertools import product
 
 import numpy as np
 
+from . import grid
 from .errors import InvariantError
-from .inequalities import WlgiSpec, wlgi_from_pairs
-from .measurement import JointDistribution, QubitState, Schedule, run_schedule
+from .grid import WlgiSpec
+from .inequalities import experiment_probabilities
+from .measurement import QubitState, Schedule, run_schedule
 
 NSIT_TOL = 1e-10
 AOT_TOL = 1e-10
@@ -68,59 +70,27 @@ class ThresholdCheck:
     predicted_violation: bool
 
 
-def _experiments(state: QubitState, schedule: Schedule) -> dict[tuple[int, ...], JointDistribution]:
-    subsets = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
-    return {s: run_schedule(state, schedule.with_measured(s)) for s in subsets}
-
-
-def _aot_residual(exp: dict[tuple[int, ...], JointDistribution]) -> float:
-    """Largest deviation across the AoT identities (drop the latest time)."""
-    checks = [
-        ((1, 2, 3), (1, 2)),
-        ((1, 2), (1,)),
-        ((1, 3), (1,)),
-        ((2, 3), (2,)),
-    ]
-    worst = 0.0
-    for big, small in checks:
-        marg = exp[big].marginalize(small)
-        for key in marg.outcomes():
-            worst = max(worst, abs(marg.prob(key) - exp[small].prob(key)))
-    return worst
-
-
 def disturbance_report(state: QubitState, schedule: Schedule) -> DisturbanceReport:
-    """Compute every D family from measurement-pipeline distributions only.
+    """Every D family from the operator pipeline's distributions.
 
     The schedule's `measured` field is ignored; all seven sub-experiments
-    (three singles, three pairs, the triple) are run with its parameters.
+    (three singles, three pairs, the triple) are run with its parameters and
+    reduced by lgscan.grid.disturbances / aot_residual.
     """
-    exp = _experiments(state, schedule)
-    triple = exp[(1, 2, 3)]
-    d1_pair = {
-        (j, k): exp[(2, 3)].prob((j, k)) - sum(triple.prob((i, j, k)) for i in SIGNS)
-        for j, k in product(SIGNS, repeat=2)
-    }
-    d2_pair = {
-        (i, k): exp[(1, 3)].prob((i, k)) - sum(triple.prob((i, j, k)) for j in SIGNS)
-        for i, k in product(SIGNS, repeat=2)
-    }
-    d1_m2 = {
-        j: exp[(2,)].prob((j,)) - sum(exp[(1, 2)].prob((i, j)) for i in SIGNS)
-        for j in SIGNS
-    }
-    d1_m3 = {
-        k: exp[(3,)].prob((k,)) - sum(exp[(1, 3)].prob((i, k)) for i in SIGNS)
-        for k in SIGNS
-    }
-    d2_m3 = {
-        k: exp[(3,)].prob((k,)) - sum(exp[(2, 3)].prob((j, k)) for j in SIGNS)
-        for k in SIGNS
-    }
-    residual = _aot_residual(exp)
+    dists = experiment_probabilities(state, schedule, grid.SUBSETS)
+    residual = float(grid.aot_residual(dists))
     if residual > AOT_TOL:
         raise InvariantError(f"AoT residual {residual:g} exceeds {AOT_TOL:g}")
-    return DisturbanceReport(d1_pair, d2_pair, d1_m2, d1_m3, d2_m3, residual)
+    fams = grid.disturbances(dists)
+    pairs = list(product(SIGNS, repeat=2))
+    return DisturbanceReport(
+        d1_pair=dict(zip(pairs, fams["d1_pair"].tolist())),
+        d2_pair=dict(zip(pairs, fams["d2_pair"].tolist())),
+        d1_m2=dict(zip(SIGNS, fams["d1_m2"].tolist())),
+        d1_m3=dict(zip(SIGNS, fams["d1_m3"].tolist())),
+        d2_m3=dict(zip(SIGNS, fams["d2_m3"].tolist())),
+        aot_residual=residual,
+    )
 
 
 def disturbance_closed_forms(theta: float, phi: float, tau: float) -> DisturbanceReport:
@@ -222,12 +192,3 @@ def wlgi_threshold_check(state: QubitState, schedule: Schedule, spec: WlgiSpec) 
         lhs = -report.d2_pair[(u, s)] - report.d1_pair[(v, -s)]
         rhs = triple.prob((u, -v, s)) + triple.prob((-u, v, -s))
     return ThresholdCheck(lhs=float(lhs), rhs=float(rhs), predicted_violation=bool(lhs > rhs + 1e-12))
-
-
-def wlgi_decomposition_residual(state: QubitState, schedule: Schedule, spec: WlgiSpec) -> float:
-    """|wlgi_value - (lhs - rhs)|; zero up to rounding by construction."""
-    from .inequalities import pair_distributions
-
-    check = wlgi_threshold_check(state, schedule, spec)
-    value = wlgi_from_pairs(pair_distributions(state, schedule), spec)
-    return abs(value - (check.lhs - check.rhs))

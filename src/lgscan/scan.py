@@ -4,12 +4,12 @@ A scan walks the grid theta x phi x tau x eta in row-major order (theta
 outermost) and, for every requested inequality family, emits one record with
 the family's maximum value over its specs, the argmax spec index, the five
 NSIT condition booleans, and the joint-measurability summary.  Output order
-is the grid order regardless of how the work is chunked, and two runs of the
-same configuration produce byte-identical files.
+is the grid order, and two runs of the same configuration produce
+byte-identical files.
 
-Bias modes: "zero" (x = 0), "eta-1" (x = eta - 1, always a valid effect),
-or a fixed explicit x; in fixed mode grid points with |x| + eta > 1 are
-skipped and counted.
+Bias modes (`bias_x`, the one rule every command uses): "zero" (x = 0),
+"eta-1" (x = eta - 1, always a valid effect), or a fixed explicit x; in
+fixed mode grid points with |x| + eta > 1 are skipped and counted.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from . import grid as gridmod
 from . import jointmeas
 from .errors import ConfigError, NoBracket
-from .inequalities import WLGI_SPECS
 
 FAMILIES = ("slgi", "wlgi", "elgi")
 FAMILY_BOUNDS = {"slgi": 1.0, "wlgi": 0.0, "elgi": 0.0}
@@ -45,6 +44,17 @@ def axis_from_angles(alpha: float, beta: float) -> np.ndarray:
     return np.array(
         [math.cos(alpha) * math.sin(beta), math.cos(alpha) * math.cos(beta), math.sin(alpha)]
     )
+
+
+def bias_x(bias_mode: str, eta, x_fixed: float = 0.0) -> np.ndarray:
+    """Effect bias x at sharpness eta: 0 ("zero"), eta - 1 ("eta-1"), or
+    x_fixed ("fixed"); same shape as eta."""
+    eta = np.asarray(eta, dtype=float)
+    if bias_mode == "zero":
+        return np.zeros_like(eta)
+    if bias_mode == "eta-1":
+        return eta - 1.0
+    return np.full_like(eta, x_fixed)
 
 
 def default_tau_grid(step: float = DEFAULT_TAU_STEP) -> np.ndarray:
@@ -92,11 +102,7 @@ class ScanConfig:
         return axis_from_angles(self.axis_alpha, self.axis_beta)
 
     def x_of(self, eta: np.ndarray) -> np.ndarray:
-        if self.bias_mode == "zero":
-            return np.zeros_like(eta)
-        if self.bias_mode == "eta-1":
-            return eta - 1.0
-        return np.full_like(eta, self.x_fixed)
+        return bias_x(self.bias_mode, eta, self.x_fixed)
 
 
 @dataclass(frozen=True)
@@ -126,9 +132,7 @@ class ScanRecord:
 
 def skipped_points(config: ScanConfig) -> int:
     """Grid points excluded because |x| + eta > 1 (fixed-bias mode only)."""
-    if config.bias_mode != "fixed":
-        return 0
-    per_eta = np.sum(np.abs(config.x_fixed) + config.eta > 1.0 + 1e-12)
+    per_eta = np.sum(np.abs(config.x_of(config.eta)) + config.eta > 1.0 + 1e-12)
     return int(per_eta) * config.theta.size * config.phi.size * config.tau.size
 
 
@@ -182,8 +186,21 @@ def _flags_at(i: int, nsit_flags, jm_margins, triple_margin, unbiased) -> dict:
     return flags
 
 
-def _evaluate_chunk(args) -> list[ScanRecord]:
-    (theta, phi, tau, eta, x, config) = args
+def scan(config: ScanConfig) -> list[ScanRecord]:
+    """Evaluate the whole grid; records ordered by grid index, then family.
+
+    `config.jobs` is accepted for compatibility and has no effect: the grid
+    is evaluated in one vectorized pass.
+    """
+    theta, phi, tau, eta = np.meshgrid(
+        config.theta, config.phi, config.tau, config.eta, indexing="ij"
+    )
+    theta, phi, tau, eta = (a.ravel() for a in (theta, phi, tau, eta))
+    x = config.x_of(eta)
+    keep = np.abs(x) + eta <= 1.0 + 1e-12
+    theta, phi, tau, eta, x = theta[keep], phi[keep], tau[keep], eta[keep], x[keep]
+    if theta.size == 0:
+        return []
     bloch = gridmod.pure_bloch(theta, phi)
     dists = gridmod.lg_distributions(bloch, tau, config.axis, eta, x)
     fams = _family_arrays(dists, config.families)
@@ -210,62 +227,7 @@ def _evaluate_chunk(args) -> list[ScanRecord]:
     return records
 
 
-def scan(config: ScanConfig) -> list[ScanRecord]:
-    """Evaluate the whole grid; records ordered by grid index, then family."""
-    th, ph, ta, et = np.meshgrid(
-        config.theta, config.phi, config.tau, config.eta, indexing="ij"
-    )
-    th, ph, ta, et = (a.ravel() for a in (th, ph, ta, et))
-    x = config.x_of(et)
-    keep = np.abs(x) + et <= 1.0 + 1e-12
-    th, ph, ta, et, x = th[keep], ph[keep], ta[keep], et[keep], x[keep]
-    if th.size == 0:
-        return []
-    chunks = np.array_split(np.arange(th.size), max(config.jobs, 1))
-    chunk_args = [
-        (th[idx], ph[idx], ta[idx], et[idx], x[idx], config)
-        for idx in chunks
-        if idx.size
-    ]
-    if config.jobs > 1 and len(chunk_args) > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(processes=config.jobs) as pool:
-            parts = pool.map(_evaluate_chunk, chunk_args)
-    else:
-        parts = [_evaluate_chunk(a) for a in chunk_args]
-    records: list[ScanRecord] = []
-    for part in parts:
-        records.extend(part)
-    return records
-
-
 # --- threshold search ---------------------------------------------------------
-
-
-def _family_max(
-    family: str,
-    theta: float,
-    phi: float,
-    tau_values: np.ndarray,
-    eta: float,
-    bias_mode: str,
-    axis: np.ndarray,
-    spec_index: int | None,
-    x_fixed: float = 0.0,
-) -> float:
-    bloch = gridmod.pure_bloch(theta, phi)
-    if bias_mode == "zero":
-        x = 0.0
-    elif bias_mode == "eta-1":
-        x = eta - 1.0
-    else:
-        x = x_fixed
-    dists = gridmod.lg_distributions(bloch, tau_values, axis, eta, x)
-    vals = _family_arrays(dists, (family,))[family]
-    if spec_index is not None:
-        vals = vals[..., spec_index : spec_index + 1]
-    return float(np.max(vals))
 
 
 def _polish_tau(value_fn, tau_grid: np.ndarray) -> float:
@@ -320,16 +282,12 @@ def threshold_eta(
             raise ConfigError("either tau or maximize_tau is required")
         grid_values = np.array([float(tau)])
     bound = FAMILY_BOUNDS[family]
+    bloch = gridmod.pure_bloch(theta, phi)
 
     def g(eta: float) -> float:
+        x = bias_x(bias_mode, eta, x_fixed)
+
         def value_fn(taus: np.ndarray) -> np.ndarray:
-            bloch = gridmod.pure_bloch(theta, phi)
-            if bias_mode == "zero":
-                x = 0.0
-            elif bias_mode == "eta-1":
-                x = eta - 1.0
-            else:
-                x = x_fixed
             dists = gridmod.lg_distributions(bloch, taus, axis, eta, x)
             vals = _family_arrays(dists, (family,))[family]
             if spec_index is not None:
@@ -454,8 +412,7 @@ def figure_records(which: int) -> list[ScanRecord]:
         cfg = ScanConfig(theta=[theta], phi=[phi], tau=tau_grid, eta=eta_grid, bias_mode=bias)
         bloch = gridmod.pure_bloch(theta, phi)
         records = []
-        for eta in cfg.eta:
-            x = 0.0 if which == 1 else float(eta) - 1.0
+        for eta, x in zip(cfg.eta, cfg.x_of(cfg.eta).tolist()):
             dists = gridmod.lg_distributions(bloch, tau_grid, cfg.axis, eta, x)
             vals = gridmod.elgi_values(dists)[..., 1]  # middle = 2 variant
             flag_parts = _point_flags(dists, tau_grid, eta, x, cfg)
@@ -482,7 +439,7 @@ def figure_records(which: int) -> list[ScanRecord]:
         records = []
         for j, tau in enumerate(tau_grid):
             flags = _flags_at(j, *flag_parts)
-            for k in range(len(WLGI_SPECS)):
+            for k in range(len(gridmod.WLGI_SPECS)):
                 records.append(_bare_record(theta, phi, float(tau), 1.0, 0.0,
                                              cfg, "wlgi", k, float(vals[j, k]), flags))
         return records

@@ -6,13 +6,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lgscan.config import eval_expr, load_configs, parse_grid
+import lgscan.cli as cli
+from lgscan.config import eval_expr, load_configs, parse_bias, parse_grid
 from lgscan.errors import ConfigError, NoBracket
 from lgscan.scan import (
     CSV_COLUMNS,
     ScanConfig,
     axis_from_angles,
+    bias_x,
     figure_records,
     parse_report,
     report,
@@ -105,6 +109,90 @@ axis_beta = pi/4
     def test_eta_out_of_range(self):
         with pytest.raises(ConfigError):
             ScanConfig(theta=[0], phi=[0], tau=[0.1], eta=[1.5])
+
+
+# arithmetic expressions over the config grammar's atoms, nested a few deep
+_ATOMS = st.one_of(
+    st.sampled_from(["pi", "0", "1", "2", "0.5", "1e308", "1e-308", "2000.5", "-1"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**400, 10**400).map(str),
+)
+_EXPRS = st.recursive(
+    _ATOMS,
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from(["+", "-", "*", "/", "**"]), sub).map(
+            lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        sub.map(lambda e: f"-({e})"),
+    ),
+    max_leaves=6,
+)
+
+
+class TestConfigArithmetic:
+    @pytest.mark.parametrize("expr", ["1e308*10", "1/0", "2**2000.5"])
+    def test_bad_arithmetic_exits_2_with_line(self, tmp_path, capsys, expr):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[x]\ntheta = 0\ntau = {expr}\n")
+        code = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "line 3 (x.tau)" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "x.csv").exists()
+
+    def test_eval_tau_division_by_zero_exits_2(self, capsys):
+        assert cli.main(["eval", "--tau", "1/0"]) == 2
+        assert "ZeroDivisionError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_eval_non_finite_eta_exits_2(self, capsys, eta):
+        assert cli.main(["eval", "--tau", "1", "--eta", eta]) == 2
+        assert "eta" in capsys.readouterr().err
+
+    def test_complex_result_rejected(self):
+        with pytest.raises(ConfigError, match="finite real"):
+            eval_expr("(-1)**0.5", "bias")
+
+    @pytest.mark.parametrize("text", ["-" * 100000 + "1", "1" + "+1" * 50000, "1\x00"])
+    def test_unparseable_nesting_and_nul(self, text):
+        with pytest.raises(ConfigError, match="cannot parse"):
+            eval_expr(text, "line 1")
+
+    def test_range_without_finite_step_count(self):
+        with pytest.raises(ConfigError, match="line 2"):
+            parse_grid("-1e308 : 1e308 : 1e-300", "line 2")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_EXPRS, st.text(max_size=30)))
+    def test_expression_is_finite_float_or_config_error(self, text):
+        try:
+            value = eval_expr(text, "line 1")
+        except ConfigError as exc:
+            assert str(exc).startswith("line 1")
+        else:
+            assert isinstance(value, float) and math.isfinite(value)
+
+
+class TestBias:
+    def test_parse_bias_modes(self):
+        assert parse_bias("zero") == ("zero", 0.0)
+        assert parse_bias(" eta - 1 ") == ("eta-1", 0.0)
+        assert parse_bias("x=pi/10") == ("fixed", pytest.approx(math.pi / 10))
+
+    def test_parse_bias_diagnostics(self):
+        with pytest.raises(ConfigError, match=r"^bias must be zero, eta-1 or x=<value>$"):
+            parse_bias("nonsense")
+        with pytest.raises(ConfigError, match=r"^line 4: bias must be"):
+            parse_bias("nonsense", "line 4", "run.bias")
+        with pytest.raises(ConfigError, match=r"^line 4 \(run\.bias\): cannot parse"):
+            parse_bias("x=1+", "line 4", "run.bias")
+
+    def test_bias_x_rule(self):
+        eta = np.array([0.25, 0.5])
+        assert np.array_equal(bias_x("zero", eta), [0.0, 0.0])
+        assert np.array_equal(bias_x("eta-1", eta), [-0.75, -0.5])
+        assert np.array_equal(bias_x("fixed", eta, 0.2), [0.2, 0.2])
+        assert float(bias_x("eta-1", 0.75)) == -0.25
+        cfg = small_config(bias_mode="fixed", x_fixed=0.1)
+        assert np.array_equal(cfg.x_of(cfg.eta), bias_x("fixed", cfg.eta, 0.1))
 
 
 class TestScan:
@@ -297,6 +385,20 @@ class TestCli:
                             "--tau", "pi/3", "--eta", "1")
         assert proc.returncode == 0
         assert "slgi" in proc.stdout and "jm triple" in proc.stdout
+
+    def test_eval_triple_line_is_inconclusive_not_incompatible(self, capsys):
+        # the four-norm criterion fails at tau = pi/4, eta = 0.65 (threshold
+        # (sqrt 5 - 1)/2), but the exact triple threshold there is 1/sqrt 2,
+        # so the triple is jointly measurable and must not read "incompatible"
+        code = cli.main(["eval", "--theta", "pi/3", "--phi", "pi/2",
+                         "--tau", "pi/4", "--eta", "0.65"])
+        assert code == 0
+        line = [ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("jm triple:")]
+        assert len(line) == 1
+        assert line[0].startswith("jm triple: inconclusive by the four-norm sufficient criterion")
+        assert "incompatible" not in line[0]
+        assert "(margin -" in line[0] and line[0].endswith("threshold 0.618034")
 
     def test_scan_and_artifacts(self, tmp_path):
         cfg = tmp_path / "run.cfg"
