@@ -78,6 +78,7 @@ from .nsit import (
 from .scan import (
     ScanConfig,
     ScanRecord,
+    ScanTable,
     axis_from_angles,
     figure_records,
     report,

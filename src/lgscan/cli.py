@@ -187,6 +187,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not math.isfinite(getattr(args, "eta", 0.0)):
             raise ConfigError(f"eta must be a finite number, got {args.eta!r}")
+        # threshold_eta checks its own (bisection) tolerance, which must be > 0
+        tol = getattr(args, "tolerance", None)
+        if args.command in ("eval", "scan") and tol is not None and not (
+                math.isfinite(tol) and tol >= 0):
+            raise ConfigError(f"tolerance must be a finite number >= 0, got {tol!r}")
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "scan":

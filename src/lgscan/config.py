@@ -34,6 +34,8 @@ _KEYS = {
     "families", "tolerance", "out", "jobs",
 }
 
+MAX_RANGE_POINTS = 10**6  # per start:stop:step range
+
 _BINOPS = {
     ast.Add: operator.add,
     ast.Sub: operator.sub,
@@ -95,7 +97,8 @@ def parse_bias(text: str, where: str = "", label: str = "bias") -> tuple[str, fl
 
 
 def parse_grid(text: str, where: str = "") -> np.ndarray:
-    """Single expression, or inclusive range start:stop:step."""
+    """Single expression, or inclusive range start:stop:step of at most
+    MAX_RANGE_POINTS points."""
     parts = text.split(":")
     if len(parts) == 1:
         return np.array([eval_expr(parts[0], where)])
@@ -110,6 +113,8 @@ def parse_grid(text: str, where: str = "") -> np.ndarray:
     n = int(math.floor(span + 1e-9)) + 1
     if n < 1:
         raise ConfigError(f"{where}: empty range {text!r}")
+    if n > MAX_RANGE_POINTS:
+        raise ConfigError(f"{where}: range {text!r} has more than {MAX_RANGE_POINTS} points")
     return start + step * np.arange(n)
 
 
@@ -179,6 +184,11 @@ def _build(section: str, kv: dict[str, tuple[int, str]]) -> ScanConfig:
             return eval_expr(text, f"line {lineno} ({section}.{key})")
         return default
 
+    nsit_tol = scalar("tolerance", 1e-10)
+    if nsit_tol < 0:
+        raise ConfigError(f"line {kv['tolerance'][0]} ({section}.tolerance): "
+                          f"tolerance must be >= 0")
+
     jobs = 1
     if "jobs" in kv:
         lineno, text = kv["jobs"]
@@ -195,7 +205,7 @@ def _build(section: str, kv: dict[str, tuple[int, str]]) -> ScanConfig:
         axis_alpha=scalar("axis_alpha", 0.0),
         axis_beta=scalar("axis_beta", math.pi / 2),
         families=families,
-        nsit_tol=scalar("tolerance", 1e-10),
+        nsit_tol=nsit_tol,
         jobs=jobs,
         out=out,
     )

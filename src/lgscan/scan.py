@@ -7,6 +7,11 @@ NSIT condition booleans, and the joint-measurability summary.  Output order
 is the grid order, and two runs of the same configuration produce
 byte-identical files.
 
+Records are held as a `ScanTable`, one numpy array per report column.  The
+scan evaluates the grid in blocks of `CHUNK` points and fills the table with
+array operations; `report` formats whole columns and writes `CHUNK` rows at
+a time.  `ScanRecord` is the row view.
+
 Bias modes (`bias_x`, the one rule every command uses): "zero" (x = 0),
 "eta-1" (x = eta - 1, always a valid effect), or a fixed explicit x; in
 fixed mode grid points with |x| + eta > 1 are skipped and counted.
@@ -17,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +39,16 @@ CSV_COLUMNS = (
     "nsit_12", "nsit_13", "nsit_23", "nsit_123", "nsit_1_2_3",
     "jm_12", "jm_23", "jm_13", "jm_triple",
 )
+
+FLOAT_COLUMNS = ("theta", "phi", "tau", "eta", "x", "axis_alpha", "axis_beta",
+                 "value", "bound")
+FLAG_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("violated"):]
+# flag cells are int8 codes into FLAG_VALUES; jm_triple is None for biased effects
+FLAG_VALUES = (False, True, None)
+_FLAG_CODES = {False: 0, True: 1, None: 2}
+
+# grid points per kernel call in `scan`, and rows per block written by `report`
+CHUNK = 2**14
 
 DEFAULT_ANGLE_STEP = math.pi / 60
 DEFAULT_TAU_STEP = math.pi / 360  # threshold-resolution grid
@@ -83,7 +98,16 @@ class ScanConfig:
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if arr.ndim != 1 or arr.size < 1:
                 raise ConfigError(f"grid '{name}' must be a nonempty 1-D array")
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(f"grid '{name}' must hold finite numbers only")
             object.__setattr__(self, name, arr)
+        for name in ("x_fixed", "axis_alpha", "axis_beta", "nsit_tol"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, value)
+        if self.nsit_tol < 0:
+            raise ConfigError(f"nsit_tol must be >= 0, got {self.nsit_tol!r}")
         if np.any(self.eta < 0) or np.any(self.eta > 1):
             raise ConfigError("eta grid must lie in [0, 1]")
         if self.bias_mode not in ("zero", "eta-1", "fixed"):
@@ -107,6 +131,8 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ScanRecord:
+    """One report row; `ScanTable` indexing and iteration yield these."""
+
     theta: float
     phi: float
     tau: float
@@ -130,6 +156,88 @@ class ScanRecord:
     jm_triple: bool | None
 
 
+def _dtype(col: str):
+    if col in FLOAT_COLUMNS:
+        return np.float64
+    if col == "spec_index":
+        return np.int64
+    return np.int8  # family: index into FAMILIES; flags: code into FLAG_VALUES
+
+
+_FAMILY_OBJECTS = np.array(FAMILIES, dtype=object)
+_FLAG_OBJECTS = np.array(FLAG_VALUES, dtype=object)
+
+
+class ScanTable:
+    """Report rows held as columns: `columns[c]` is one numpy array per
+    CSV_COLUMNS entry c.
+
+    Floats are float64, `spec_index` is int64, `family` holds indices into
+    FAMILIES and every flag column codes into FLAG_VALUES.  `len`, indexing
+    and iteration give the rows as `ScanRecord`s; tables compare equal
+    column by column.
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray]) -> None:
+        self.columns = columns
+
+    @classmethod
+    def empty(cls, n: int) -> "ScanTable":
+        return cls({col: np.empty(n, dtype=_dtype(col)) for col in CSV_COLUMNS})
+
+    @classmethod
+    def from_records(cls, records: Sequence[ScanRecord]) -> "ScanTable":
+        table = cls.empty(len(records))
+        for col in CSV_COLUMNS:
+            values = [getattr(r, col) for r in records]
+            if col == "family":
+                bad = sorted(set(values) - set(FAMILIES))
+                if bad:
+                    raise ConfigError(f"unknown families {bad} in records")
+                values = [FAMILIES.index(v) for v in values]
+            elif col in FLAG_COLUMNS:
+                values = [_FLAG_CODES[v] for v in values]
+            table.columns[col][:] = values
+        return table
+
+    def put(self, start: int, rows: dict[str, np.ndarray]) -> int:
+        """Write a block of rows from row `start` on; returns the row after it."""
+        stop = start + len(rows["theta"])
+        for col in CSV_COLUMNS:
+            self.columns[col][start:stop] = rows[col]
+        return stop
+
+    def __len__(self) -> int:
+        return len(self.columns["theta"])
+
+    def _records(self, start: int, stop: int) -> list[ScanRecord]:
+        cells = []
+        for col in CSV_COLUMNS:
+            part = self.columns[col][start:stop]
+            if col == "family":
+                part = _FAMILY_OBJECTS[part]
+            elif col in FLAG_COLUMNS:
+                part = _FLAG_OBJECTS[part]
+            cells.append(part.tolist())
+        return [ScanRecord(*row) for row in zip(*cells)]
+
+    def __getitem__(self, i: int) -> ScanRecord:
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"row {i} out of range for {n} rows")
+        i %= n
+        return self._records(i, i + 1)[0]
+
+    def __iter__(self) -> Iterator[ScanRecord]:
+        for start in range(0, len(self), CHUNK):
+            yield from self._records(start, start + CHUNK)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScanTable):
+            return NotImplemented
+        return all(np.array_equal(self.columns[c], other.columns[c]) for c in CSV_COLUMNS)
+
+
 def skipped_points(config: ScanConfig) -> int:
     """Grid points excluded because |x| + eta > 1 (fixed-bias mode only)."""
     per_eta = np.sum(np.abs(config.x_of(config.eta)) + config.eta > 1.0 + 1e-12)
@@ -147,12 +255,12 @@ def _family_arrays(dists: dict, families: Sequence[str]) -> dict[str, np.ndarray
     return out
 
 
-def _point_flags(dists: dict, tau, eta, x, config: ScanConfig):
-    """Vectorized NSIT booleans and JM margins for a flat parameter batch."""
+def _point_flags(dists: dict, tau, eta, x, config: ScanConfig) -> dict[str, np.ndarray]:
+    """NSIT and JM flag columns (FLAG_VALUES codes) for a flat parameter batch."""
     dist_arrays = gridmod.disturbances(dists)
     tol = config.nsit_tol
     aot = gridmod.aot_residual(dists)
-    nsit_flags = {
+    flags = {
         "nsit_12": np.abs(dist_arrays["d1_m2"]).max(axis=-1) <= tol,
         "nsit_13": np.abs(dist_arrays["d1_m3"]).max(axis=-1) <= tol,
         "nsit_23": np.abs(dist_arrays["d2_m3"]).max(axis=-1) <= tol,
@@ -169,62 +277,64 @@ def _point_flags(dists: dict, tau, eta, x, config: ScanConfig):
     d2 = gridmod.rotate_bloch(d1, config.axis, -2.0 * tau)
     d3 = gridmod.rotate_bloch(d1, config.axis, -4.0 * tau)
     e = eta[..., None]
-    jm_margins = {
-        "jm_12": jointmeas.general_margin(x, e * d1, x, e * d2),
-        "jm_23": jointmeas.general_margin(x, e * d2, x, e * d3),
-        "jm_13": jointmeas.general_margin(x, e * d1, x, e * d3),
-    }
+    flags["jm_12"] = jointmeas.general_margin(x, e * d1, x, e * d2) >= -1e-12
+    flags["jm_23"] = jointmeas.general_margin(x, e * d2, x, e * d3) >= -1e-12
+    flags["jm_13"] = jointmeas.general_margin(x, e * d1, x, e * d3) >= -1e-12
     triple_margin = 4.0 - jointmeas.triple_sum(e * d1, e * d2, e * d3)
-    unbiased = np.abs(x) < 1e-15
-    return nsit_flags, jm_margins, triple_margin, unbiased
-
-
-def _flags_at(i: int, nsit_flags, jm_margins, triple_margin, unbiased) -> dict:
-    flags = {k: bool(v[i]) for k, v in nsit_flags.items()}
-    flags.update({k: bool(v[i] >= -1e-12) for k, v in jm_margins.items()})
-    flags["jm_triple"] = bool(triple_margin[i] >= -1e-12) if unbiased[i] else None
+    flags["jm_triple"] = np.where(np.abs(x) < 1e-15, triple_margin >= -1e-12,
+                                  _FLAG_CODES[None])
     return flags
 
 
-def scan(config: ScanConfig) -> list[ScanRecord]:
+def _point_rows(theta, phi, tau, eta, x, dists: dict, config: ScanConfig,
+                picks: Sequence[tuple[str, np.ndarray, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Report columns for a flat batch of points evaluated into `dists`.
+
+    Each pick (family, spec_index, value) gives one row per point, with
+    per-point spec_index and value arrays; rows run points outermost, picks
+    innermost.  theta .. x broadcast to the batch.
+    """
+    flags = _point_flags(dists, tau, eta, x, config)
+    n = flags["jm_12"].size
+    k = len(picks)
+    rows = {
+        name: np.repeat(np.broadcast_to(np.asarray(v, dtype=float), (n,)), k)
+        for name, v in (("theta", theta), ("phi", phi), ("tau", tau), ("eta", eta), ("x", x))
+    }
+    rows.update((name, np.repeat(flag, k)) for name, flag in flags.items())
+    rows["axis_alpha"] = np.full(n * k, config.axis_alpha)
+    rows["axis_beta"] = np.full(n * k, config.axis_beta)
+    rows["family"] = np.tile([FAMILIES.index(f) for f, _, _ in picks], n)
+    rows["spec_index"] = np.stack([s for _, s, _ in picks], axis=-1).ravel()
+    rows["value"] = np.stack([v for _, _, v in picks], axis=-1).ravel()
+    rows["bound"] = np.tile([FAMILY_BOUNDS[f] for f, _, _ in picks], n)
+    rows["violated"] = rows["value"] > rows["bound"] + 1e-12
+    return rows
+
+
+def scan(config: ScanConfig) -> ScanTable:
     """Evaluate the whole grid; records ordered by grid index, then family.
 
-    `config.jobs` is accepted for compatibility and has no effect: the grid
-    is evaluated in one vectorized pass.
+    The grid is evaluated in blocks of CHUNK points.  `config.jobs` is
+    accepted for compatibility and has no effect.
     """
-    theta, phi, tau, eta = np.meshgrid(
-        config.theta, config.phi, config.tau, config.eta, indexing="ij"
-    )
-    theta, phi, tau, eta = (a.ravel() for a in (theta, phi, tau, eta))
-    x = config.x_of(eta)
-    keep = np.abs(x) + eta <= 1.0 + 1e-12
-    theta, phi, tau, eta, x = theta[keep], phi[keep], tau[keep], eta[keep], x[keep]
-    if theta.size == 0:
-        return []
-    bloch = gridmod.pure_bloch(theta, phi)
-    dists = gridmod.lg_distributions(bloch, tau, config.axis, eta, x)
-    fams = _family_arrays(dists, config.families)
-    flag_parts = _point_flags(dists, tau, eta, x, config)
-
-    records: list[ScanRecord] = []
-    for i in range(theta.size):
-        flags = _flags_at(i, *flag_parts)
+    eta_kept = config.eta[np.abs(config.x_of(config.eta)) + config.eta <= 1.0 + 1e-12]
+    shape = (config.theta.size, config.phi.size, config.tau.size, eta_kept.size)
+    n_points = math.prod(shape)
+    table = ScanTable.empty(n_points * len(config.families))
+    row = 0
+    for start in range(0, n_points, CHUNK):
+        i, j, k, m = np.unravel_index(np.arange(start, min(start + CHUNK, n_points)), shape)
+        theta, phi, tau, eta = config.theta[i], config.phi[j], config.tau[k], eta_kept[m]
+        x = config.x_of(eta)
+        dists = gridmod.lg_distributions(gridmod.pure_bloch(theta, phi), tau, config.axis, eta, x)
+        fams = _family_arrays(dists, config.families)
+        picks = []
         for fam in config.families:
-            vals = fams[fam][i]
-            spec_index = int(np.argmax(vals))
-            value = float(vals[spec_index])
-            bound = FAMILY_BOUNDS[fam]
-            records.append(
-                ScanRecord(
-                    theta=float(theta[i]), phi=float(phi[i]), tau=float(tau[i]),
-                    eta=float(eta[i]), x=float(x[i]),
-                    axis_alpha=config.axis_alpha, axis_beta=config.axis_beta,
-                    family=fam, spec_index=spec_index, value=value, bound=bound,
-                    violated=bool(value > bound + 1e-12),
-                    **flags,
-                )
-            )
-    return records
+            best = np.argmax(fams[fam], axis=-1)  # the first index wins ties
+            picks.append((fam, best, np.take_along_axis(fams[fam], best[:, None], axis=-1)[:, 0]))
+        row = table.put(row, _point_rows(theta, phi, tau, eta, x, dists, config, picks))
+    return table
 
 
 # --- threshold search ---------------------------------------------------------
@@ -273,6 +383,8 @@ def threshold_eta(
     """
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tolerance must be a finite number > 0, got {tol!r}")
     if axis is None:
         axis = axis_from_angles(0.0, math.pi / 2)
     if maximize_tau:
@@ -310,6 +422,8 @@ def threshold_eta(
     lo, hi = eta_lo, eta_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no float left between lo and hi
+            break
         if g(mid) > 0:
             hi = mid
         else:
@@ -319,45 +433,68 @@ def threshold_eta(
 
 # --- reporting ------------------------------------------------------------------
 
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def _record_row(rec: ScanRecord) -> list[str]:
-    return [_fmt(getattr(rec, col)) for col in CSV_COLUMNS]
+# json.dump(rows, indent=1) puts each cell on its own line after its key, and
+# opens and closes each row's object around the first and last cell
+_JSON_AFFIXES = {
+    col: (" {\n" * (i == 0) + f'  "{col}": ', "\n }" * (i == len(CSV_COLUMNS) - 1))
+    for i, col in enumerate(CSV_COLUMNS)
+}
+_FAMILY_CELLS = {False: list(FAMILIES), True: [json.dumps(f) for f in FAMILIES]}
+_FLAG_CELLS = {False: ["false", "true", ""], True: ["false", "true", "null"]}
 
 
-def report(records: Iterable[ScanRecord], path: str, fmt: str = "csv") -> None:
-    """Write records; floats carry 12 significant digits in either format."""
-    records = list(records)
-    if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join(_record_row(r)) for r in records]
-        text = "\n".join(lines) + "\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    elif fmt == "json":
-        payload = []
-        for rec in records:
-            d = {}
-            for col in CSV_COLUMNS:
-                v = getattr(rec, col)
-                if isinstance(v, float):
-                    v = float(f"{v:.12g}")
-                d[col] = v
-            payload.append(d)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+def _cells(column: np.ndarray, col: str, as_json: bool) -> list[str]:
+    """The report cells of one column block.
+
+    Each distinct value is formatted once.  Floats are f"{v:.12g}" (CSV) or
+    json's rendering of that number, deduplicated on their bit pattern, not
+    on ==, so -0.0 ("-0") stays apart from 0.0.
+    """
+    if col == "family":
+        distinct, inverse = _FAMILY_CELLS[as_json], column
+    elif col in FLAG_COLUMNS:
+        distinct, inverse = _FLAG_CELLS[as_json], column
+    elif col == "spec_index":
+        values, inverse = np.unique(column, return_inverse=True)
+        distinct = [str(v) for v in values.tolist()]
     else:
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        distinct = [f"{v:.12g}" for v in bits.view(np.float64).tolist()]
+        if as_json:
+            distinct = [json.dumps(float(c)) for c in distinct]
+    if as_json:
+        pre, post = _JSON_AFFIXES[col]
+        distinct = [pre + c + post for c in distinct]
+    return np.array(distinct, dtype=object)[inverse].tolist()
+
+
+def report(records: ScanTable | Iterable[ScanRecord], path: str, fmt: str = "csv") -> None:
+    """Write records; floats carry 12 significant digits in either format.
+
+    JSON is what json.dump(rows, indent=1) writes for the rows as dicts, with
+    each float rounded through f"{v:.12g}".  Records that are not a
+    ScanTable are turned into one first.
+    """
+    if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
+    table = records if isinstance(records, ScanTable) else ScanTable.from_records(list(records))
+    as_json = fmt == "json"
+    with open(path, "w", newline=None if as_json else "") as fh:
+        if not as_json:
+            fh.write(",".join(CSV_COLUMNS) + "\n")
+        elif len(table) == 0:
+            fh.write("[]\n")
+            return
+        for start in range(0, len(table), CHUNK):
+            cols = [_cells(table.columns[c][start:start + CHUNK], c, as_json)
+                    for c in CSV_COLUMNS]
+            if as_json:
+                rows = map(",\n".join, zip(*cols))
+                fh.write(("[\n" if start == 0 else ",\n") + ",\n".join(rows))
+            else:
+                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+        if as_json:
+            fh.write("\n]\n")
 
 
 def _parse_cell(col: str, cell: str):
@@ -390,7 +527,7 @@ def parse_report(path: str) -> list[ScanRecord]:
 # --- canned figure runs ---------------------------------------------------------
 
 
-def figure_records(which: int) -> list[ScanRecord]:
+def figure_records(which: int) -> ScanTable:
     """Data behind the four canned survey figures.
 
     1: ELGI (middle = 2) surface over (tau, eta), x = 0, state (1.7, pi/2).
@@ -401,6 +538,7 @@ def figure_records(which: int) -> list[ScanRecord]:
     The tau range is the open interval (0, pi) in every case.
     """
     tau_grid = default_tau_grid()
+    n_tau = tau_grid.size
     if which in (1, 2):
         theta, phi = 1.7, math.pi / 2
         eta_grid = (
@@ -411,18 +549,13 @@ def figure_records(which: int) -> list[ScanRecord]:
         bias = "zero" if which == 1 else "eta-1"
         cfg = ScanConfig(theta=[theta], phi=[phi], tau=tau_grid, eta=eta_grid, bias_mode=bias)
         bloch = gridmod.pure_bloch(theta, phi)
-        records = []
+        table = ScanTable.empty(cfg.eta.size * n_tau)
+        row = 0
         for eta, x in zip(cfg.eta, cfg.x_of(cfg.eta).tolist()):
             dists = gridmod.lg_distributions(bloch, tau_grid, cfg.axis, eta, x)
-            vals = gridmod.elgi_values(dists)[..., 1]  # middle = 2 variant
-            flag_parts = _point_flags(dists, tau_grid, eta, x, cfg)
-            for j, tau in enumerate(tau_grid):
-                records.append(
-                    _bare_record(theta, phi, float(tau), float(eta), x, cfg,
-                                 "elgi", 1, float(vals[j]),
-                                 _flags_at(j, *flag_parts))
-                )
-        return records
+            picks = [("elgi", np.full(n_tau, 1), gridmod.elgi_values(dists)[..., 1])]  # middle = 2
+            row = table.put(row, _point_rows(theta, phi, tau_grid, eta, x, dists, cfg, picks))
+        return table
     if which in (3, 4):
         if which == 3:
             theta, phi = math.pi / 4, 0.0  # |+>
@@ -435,23 +568,8 @@ def figure_records(which: int) -> list[ScanRecord]:
         bloch = gridmod.pure_bloch(theta, phi)
         dists = gridmod.lg_distributions(bloch, tau_grid, cfg.axis, 1.0, 0.0)
         vals = gridmod.wlgi_values(dists)
-        flag_parts = _point_flags(dists, tau_grid, 1.0, 0.0, cfg)
-        records = []
-        for j, tau in enumerate(tau_grid):
-            flags = _flags_at(j, *flag_parts)
-            for k in range(len(gridmod.WLGI_SPECS)):
-                records.append(_bare_record(theta, phi, float(tau), 1.0, 0.0,
-                                             cfg, "wlgi", k, float(vals[j, k]), flags))
-        return records
+        picks = [("wlgi", np.full(n_tau, k), vals[:, k]) for k in range(vals.shape[-1])]
+        table = ScanTable.empty(n_tau * len(picks))
+        table.put(0, _point_rows(theta, phi, tau_grid, 1.0, 0.0, dists, cfg, picks))
+        return table
     raise ConfigError(f"unknown figure {which}; pick 1, 2, 3 or 4")
-
-
-def _bare_record(theta, phi, tau, eta, x, cfg: ScanConfig, family: str,
-                 spec_index: int, value: float, flags: dict) -> ScanRecord:
-    bound = FAMILY_BOUNDS[family]
-    return ScanRecord(
-        theta=theta, phi=phi, tau=tau, eta=eta, x=x,
-        axis_alpha=cfg.axis_alpha, axis_beta=cfg.axis_beta,
-        family=family, spec_index=spec_index, value=value, bound=bound,
-        violated=bool(value > bound + 1e-12), **flags,
-    )

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgscan.cli as cli
-from lgscan.config import eval_expr, load_configs, parse_bias, parse_grid
+from lgscan.config import (
+    MAX_RANGE_POINTS,
+    eval_expr,
+    load_configs,
+    parse_bias,
+    parse_grid,
+)
 from lgscan.errors import ConfigError, NoBracket
 from lgscan.scan import (
     CSV_COLUMNS,
@@ -169,6 +175,56 @@ class TestConfigArithmetic:
             assert str(exc).startswith("line 1")
         else:
             assert isinstance(value, float) and math.isfinite(value)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_threshold_tolerance_must_be_finite_positive(self, capsys, tol):
+        # 0 and -1 used to bisect forever, nan returned eta = 0.5
+        code = cli.main(["threshold", "--family", "slgi", "--tau", "pi/4", "--tolerance", tol])
+        assert code == 2
+        assert "tolerance must be a finite number > 0" in capsys.readouterr().err
+
+    def test_threshold_tiny_tolerance_terminates(self):
+        kw = dict(theta=np.pi / 3, phi=np.pi / 2, tau=np.pi / 3, spec_index=18)
+        fine = threshold_eta("wlgi", tol=1e-300, **kw)
+        assert fine == pytest.approx(threshold_eta("wlgi", **kw), abs=1e-4)
+
+    @pytest.mark.parametrize("command", ["eval", "scan"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_nsit_tolerance_must_be_finite_nonnegative(self, tmp_path, capsys, command, tol):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[x]\ntau = 1\n")
+        args = (["eval", "--tau", "1"] if command == "eval"
+                else ["scan", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert cli.main(args + ["--tolerance", tol]) == 2
+        assert "tolerance must be a finite number >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_negative_tolerance_names_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[x]\ntheta = 0\ntau = 1\ntolerance = -1e-9\n")
+        assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "line 4 (x.tolerance)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("theta", [0.1, math.nan]), ("phi", [math.inf]), ("tau", [math.nan]),
+        ("eta", [math.nan]), ("x_fixed", math.nan), ("axis_alpha", math.inf),
+        ("axis_beta", math.nan), ("nsit_tol", math.nan), ("nsit_tol", -1.0),
+    ])
+    def test_scan_config_rejects_non_finite(self, field, value):
+        # a nan grid used to give value=nan rows, a nan x_fixed 0 records
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{"bias_mode": "fixed", field: value})
+
+    def test_range_point_cap(self, tmp_path, capsys):
+        assert parse_grid("0 : 999999 : 1").size == MAX_RANGE_POINTS
+        with pytest.raises(ConfigError, match=r"^line 3: .* more than 1000000 points"):
+            parse_grid("0 : 1000000 : 1", "line 3")
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("[x]\ntheta = 0\ntau = 0 : 1 : 1e-300\n")
+        assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "line 3 (x.tau)" in capsys.readouterr().err
 
 
 class TestBias:
