@@ -10,6 +10,12 @@ vectors so that whole parameter grids evaluate as numpy array operations:
   vector ((p^2 - q^2) r + (2 p q + 2 q^2 (mhat.r)) mhat) / prob with
   p = (sqrt(c+d) + sqrt(c-d))/2 and q = (sqrt(c+d) - sqrt(c-d))/2.
 
+`lg_distributions` runs the seven stand-alone experiments (the nonempty
+subsets of t1 < t2 < t3) as one walk over the measurement tree, so shared
+prefixes are computed once: 14 Lueders updates and 6 rotations per call.
+The singles are measured, not marginals, so the AoT residual stays a real
+check.  `sequential_probabilities` selects one experiment from the result.
+
 The family reductions (SLGI, WLGI, ELGI), the disturbance functionals and
 the AoT residual are defined here and nowhere else.  They take a dict of
 outcome-probability arrays keyed by measured subset and accept any batch
@@ -117,53 +123,46 @@ def luders_step(r: np.ndarray, m_hat: np.ndarray, eta, x, sign: int):
     return np.clip(prob, 0.0, 1.0), post
 
 
-def sequential_probabilities(
-    bloch0: np.ndarray,
-    measured: tuple[int, ...],
-    tau,
-    axis: np.ndarray,
-    eta,
-    x,
-    m1_hat: np.ndarray = Z_HAT,
-) -> np.ndarray:
-    """Outcome probabilities of one schedule over a broadcast parameter batch.
+def _expand(done, t, weights, r, axis, angle, eta, x, out) -> list:
+    """Measure node (done, t, weights, r) of the `lg_distributions` walk at
+    time t, store its distribution as out[done + (t,)] and return its
+    children at t + 1: the post-states (t measured) and r (t skipped), each
+    rotated by 2 tau.  A function, not a loop body, so that its temporaries
+    are freed before the next node is measured."""
+    (p_up, post_up), (p_down, post_down) = (
+        luders_step(r, Z_HAT, eta, x, sign) for sign in (1, -1))
+    # earliest time slowest: each branch b splits into (2b, 2b+1)
+    batch = weights.shape[:-1]
+    probs = np.stack([weights * p_up, weights * p_down], axis=-1).reshape(batch + (-1,))
+    out[done + (t,)] = probs
+    if t == 3:
+        return []
+    post = np.stack([post_up, post_down], axis=-2).reshape(batch + (-1, 3))
+    return [(done + (t,), t + 1, probs, rotate_bloch(post, axis, angle)),
+            (done, t + 1, weights, rotate_bloch(r, axis, angle))]
 
-    bloch0 has shape (..., 3); tau, eta, x broadcast against its batch shape.
-    Returns shape (..., 2**len(measured)).
-    """
+
+def lg_distributions(bloch0, tau, axis, eta, x) -> dict[tuple[int, ...], np.ndarray]:
+    """All seven stand-alone experiments (singles, pairs, triple) from one
+    walk over the measurement tree, keyed in SUBSETS order; entry s has shape
+    (..., 2**len(s)).  bloch0 has shape (..., 3); tau, eta, x broadcast
+    against its batch shape.  A node of the walk is an experiment that has
+    measured `done` and reaches time t with branch weights and states r."""
     bloch0 = np.asarray(bloch0, dtype=float)
-    batch = np.broadcast_shapes(
-        bloch0.shape[:-1],
-        np.shape(tau),
-        np.shape(eta),
-        np.shape(x),
-    )
-    r = np.broadcast_to(bloch0, batch + (3,)).reshape(batch + (1, 3)).copy()
-    tau_b = np.broadcast_to(np.asarray(tau, dtype=float), batch)[..., None]
-    eta_b = np.broadcast_to(np.asarray(eta, dtype=float), batch)[..., None]
-    x_b = np.broadcast_to(np.asarray(x, dtype=float), batch)[..., None]
-    weights = np.ones(batch + (1,))
-    measured = tuple(sorted(measured))
-    for t in (1, 2, 3):
-        if t in measured:
-            parts = []
-            for sign in (1, -1):
-                prob, post = luders_step(r, m1_hat, eta_b, x_b, sign)
-                parts.append((weights * prob, post))
-            # earliest time slowest: each branch b splits into (2b, 2b+1)
-            weights = np.stack([parts[0][0], parts[1][0]], axis=-1).reshape(batch + (-1,))
-            r = np.stack([parts[0][1], parts[1][1]], axis=-2).reshape(batch + (-1, 3))
-        if any(tt > t for tt in measured):
-            r = rotate_bloch(r, axis, 2.0 * tau_b)
-    return weights
+    batch = np.broadcast_shapes(bloch0.shape[:-1], np.shape(tau), np.shape(eta), np.shape(x))
+    r = np.broadcast_to(bloch0, batch + (3,)).reshape(batch + (1, 3))
+    tau, eta, x = (np.asarray(v, dtype=float)[..., None] for v in (tau, eta, x))
+    angle = 2.0 * tau
+    out = {}
+    todo = [((), 1, np.ones(batch + (1,)), r)]
+    while todo:
+        todo += _expand(*todo.pop(), axis, angle, eta, x, out)
+    return {s: out[s] for s in SUBSETS}
 
 
-def lg_distributions(bloch0, tau, axis, eta, x, m1_hat=Z_HAT) -> dict[tuple[int, ...], np.ndarray]:
-    """All seven stand-alone experiments (singles, pairs, triple) at once."""
-    return {
-        s: sequential_probabilities(bloch0, s, tau, axis, eta, x, m1_hat)
-        for s in SUBSETS
-    }
+def sequential_probabilities(bloch0, measured, tau, axis, eta, x) -> np.ndarray:
+    """Outcome probabilities of the one experiment that measures `measured`."""
+    return lg_distributions(bloch0, tau, axis, eta, x)[tuple(sorted(measured))]
 
 
 def _idx(*signs: int) -> int:

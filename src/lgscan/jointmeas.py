@@ -46,7 +46,7 @@ from .errors import InvalidEffect, NoBracket
 from .measurement import Schedule, effect_at_time
 
 MARGIN_TOL = 1e-12
-_BIAS_ZERO = 1e-15
+BIAS_ZERO = 1e-15
 
 PAIR_ORDER = ((1, 2), (2, 3), (1, 3))
 
@@ -100,8 +100,8 @@ def general_margin(x, m, y, n):
     n_sq = np.sum(n * n, axis=-1)
     fx = _f_factor(x, m_sq)
     fy = _f_factor(y, n_sq)
-    bias_x = np.where(np.abs(x) < _BIAS_ZERO, 0.0, x**2 / np.where(fx > 0, fx, 1.0) ** 2)
-    bias_y = np.where(np.abs(y) < _BIAS_ZERO, 0.0, y**2 / np.where(fy > 0, fy, 1.0) ** 2)
+    bias_x = np.where(np.abs(x) < BIAS_ZERO, 0.0, x**2 / np.where(fx > 0, fx, 1.0) ** 2)
+    bias_y = np.where(np.abs(y) < BIAS_ZERO, 0.0, y**2 / np.where(fy > 0, fy, 1.0) ** 2)
     lhs = (1.0 - fx**2 - fy**2) * (1.0 - bias_x - bias_y)
     rhs = (np.sum(m * n, axis=-1) - x * y) ** 2
     return rhs - lhs
@@ -205,7 +205,7 @@ def jm_verdict(schedule: Schedule) -> JmVerdict:
     x, eta = schedule.x, schedule.eta
     vecs = {t: effect_at_time(schedule, t, +1).m for t in (1, 2, 3)}
     dirs = {t: v / eta if eta > 0 else np.array([0.0, 0.0, 1.0]) for t, v in vecs.items()}
-    unbiased = abs(x) < _BIAS_ZERO
+    unbiased = abs(x) < BIAS_ZERO
     bias_family = abs(x - (eta - 1.0)) < 1e-12
 
     pairwise: dict[tuple[int, int], JmPair] = {}

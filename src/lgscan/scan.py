@@ -128,6 +128,11 @@ class ScanConfig:
     def x_of(self, eta: np.ndarray) -> np.ndarray:
         return bias_x(self.bias_mode, eta, self.x_fixed)
 
+    @property
+    def eta_kept(self) -> np.ndarray:
+        """Eta grid values with a valid effect, |x| + eta <= 1 (fixed bias only)."""
+        return self.eta[np.abs(self.x_of(self.eta)) + self.eta <= 1.0 + 1e-12]
+
 
 @dataclass(frozen=True)
 class ScanRecord:
@@ -240,8 +245,8 @@ class ScanTable:
 
 def skipped_points(config: ScanConfig) -> int:
     """Grid points excluded because |x| + eta > 1 (fixed-bias mode only)."""
-    per_eta = np.sum(np.abs(config.x_of(config.eta)) + config.eta > 1.0 + 1e-12)
-    return int(per_eta) * config.theta.size * config.phi.size * config.tau.size
+    per_eta = config.eta.size - config.eta_kept.size
+    return per_eta * config.theta.size * config.phi.size * config.tau.size
 
 
 def _family_arrays(dists: dict, families: Sequence[str]) -> dict[str, np.ndarray]:
@@ -277,11 +282,12 @@ def _point_flags(dists: dict, tau, eta, x, config: ScanConfig) -> dict[str, np.n
     d2 = gridmod.rotate_bloch(d1, config.axis, -2.0 * tau)
     d3 = gridmod.rotate_bloch(d1, config.axis, -4.0 * tau)
     e = eta[..., None]
-    flags["jm_12"] = jointmeas.general_margin(x, e * d1, x, e * d2) >= -1e-12
-    flags["jm_23"] = jointmeas.general_margin(x, e * d2, x, e * d3) >= -1e-12
-    flags["jm_13"] = jointmeas.general_margin(x, e * d1, x, e * d3) >= -1e-12
+    jm_tol = jointmeas.MARGIN_TOL
+    flags["jm_12"] = jointmeas.general_margin(x, e * d1, x, e * d2) >= -jm_tol
+    flags["jm_23"] = jointmeas.general_margin(x, e * d2, x, e * d3) >= -jm_tol
+    flags["jm_13"] = jointmeas.general_margin(x, e * d1, x, e * d3) >= -jm_tol
     triple_margin = 4.0 - jointmeas.triple_sum(e * d1, e * d2, e * d3)
-    flags["jm_triple"] = np.where(np.abs(x) < 1e-15, triple_margin >= -1e-12,
+    flags["jm_triple"] = np.where(np.abs(x) < jointmeas.BIAS_ZERO, triple_margin >= -jm_tol,
                                   _FLAG_CODES[None])
     return flags
 
@@ -318,7 +324,7 @@ def scan(config: ScanConfig) -> ScanTable:
     The grid is evaluated in blocks of CHUNK points.  `config.jobs` is
     accepted for compatibility and has no effect.
     """
-    eta_kept = config.eta[np.abs(config.x_of(config.eta)) + config.eta <= 1.0 + 1e-12]
+    eta_kept = config.eta_kept
     shape = (config.theta.size, config.phi.size, config.tau.size, eta_kept.size)
     n_points = math.prod(shape)
     table = ScanTable.empty(n_points * len(config.families))
@@ -498,29 +504,35 @@ def report(records: ScanTable | Iterable[ScanRecord], path: str, fmt: str = "csv
 
 
 def _parse_cell(col: str, cell: str):
-    if col in ("family",):
+    if col == "family":
         return cell
     if col == "spec_index":
         return int(cell)
-    if col.startswith(("nsit", "jm", "violated")) or col in ("violated",):
-        if cell == "":
-            return None
-        return cell == "true"
+    if col in FLAG_COLUMNS:
+        return FLAG_VALUES[_FLAG_CELLS[False].index(cell)]
     return float(cell)
 
 
 def parse_report(path: str) -> list[ScanRecord]:
-    """Read a CSV report back into records (inverse of `report`)."""
+    """Read a CSV report back into records (inverse of `report`); a missing
+    or wrong header, row length or cell raises ConfigError naming the line."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    if tuple(header) != CSV_COLUMNS:
-        raise ConfigError(f"unexpected header {header}")
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
+    n, header = lines[0] if lines else (1, "")
+    if tuple(header.split(",")) != CSV_COLUMNS:
+        raise ConfigError(f"line {n}: expected the report header, got {header!r}")
     out = []
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         cells = ln.split(",")
-        kwargs = {col: _parse_cell(col, cell) for col, cell in zip(CSV_COLUMNS, cells)}
-        out.append(ScanRecord(**kwargs))
+        if len(cells) != len(CSV_COLUMNS):
+            raise ConfigError(f"line {n}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
+        values = []
+        for col, cell in zip(CSV_COLUMNS, cells):
+            try:
+                values.append(_parse_cell(col, cell))
+            except ValueError:
+                raise ConfigError(f"line {n}: cannot parse {col} cell {cell!r}") from None
+        out.append(ScanRecord(*values))
     return out
 
 
@@ -538,38 +550,27 @@ def figure_records(which: int) -> ScanTable:
     The tau range is the open interval (0, pi) in every case.
     """
     tau_grid = default_tau_grid()
-    n_tau = tau_grid.size
     if which in (1, 2):
-        theta, phi = 1.7, math.pi / 2
-        eta_grid = (
-            np.round(np.arange(0.90, 1.0001, 0.002), 6)
-            if which == 1
-            else np.round(np.arange(0.05, 1.0001, 0.05), 6)
-        )
-        bias = "zero" if which == 1 else "eta-1"
-        cfg = ScanConfig(theta=[theta], phi=[phi], tau=tau_grid, eta=eta_grid, bias_mode=bias)
-        bloch = gridmod.pure_bloch(theta, phi)
-        table = ScanTable.empty(cfg.eta.size * n_tau)
-        row = 0
-        for eta, x in zip(cfg.eta, cfg.x_of(cfg.eta).tolist()):
-            dists = gridmod.lg_distributions(bloch, tau_grid, cfg.axis, eta, x)
-            picks = [("elgi", np.full(n_tau, 1), gridmod.elgi_values(dists)[..., 1])]  # middle = 2
-            row = table.put(row, _point_rows(theta, phi, tau_grid, eta, x, dists, cfg, picks))
-        return table
-    if which in (3, 4):
-        if which == 3:
-            theta, phi = math.pi / 4, 0.0  # |+>
-            cfg = ScanConfig(theta=[theta], phi=[phi], tau=tau_grid, eta=[1.0],
-                             bias_mode="zero")
-        else:
-            theta, phi = 0.0, 0.0  # |0>
-            cfg = ScanConfig(theta=[theta], phi=[phi], tau=tau_grid, eta=[1.0],
-                             bias_mode="zero", axis_alpha=math.pi / 4, axis_beta=math.pi / 4)
-        bloch = gridmod.pure_bloch(theta, phi)
-        dists = gridmod.lg_distributions(bloch, tau_grid, cfg.axis, 1.0, 0.0)
-        vals = gridmod.wlgi_values(dists)
-        picks = [("wlgi", np.full(n_tau, k), vals[:, k]) for k in range(vals.shape[-1])]
-        table = ScanTable.empty(n_tau * len(picks))
-        table.put(0, _point_rows(theta, phi, tau_grid, 1.0, 0.0, dists, cfg, picks))
-        return table
-    raise ConfigError(f"unknown figure {which}; pick 1, 2, 3 or 4")
+        start, step = (0.90, 0.002) if which == 1 else (0.05, 0.05)
+        cfg = ScanConfig(theta=[1.7], phi=[math.pi / 2], tau=tau_grid,
+                         eta=np.round(np.arange(start, 1.0001, step), 6),
+                         bias_mode="zero" if which == 1 else "eta-1")
+        family, specs = "elgi", (1,)  # middle = 2
+    elif which in (3, 4):  # |+> about x_hat, |0> about alpha = beta = pi/4
+        theta, alpha, beta = ((math.pi / 4, 0.0, math.pi / 2) if which == 3
+                              else (0.0, math.pi / 4, math.pi / 4))
+        cfg = ScanConfig(theta=[theta], phi=[0.0], tau=tau_grid, eta=[1.0],
+                         axis_alpha=alpha, axis_beta=beta)
+        family, specs = "wlgi", range(len(gridmod.WLGI_SPECS))
+    else:
+        raise ConfigError(f"unknown figure {which}; pick 1, 2, 3 or 4")
+    theta, phi = float(cfg.theta[0]), float(cfg.phi[0])
+    bloch = gridmod.pure_bloch(theta, phi)
+    table = ScanTable.empty(cfg.eta.size * tau_grid.size * len(specs))
+    row = 0
+    for eta, x in zip(cfg.eta, cfg.x_of(cfg.eta).tolist()):
+        dists = gridmod.lg_distributions(bloch, tau_grid, cfg.axis, eta, x)
+        values = _family_arrays(dists, (family,))[family]
+        picks = [(family, np.full(tau_grid.size, k), values[:, k]) for k in specs]
+        row = table.put(row, _point_rows(theta, phi, tau_grid, eta, x, dists, cfg, picks))
+    return table

@@ -89,8 +89,7 @@ def check_normalization(rng: np.random.Generator, n: int = 2000) -> Check:
     theta, phi, tau, eta, x = _random_params(rng, n)
     bloch = gridmod.pure_bloch(theta, phi)
     worst = 0.0
-    for subset in gridmod.SUBSETS:
-        probs = gridmod.sequential_probabilities(bloch, subset, tau, X_HAT, eta, x)
+    for probs in gridmod.lg_distributions(bloch, tau, X_HAT, eta, x).values():
         worst = max(worst, float(np.max(np.abs(probs.sum(axis=-1) - 1.0))))
     return ("normalization", worst < 1e-10, f"max |sum - 1| {worst:.2e}")
 

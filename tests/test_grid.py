@@ -1,4 +1,9 @@
+import gc
+import weakref
+from itertools import product
+
 import numpy as np
+import pytest
 
 from lgscan import grid as gridmod
 from lgscan.inequalities import elgi_all, slgi_all, wlgi_all
@@ -70,6 +75,51 @@ class TestSequentialProbabilities:
             np.zeros(3), (1, 2, 3), np.pi / 4, X_HAT, 1.0, 0.0
         )
         assert np.allclose(probs, 0.125, atol=1e-14)
+
+
+def _experiment(bloch0, measured, tau, axis, eta, x):
+    """One stand-alone experiment walked step by step, one outcome sequence at
+    a time in product((1, -1)) order: a Lueders update along z at each
+    measured time and a rotation by 2 tau from each time to the next."""
+    columns = []
+    for signs in product((1, -1), repeat=len(measured)):
+        r, weight, outcome = bloch0, np.ones(len(tau)), iter(signs)
+        for t in range(1, measured[-1] + 1):
+            if t > 1:
+                r = gridmod.rotate_bloch(r, axis, 2.0 * tau)
+            if t in measured:
+                prob, r = gridmod.luders_step(r, gridmod.Z_HAT, eta, x, next(outcome))
+                weight = weight * prob
+        columns.append(weight)
+    return np.stack(columns, axis=-1)
+
+
+class TestLgDistributions:
+    @pytest.mark.parametrize("mode", ["zero", "eta-1", "fixed"])
+    def test_equals_step_by_step_walk(self, rng, mode):
+        for _ in range(10):
+            n = int(rng.integers(1, 200))
+            bloch = gridmod.pure_bloch(rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))
+            tau, eta = rng.uniform(0, np.pi, n), rng.uniform(0, 1, n)
+            x = {"zero": np.zeros(n), "eta-1": eta - 1.0,
+                 "fixed": rng.uniform(-1, 1, n) * (1 - eta)}[mode]
+            axis = random_axis(rng)
+            dists = gridmod.lg_distributions(bloch, tau, axis, eta, x)
+            assert tuple(dists) == gridmod.SUBSETS
+            for subset, probs in dists.items():
+                assert np.array_equal(probs, _experiment(bloch, subset, tau, axis, eta, x))
+
+    def test_result_freed_without_cycle_collector(self):
+        # a reference cycle in the walk would keep its arrays until gc runs
+        gc.disable()
+        try:
+            dists = gridmod.lg_distributions(gridmod.pure_bloch(0.3, 0.2),
+                                             np.linspace(0.1, 3.0, 50), X_HAT, 0.8, -0.1)
+            refs = [weakref.ref(probs) for probs in dists.values()]
+            del dists
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestFamilyEvaluators:

@@ -226,6 +226,36 @@ class TestInputValidation:
         assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "line 3 (x.tau)" in capsys.readouterr().err
 
+    def _report_lines(self, tmp_path):
+        path = tmp_path / "r.csv"
+        report(scan(small_config(families=("slgi",))), str(path), "csv")
+        return path, path.read_text().splitlines()
+
+    def test_parse_report_short_row_names_line(self, tmp_path):
+        # used to end in a TypeError from ScanRecord
+        path, lines = self._report_lines(tmp_path)
+        path.write_text("\n".join(lines[:2] + ["1,2,3"] + lines[2:]) + "\n")
+        with pytest.raises(ConfigError, match=r"^line 3: expected 21 cells, got 3$"):
+            parse_report(str(path))
+
+    @pytest.mark.parametrize("col, cell", [("value", "abc"), ("spec_index", "1.5"),
+                                           ("violated", "maybe")])
+    def test_parse_report_bad_cell_names_line(self, tmp_path, col, cell):
+        # a bad number used to raise a bare ValueError, a bad flag read as false
+        path, lines = self._report_lines(tmp_path)
+        cells = lines[2].split(",")
+        cells[CSV_COLUMNS.index(col)] = cell
+        path.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+        with pytest.raises(ConfigError, match=rf"^line 3: cannot parse {col} cell '{cell}'$"):
+            parse_report(str(path))
+
+    def test_parse_report_empty_file(self, tmp_path):
+        # used to end in an IndexError
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ConfigError, match=r"^line 1: expected the report header"):
+            parse_report(str(path))
+
 
 class TestBias:
     def test_parse_bias_modes(self):
