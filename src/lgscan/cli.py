@@ -21,6 +21,7 @@ import sys
 
 from .config import eval_expr, load_configs, parse_bias
 from .errors import ConfigError, InvariantError, LgscanError, NoBracket
+from .grid import FAMILY_TABLE, pick, violated
 from .inequalities import elgi_all, slgi_all, wlgi_all
 from .measurement import QubitState, Schedule
 from .jointmeas import jm_verdict
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("threshold", parents=[common_point],
                         help="bisect the eta threshold of a family")
-    pt.add_argument("--family", choices=("slgi", "wlgi", "elgi"), required=True)
+    pt.add_argument("--family", choices=tuple(FAMILY_TABLE), required=True)
     pt.add_argument("--tau", type=_angle, default=None)
     pt.add_argument("--maximize-tau", action="store_true")
     pt.add_argument("--spec-index", type=int, default=None)
@@ -97,10 +98,10 @@ def _cmd_eval(args) -> int:
     for name, results in (("slgi", slgi_all(state, sched)),
                           ("wlgi", wlgi_all(state, sched)),
                           ("elgi", elgi_all(state, sched))):
-        best = max(range(len(results)), key=lambda i: results[i].value)
-        r = results[best]
-        mark = "VIOLATED" if r.violated else "satisfied"
-        print(f"{name}: max value {r.value:+.9f} (bound {r.bound:g}, spec {best}) {mark}")
+        bound = FAMILY_TABLE[name].bound
+        best, spec = pick([r.value for r in results])
+        mark = "VIOLATED" if violated(best, bound) else "satisfied"
+        print(f"{name}: max value {best:+.9f} (bound {bound:g}, spec {spec}) {mark}")
         for i, res in enumerate(results):
             print(f"  {name}[{i:2d}] = {res.value:+.9f}{' *' if res.violated else ''}")
     rep = disturbance_report(state, sched)
@@ -181,6 +182,10 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
+_COMMANDS = {"eval": _cmd_eval, "scan": _cmd_scan, "threshold": _cmd_threshold,
+             "figure": _cmd_figure, "selftest": _cmd_selftest}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -192,17 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("eval", "scan") and tol is not None and not (
                 math.isfinite(tol) and tol >= 0):
             raise ConfigError(f"tolerance must be a finite number >= 0, got {tol!r}")
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        if args.command == "threshold":
-            return _cmd_threshold(args)
-        if args.command == "figure":
-            return _cmd_figure(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (ConfigError, NoBracket) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -154,16 +154,20 @@ def _read_sections(path: str) -> dict[str, dict[str, tuple[int, str]]]:
 
 
 def _build(section: str, kv: dict[str, tuple[int, str]]) -> ScanConfig:
+    def where(key: str) -> str:
+        return f"line {kv[key][0]} ({section}.{key})"
+
     def grid(key: str, default: str) -> np.ndarray:
         if key in kv:
-            lineno, text = kv[key]
-            return parse_grid(text, f"line {lineno} ({section}.{key})")
+            return parse_grid(kv[key][1], where(key))
         return parse_grid(default, f"default {key}")
 
     theta = grid("theta", "0")
     phi = grid("phi", "0")
     tau = grid("tau", "pi/360 : pi - pi/360 : pi/360")
     eta = grid("eta", "1")
+    if np.any(eta < 0) or np.any(eta > 1):
+        raise ConfigError(f"{where('eta')}: eta must lie in [0, 1]")
 
     bias_mode, x_fixed = "zero", 0.0
     if "bias" in kv:
@@ -177,17 +181,17 @@ def _build(section: str, kv: dict[str, tuple[int, str]]) -> ScanConfig:
         bad = [f for f in families if f not in FAMILIES]
         if bad:
             raise ConfigError(f"line {lineno}: unknown families {bad}")
+        if len(set(families)) != len(families):
+            raise ConfigError(f"{where('families')}: families must not repeat, got {text!r}")
 
     def scalar(key: str, default: float) -> float:
         if key in kv:
-            lineno, text = kv[key]
-            return eval_expr(text, f"line {lineno} ({section}.{key})")
+            return eval_expr(kv[key][1], where(key))
         return default
 
     nsit_tol = scalar("tolerance", 1e-10)
     if nsit_tol < 0:
-        raise ConfigError(f"line {kv['tolerance'][0]} ({section}.tolerance): "
-                          f"tolerance must be >= 0")
+        raise ConfigError(f"{where('tolerance')}: tolerance must be >= 0")
 
     jobs = 1
     if "jobs" in kv:
@@ -195,7 +199,9 @@ def _build(section: str, kv: dict[str, tuple[int, str]]) -> ScanConfig:
         try:
             jobs = int(text)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: jobs must be an integer") from exc
+            raise ConfigError(f"{where('jobs')}: jobs must be an integer") from exc
+        if jobs < 1:
+            raise ConfigError(f"{where('jobs')}: jobs must be >= 1")
 
     out = kv["out"][1].strip() if "out" in kv else None
 

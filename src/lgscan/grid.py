@@ -23,6 +23,9 @@ shape, including the shape-() vectors of one `run_schedule(...)` result, so
 the scalar evaluators in lgscan.inequalities and lgscan.nsit feed them the
 operator pipeline's distributions.
 
+Every caller reads a family's bound, specs and reduction from
+`FAMILY_TABLE`, and chooses the reported member by `pick`.
+
 The distributions agree with the operator pipeline (lgscan.measurement),
 which tests hold as the independent reference: to ~1e-15 when
 |x| + eta < 1, and to ~1e-9 on rank-one effects (|x| + eta = 1, e.g.
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
@@ -172,27 +176,16 @@ def _idx(*signs: int) -> int:
     return i
 
 
-def correlators(dists: dict) -> dict[tuple[int, int], np.ndarray]:
-    out = {}
+def slgi_values(dists: dict, specs=SLGI_SPECS) -> np.ndarray:
+    """(..., len(specs)) SLGI values, by default in the canonical spec order.
+
+    Only the three pair experiments are read, through their correlators
+    <M_i M_j> = P(+,+) + P(-,-) - P(+,-) - P(-,+).
+    """
+    c = {}
     for pair in PAIRS:
         d = dists[pair]
-        out[pair] = d[..., _idx(1, 1)] + d[..., _idx(-1, -1)] - d[..., _idx(1, -1)] - d[..., _idx(-1, 1)]
-    return out
-
-
-def slgi_values(dists: dict) -> np.ndarray:
-    """(..., 4) SLGI values in the canonical spec order."""
-    return slgi_from_correlators(correlators(dists))
-
-
-def slgi_from_correlators(c: dict, specs=SLGI_SPECS) -> np.ndarray:
-    """SLGI values from the two-time correlators c[(i, j)] = <M_i M_j>.
-
-    Specs 1 and 3 tie whenever c[(1, 2)] = c[(2, 3)] (every x = 0 point), so
-    the reported argmax follows the rounding of the correlators; each
-    pipeline therefore supplies its own (`correlators` here,
-    lgscan.measurement.correlator for the operator pipeline).
-    """
+        c[pair] = d[..., _idx(1, 1)] + d[..., _idx(-1, -1)] - d[..., _idx(1, -1)] - d[..., _idx(-1, 1)]
     cols = []
     for spec in specs:
         s1, s2, s3 = spec.signs
@@ -246,6 +239,46 @@ def elgi_values(dists: dict, specs=ELGI_SPECS) -> np.ndarray:
         h_b = entropy(dists[(b,)])
         cols.append(h_ac - h_ab - h_bc + h_b)
     return np.stack(cols, axis=-1)
+
+
+@dataclass(frozen=True)
+class Family:
+    """An inequality family: its macrorealist bound, canonical specs, the
+    stand-alone experiments it reads and its reduction
+    reduce(dists, specs) -> (..., len(specs))."""
+
+    bound: float
+    specs: tuple
+    reads: tuple[tuple[int, ...], ...]
+    reduce: Callable[[dict, tuple], np.ndarray]
+
+    def values(self, dists: dict, specs: tuple | None = None) -> np.ndarray:
+        return self.reduce(dists, self.specs if specs is None else specs)
+
+
+# The reductions are looked up by name when called, so a wrapper installed on
+# the module attribute (as perfbench's tracer does) sees every call.
+FAMILY_TABLE: dict[str, Family] = {
+    "slgi": Family(1.0, SLGI_SPECS, PAIRS, lambda d, s: slgi_values(d, s)),
+    "wlgi": Family(0.0, WLGI_SPECS, PAIRS, lambda d, s: wlgi_values(d, s)),
+    "elgi": Family(0.0, ELGI_SPECS, PAIRS + ((1,), (2,), (3,)), lambda d, s: elgi_values(d, s)),
+}
+
+VIOLATION_TOL = 1e-12
+
+
+def violated(value, bound):
+    """value > bound + VIOLATION_TOL; broadcasts."""
+    return value > bound + VIOLATION_TOL
+
+
+def pick(values) -> tuple[np.ndarray, np.ndarray]:
+    """Family maximum along the last axis, and the lowest spec index whose
+    value is at least max - VIOLATION_TOL: members that tie in exact
+    arithmetic report one spec however their values round."""
+    values = np.asarray(values, dtype=float)
+    best = values.max(axis=-1)
+    return best, np.argmax(values >= best[..., None] - VIOLATION_TOL, axis=-1)
 
 
 def disturbances(dists: dict) -> dict[str, np.ndarray]:

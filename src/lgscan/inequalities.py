@@ -23,11 +23,11 @@ Families and canonical orderings
   b the conditioned middle variable; specs iterate middle = 1, 2, 3.
   Entropies are Shannon entropies in nats.
 
-The spec tables and the reductions themselves live in lgscan.grid, which
-defines each family once over outcome-probability arrays.  The evaluators
-here run the stand-alone experiments a family needs through the operator
-pipeline (lgscan.measurement) and hand their distributions to those
-reductions.
+The spec tables, bounds and reductions live in lgscan.grid's FAMILY_TABLE,
+which defines each family once over outcome-probability arrays.  The
+evaluators here run the stand-alone experiments a family reads through the
+operator pipeline (lgscan.measurement) and hand their distributions to that
+family's reduction.
 
 Closed forms for two special parameter families are provided as cross-check
 targets; the measurement pipeline is the ground truth and any mismatch above
@@ -53,9 +53,7 @@ from .grid import (
     SlgiSpec,
     WlgiSpec,
 )
-from .measurement import JointDistribution, QubitState, Schedule, correlator, run_schedule
-
-VIOLATION_TOL = 1e-12
+from .measurement import JointDistribution, QubitState, Schedule, run_schedule
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +69,7 @@ def _result(value: float, bound: float, spec: object, state: QubitState, schedul
     return InequalityResult(
         value=float(value),
         bound=float(bound),
-        violated=bool(value > bound + VIOLATION_TOL),
+        violated=bool(grid.violated(value, bound)),
         spec=spec,
         params={
             "tau": schedule.tau,
@@ -97,8 +95,11 @@ def experiment_probabilities(
     return {s: run_schedule(state, schedule.with_measured(s)).probabilities() for s in subsets}
 
 
-def _results(values, bound: float, specs, state: QubitState, schedule: Schedule) -> list[InequalityResult]:
-    return [_result(v, bound, spec, state, schedule) for v, spec in zip(values, specs)]
+def _family_all(family: str, state: QubitState, schedule: Schedule, specs) -> list[InequalityResult]:
+    """One result per spec, from only the experiments the family reads."""
+    fam = grid.FAMILY_TABLE[family]
+    values = fam.values(experiment_probabilities(state, schedule, fam.reads), specs)
+    return [_result(v, fam.bound, spec, state, schedule) for v, spec in zip(values, specs)]
 
 
 # --- SLGI -------------------------------------------------------------------
@@ -110,8 +111,8 @@ def slgi_value(state: QubitState, schedule: Schedule, spec: SlgiSpec) -> Inequal
 
 
 def slgi_all(state: QubitState, schedule: Schedule, specs=SLGI_SPECS) -> list[InequalityResult]:
-    c = {pair: correlator(state, schedule.with_measured(pair)) for pair in PAIRS}
-    return _results(grid.slgi_from_correlators(c, specs), 1.0, specs, state, schedule)
+    """SLGIs (default: all 4, in canonical order) from one set of pair experiments."""
+    return _family_all("slgi", state, schedule, specs)
 
 
 def slgi_closed_form_spin(eta: float, tau: float) -> float:
@@ -158,8 +159,7 @@ def wlgi_value(state: QubitState, schedule: Schedule, spec: WlgiSpec) -> Inequal
 
 def wlgi_all(state: QubitState, schedule: Schedule, specs=WLGI_SPECS) -> list[InequalityResult]:
     """WLGIs (default: all 24, in canonical order) from one set of pair experiments."""
-    values = grid.wlgi_values(experiment_probabilities(state, schedule, PAIRS), specs)
-    return _results(values, 0.0, specs, state, schedule)
+    return _family_all("wlgi", state, schedule, specs)
 
 
 # --- ELGI -------------------------------------------------------------------
@@ -186,6 +186,4 @@ def elgi_value(state: QubitState, schedule: Schedule, spec: ElgiSpec) -> Inequal
 def elgi_all(state: QubitState, schedule: Schedule, specs=ELGI_SPECS) -> list[InequalityResult]:
     if any(spec.middle not in (1, 2, 3) for spec in specs):
         raise ValueError("middle must be 1, 2 or 3")
-    subsets = PAIRS + tuple((spec.middle,) for spec in specs)
-    values = grid.elgi_values(experiment_probabilities(state, schedule, subsets), specs)
-    return _results(values, 0.0, specs, state, schedule)
+    return _family_all("elgi", state, schedule, specs)

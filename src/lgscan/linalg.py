@@ -66,9 +66,6 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Operator":
-        return Operator(-self.mat)
-
     def adjoint(self) -> "Operator":
         return Operator(self.mat.conj().T)
 
@@ -84,10 +81,6 @@ class Operator:
             return False
         lam_plus, lam_minus, _ = eig_hermitian(self)
         return lam_minus >= -tol and lam_plus >= -tol
-
-    def is_unitary(self, tol: float = 1e-14) -> bool:
-        prod = self.mat @ self.mat.conj().T
-        return bool(np.max(np.abs(prod - np.eye(2))) <= tol)
 
     def isclose(self, other: "Operator", tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.mat - other.mat)) <= tol)

@@ -50,14 +50,6 @@ TABLE_SUM_TOL = 1e-10
 TIMES = (1, 2, 3)
 
 
-def _unit(v: np.ndarray, what: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if v.shape != (3,) or abs(n - 1.0) > 1e-12:
-        raise ValueError(f"{what} must be a unit 3-vector")
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class QubitState:
     """Density matrix with trace-1 / PSD invariants checked at construction."""
@@ -134,10 +126,6 @@ class Effect:
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
-    @property
-    def eta(self) -> float:
-        return float(np.linalg.norm(self.m))
-
     def operator(self) -> Operator:
         plus = from_pauli(0.5 * (1.0 + self.x), 0.5 * self.m)
         if self.sign == 1:
@@ -149,9 +137,6 @@ class Effect:
         """The Lueders square root sqrt(M)."""
         return sqrt_psd(self.operator())
 
-    def complement(self) -> "Effect":
-        return Effect(self.x, self.m, -self.sign)
-
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
@@ -159,8 +144,8 @@ class Schedule:
 
     All measured times use one (x, eta) pair; only the Bloch direction of the
     effect changes under Heisenberg evolution.  `tau` is the evolution phase
-    per unit time step, `axis` the Hamiltonian axis, `m1_hat` the direction
-    measured at t1.
+    per unit time step and `axis` the Hamiltonian axis; the effect at t1 is
+    measured along z_hat.
     """
 
     measured: tuple[int, ...]
@@ -168,7 +153,6 @@ class Schedule:
     axis: np.ndarray = dataclasses.field(default_factory=lambda: X_HAT.copy())
     x: float = 0.0
     eta: float = 1.0
-    m1_hat: np.ndarray = dataclasses.field(default_factory=lambda: Z_HAT.copy())
 
     def __post_init__(self) -> None:
         times = tuple(sorted(set(int(t) for t in self.measured)))
@@ -178,12 +162,11 @@ class Schedule:
         if not np.isfinite(self.tau):
             raise ValueError("tau must be finite")
         object.__setattr__(self, "tau", float(self.tau))
-        axis = _unit(self.axis, "axis")
+        axis = np.array(self.axis, dtype=float)  # a copy: the caller's array stays writable
+        if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > 1e-12:
+            raise ValueError("axis must be a unit 3-vector")
         axis.setflags(write=False)
         object.__setattr__(self, "axis", axis)
-        m1 = _unit(self.m1_hat, "m1_hat")
-        m1.setflags(write=False)
-        object.__setattr__(self, "m1_hat", m1)
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "eta", float(self.eta))
         if self.eta < 0:
@@ -195,7 +178,7 @@ class Schedule:
         return dataclasses.replace(self, measured=measured)
 
     def base_effect(self, sign: int) -> Effect:
-        return Effect(self.x, self.eta * self.m1_hat, sign)
+        return Effect(self.x, self.eta * Z_HAT, sign)
 
 
 def effect_at_time(schedule: Schedule, time_index: int, outcome: int) -> Effect:
@@ -293,9 +276,6 @@ class JointDistribution:
         if abs(total - 1.0) > TABLE_SUM_TOL:
             raise InvariantError(f"table sums to {total!r}, not 1")
         object.__setattr__(self, "table", clean)
-
-    def outcomes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.table.keys())
 
     def prob(self, outcome: tuple[int, ...]) -> float:
         return self.table[tuple(outcome)]

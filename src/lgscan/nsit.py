@@ -191,4 +191,5 @@ def wlgi_threshold_check(state: QubitState, schedule: Schedule, spec: WlgiSpec) 
     else:  # r == 3
         lhs = -report.d2_pair[(u, s)] - report.d1_pair[(v, -s)]
         rhs = triple.prob((u, -v, s)) + triple.prob((-u, v, -s))
-    return ThresholdCheck(lhs=float(lhs), rhs=float(rhs), predicted_violation=bool(lhs > rhs + 1e-12))
+    return ThresholdCheck(lhs=float(lhs), rhs=float(rhs),
+                          predicted_violation=bool(grid.violated(lhs, rhs)))

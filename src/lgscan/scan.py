@@ -2,10 +2,10 @@
 
 A scan walks the grid theta x phi x tau x eta in row-major order (theta
 outermost) and, for every requested inequality family, emits one record with
-the family's maximum value over its specs, the argmax spec index, the five
-NSIT condition booleans, and the joint-measurability summary.  Output order
-is the grid order, and two runs of the same configuration produce
-byte-identical files.
+the family's maximum value over its specs, the spec index lgscan.grid.pick
+reports, the five NSIT condition booleans, and the joint-measurability
+summary.  Output order is the grid order, and two runs of the same
+configuration produce byte-identical files.
 
 Records are held as a `ScanTable`, one numpy array per report column.  The
 scan evaluates the grid in blocks of `CHUNK` points and fills the table with
@@ -30,8 +30,7 @@ from . import grid as gridmod
 from . import jointmeas
 from .errors import ConfigError, NoBracket
 
-FAMILIES = ("slgi", "wlgi", "elgi")
-FAMILY_BOUNDS = {"slgi": 1.0, "wlgi": 0.0, "elgi": 0.0}
+FAMILIES = tuple(gridmod.FAMILY_TABLE)
 
 CSV_COLUMNS = (
     "theta", "phi", "tau", "eta", "x", "axis_alpha", "axis_beta",
@@ -52,6 +51,8 @@ CHUNK = 2**14
 
 DEFAULT_ANGLE_STEP = math.pi / 60
 DEFAULT_TAU_STEP = math.pi / 360  # threshold-resolution grid
+
+ETA_LO, ETA_HI, BRACKET_SAMPLES = 1e-6, 1.0, 9  # threshold_eta's bracket and sign samples
 
 
 def axis_from_angles(alpha: float, beta: float) -> np.ndarray:
@@ -118,6 +119,8 @@ class ScanConfig:
         if bad:
             raise ConfigError(f"unknown families {bad}")
         object.__setattr__(self, "families", tuple(self.families))
+        if len(set(self.families)) != len(self.families):
+            raise ConfigError(f"families must not repeat, got {self.families}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 
@@ -249,17 +252,6 @@ def skipped_points(config: ScanConfig) -> int:
     return per_eta * config.theta.size * config.phi.size * config.tau.size
 
 
-def _family_arrays(dists: dict, families: Sequence[str]) -> dict[str, np.ndarray]:
-    out = {}
-    if "slgi" in families:
-        out["slgi"] = gridmod.slgi_values(dists)
-    if "wlgi" in families:
-        out["wlgi"] = gridmod.wlgi_values(dists)
-    if "elgi" in families:
-        out["elgi"] = gridmod.elgi_values(dists)
-    return out
-
-
 def _point_flags(dists: dict, tau, eta, x, config: ScanConfig) -> dict[str, np.ndarray]:
     """NSIT and JM flag columns (FLAG_VALUES codes) for a flat parameter batch."""
     dist_arrays = gridmod.disturbances(dists)
@@ -296,8 +288,8 @@ def _point_rows(theta, phi, tau, eta, x, dists: dict, config: ScanConfig,
                 picks: Sequence[tuple[str, np.ndarray, np.ndarray]]) -> dict[str, np.ndarray]:
     """Report columns for a flat batch of points evaluated into `dists`.
 
-    Each pick (family, spec_index, value) gives one row per point, with
-    per-point spec_index and value arrays; rows run points outermost, picks
+    Each pick (family, value, spec_index) gives one row per point, with
+    per-point value and spec_index arrays; rows run points outermost, picks
     innermost.  theta .. x broadcast to the batch.
     """
     flags = _point_flags(dists, tau, eta, x, config)
@@ -311,10 +303,10 @@ def _point_rows(theta, phi, tau, eta, x, dists: dict, config: ScanConfig,
     rows["axis_alpha"] = np.full(n * k, config.axis_alpha)
     rows["axis_beta"] = np.full(n * k, config.axis_beta)
     rows["family"] = np.tile([FAMILIES.index(f) for f, _, _ in picks], n)
-    rows["spec_index"] = np.stack([s for _, s, _ in picks], axis=-1).ravel()
-    rows["value"] = np.stack([v for _, _, v in picks], axis=-1).ravel()
-    rows["bound"] = np.tile([FAMILY_BOUNDS[f] for f, _, _ in picks], n)
-    rows["violated"] = rows["value"] > rows["bound"] + 1e-12
+    rows["value"] = np.stack([v for _, v, _ in picks], axis=-1).ravel()
+    rows["spec_index"] = np.stack([s for _, _, s in picks], axis=-1).ravel()
+    rows["bound"] = np.tile([gridmod.FAMILY_TABLE[f].bound for f, _, _ in picks], n)
+    rows["violated"] = gridmod.violated(rows["value"], rows["bound"])
     return rows
 
 
@@ -334,11 +326,8 @@ def scan(config: ScanConfig) -> ScanTable:
         theta, phi, tau, eta = config.theta[i], config.phi[j], config.tau[k], eta_kept[m]
         x = config.x_of(eta)
         dists = gridmod.lg_distributions(gridmod.pure_bloch(theta, phi), tau, config.axis, eta, x)
-        fams = _family_arrays(dists, config.families)
-        picks = []
-        for fam in config.families:
-            best = np.argmax(fams[fam], axis=-1)  # the first index wins ties
-            picks.append((fam, best, np.take_along_axis(fams[fam], best[:, None], axis=-1)[:, 0]))
+        picks = [(fam, *gridmod.pick(gridmod.FAMILY_TABLE[fam].values(dists)))
+                 for fam in config.families]
         row = table.put(row, _point_rows(theta, phi, tau, eta, x, dists, config, picks))
     return table
 
@@ -369,37 +358,40 @@ def threshold_eta(
     phi: float = 0.0,
     tau: float | None = None,
     maximize_tau: bool = False,
-    tau_grid: np.ndarray | None = None,
     bias_mode: str = "zero",
     x_fixed: float = 0.0,
     axis: np.ndarray | None = None,
     spec_index: int | None = None,
-    eta_lo: float = 1e-6,
-    eta_hi: float = 1.0,
     tol: float = 1e-4,
-    bracket_samples: int = 9,
 ) -> float:
-    """Smallest eta at which the family's (max) value crosses its bound.
+    """Smallest eta at which the family maximum (or spec `spec_index`)
+    crosses the family bound.
 
-    Bisection on g(eta) = max_value(eta) - bound, to absolute tolerance
-    `tol`.  With maximize_tau, the inner maximization runs over `tau_grid`
-    (default: step pi/360 on (0, pi)) with one parabolic polish; otherwise
-    `tau` must be given.  Raises NoBracket when g has no sign change on
-    [eta_lo, eta_hi] or the sampled g is not monotone-crossing.
+    Bisection on g(eta) = value(eta) - bound, to absolute tolerance `tol`.
+    With maximize_tau, the inner maximization runs over `default_tau_grid()`
+    with one parabolic polish; otherwise `tau` must be given.  Raises
+    NoBracket when g has no sign change on [ETA_LO, ETA_HI] or the sampled
+    g (BRACKET_SAMPLES points) is not monotone-crossing.
     """
-    if family not in FAMILIES:
+    if family not in gridmod.FAMILY_TABLE:
         raise ConfigError(f"unknown family {family!r}")
+    fam = gridmod.FAMILY_TABLE[family]
+    specs = fam.specs
+    if spec_index is not None:
+        if not 0 <= spec_index < len(specs):
+            raise ConfigError(f"{family} spec index must lie in 0..{len(specs) - 1}, "
+                              f"got {spec_index}")
+        specs = specs[spec_index:spec_index + 1]
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tolerance must be a finite number > 0, got {tol!r}")
     if axis is None:
         axis = axis_from_angles(0.0, math.pi / 2)
     if maximize_tau:
-        grid_values = tau_grid if tau_grid is not None else default_tau_grid()
+        grid_values = default_tau_grid()
     else:
         if tau is None:
             raise ConfigError("either tau or maximize_tau is required")
         grid_values = np.array([float(tau)])
-    bound = FAMILY_BOUNDS[family]
     bloch = gridmod.pure_bloch(theta, phi)
 
     def g(eta: float) -> float:
@@ -407,25 +399,22 @@ def threshold_eta(
 
         def value_fn(taus: np.ndarray) -> np.ndarray:
             dists = gridmod.lg_distributions(bloch, taus, axis, eta, x)
-            vals = _family_arrays(dists, (family,))[family]
-            if spec_index is not None:
-                return vals[..., spec_index]
-            return vals.max(axis=-1)
+            return fam.values(dists, specs).max(axis=-1)
 
-        if maximize_tau and grid_values.size > 2:
-            return _polish_tau(value_fn, grid_values) - bound
-        return float(np.max(value_fn(grid_values))) - bound
+        if maximize_tau:
+            return _polish_tau(value_fn, grid_values) - fam.bound
+        return float(value_fn(grid_values)[0]) - fam.bound
 
-    g_lo, g_hi = g(eta_lo), g(eta_hi)
+    g_lo, g_hi = g(ETA_LO), g(ETA_HI)
     if not (g_lo < 0.0 < g_hi):
         raise NoBracket(
-            f"no violation bracket on [{eta_lo:g}, {eta_hi:g}]: g={g_lo:.3g}..{g_hi:.3g}"
+            f"no violation bracket on [{ETA_LO:g}, {ETA_HI:g}]: g={g_lo:.3g}..{g_hi:.3g}"
         )
-    samples = np.linspace(eta_lo, eta_hi, bracket_samples)
+    samples = np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES)
     signs = [g(e) > 0 for e in samples]
     if sum(1 for a, b in zip(signs, signs[1:]) if a != b) != 1:
         raise NoBracket("g(eta) is not monotone-crossing on the bracket")
-    lo, hi = eta_lo, eta_hi
+    lo, hi = ETA_LO, ETA_HI
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # no float left between lo and hi
@@ -570,7 +559,7 @@ def figure_records(which: int) -> ScanTable:
     row = 0
     for eta, x in zip(cfg.eta, cfg.x_of(cfg.eta).tolist()):
         dists = gridmod.lg_distributions(bloch, tau_grid, cfg.axis, eta, x)
-        values = _family_arrays(dists, (family,))[family]
-        picks = [(family, np.full(tau_grid.size, k), values[:, k]) for k in specs]
+        values = gridmod.FAMILY_TABLE[family].values(dists)
+        picks = [(family, values[:, k], np.full(tau_grid.size, k)) for k in specs]
         row = table.put(row, _point_rows(theta, phi, tau_grid, eta, x, dists, cfg, picks))
     return table

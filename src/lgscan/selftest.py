@@ -188,7 +188,7 @@ def check_threshold_equivalence(rng: np.random.Generator, n: int = 30) -> Check:
         check = wlgi_threshold_check(state, sched, spec)
         value = wlgi_from_pairs(dists, spec)
         worst = max(worst, abs(value - (check.lhs - check.rhs)))
-        agree &= check.predicted_violation == (value > 1e-12)
+        agree &= check.predicted_violation == bool(gridmod.violated(value, 0.0))
     ok = worst < 1e-12 and agree
     return ("wlgi-threshold-equivalence", ok, f"max residual {worst:.2e}, agree={agree}")
 

@@ -141,10 +141,7 @@ def test_criterion_04_wlgi_spin_threshold_and_grid():
     for th in theta:  # chunk over theta to bound memory
         t_grid, p_grid = np.meshgrid(tau, phi, indexing="ij")
         bloch = gridmod.pure_bloch(np.full(t_grid.shape, th), p_grid)
-        dists = {
-            pair: gridmod.sequential_probabilities(bloch, pair, t_grid, X_HAT, eta, 0.0)
-            for pair in ((1, 2), (1, 3), (2, 3))
-        }
+        dists = gridmod.lg_distributions(bloch, t_grid, X_HAT, eta, 0.0)
         worst = max(worst, float(gridmod.wlgi_values(dists).max()))
     ok = worst <= 0.0
     _line("04", ok, f"wlgi threshold eta* = {thr:.4f} (target 0.690 +/- 0.002); "

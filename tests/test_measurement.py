@@ -150,6 +150,14 @@ class TestLuders:
 
 
 class TestRunSchedule:
+    def test_schedule_axis_is_a_copy(self):
+        axis = np.array([0.0, 1.0, 0.0])
+        sched = Schedule(measured=(1,), tau=0.3, axis=axis)
+        axis[1] = -1.0  # the caller's array stays writable
+        assert sched.axis.tolist() == [0.0, 1.0, 0.0] and not sched.axis.flags.writeable
+        with pytest.raises(ValueError, match="unit 3-vector"):
+            Schedule(measured=(1,), tau=0.3, axis=[0.0, 2.0, 0.0])
+
     def test_pair_23_plus_state(self):
         sched = Schedule(measured=(2, 3), tau=np.pi / 4, x=0.0, eta=1.0)
         dist = run_schedule(PLUS, sched)

@@ -2,7 +2,8 @@
 
 The reference below is the row-wise record assembly and writer that the
 columnar `ScanTable` path replaced: one `ScanRecord` per (grid point,
-family) with a per-row argmax, cells formatted one by one with
+family) with the reported spec chosen per row by its own loop (the lowest
+index within 1e-12 of the maximum), cells formatted one by one with
 f"{v:.12g}", and JSON written by `json.dump(payload, indent=1)`.  Scans in
 every bias mode, multi-chunk scans, figures 3 and 4 and the empty report
 must match it byte for byte.
@@ -21,7 +22,6 @@ from lgscan import jointmeas
 from lgscan.errors import ConfigError
 from lgscan.scan import (
     CSV_COLUMNS,
-    FAMILY_BOUNDS,
     ScanConfig,
     ScanRecord,
     ScanTable,
@@ -39,6 +39,14 @@ FAMILY_VALUES = {
     "wlgi": gridmod.wlgi_values,
     "elgi": gridmod.elgi_values,
 }
+BOUNDS = {"slgi": 1.0, "wlgi": 0.0, "elgi": 0.0}
+
+
+def reference_pick(vals) -> int:
+    """Lowest spec index whose value is within 1e-12 of the row maximum."""
+    vals = [float(v) for v in vals]
+    top = max(vals)
+    return next(k for k, v in enumerate(vals) if v >= top - 1e-12)
 
 
 # --- reference: row-wise records and writer --------------------------------------
@@ -78,7 +86,7 @@ def reference_flags(dists, tau, eta, x, cfg) -> list[dict]:
 
 
 def reference_record(theta, phi, tau, eta, x, cfg, family, spec_index, value, flags):
-    bound = FAMILY_BOUNDS[family]
+    bound = BOUNDS[family]
     return ScanRecord(theta=theta, phi=phi, tau=tau, eta=eta, x=x,
                       axis_alpha=cfg.axis_alpha, axis_beta=cfg.axis_beta,
                       family=family, spec_index=spec_index, value=value, bound=bound,
@@ -101,10 +109,9 @@ def reference_scan(cfg: ScanConfig) -> list[ScanRecord]:
     for i in range(theta.size):
         for fam in cfg.families:
             vals = fams[fam][i]
-            k = int(np.argmax(vals))
             records.append(reference_record(
                 float(theta[i]), float(phi[i]), float(tau[i]), float(eta[i]), float(x[i]),
-                cfg, fam, k, float(vals[k]), flags[i]))
+                cfg, fam, reference_pick(vals), float(vals.max()), flags[i]))
     return records
 
 

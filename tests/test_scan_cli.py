@@ -201,6 +201,22 @@ class TestInputValidation:
         assert "tolerance must be a finite number >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, text, message", [
+        ("eta", "1.5", "eta must lie in [0, 1]"),
+        ("jobs", "0", "jobs must be >= 1"),
+        ("families", "wlgi,wlgi", "families must not repeat"),
+    ])
+    def test_config_value_rejected_names_line(self, tmp_path, capsys, key, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[x]\ntheta = 0\ntau = 1\n{key} = {text}\n")
+        assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"line 4 (x.{key}): {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_scan_config_rejects_repeated_family(self):
+        with pytest.raises(ConfigError, match="must not repeat"):
+            small_config(families=("wlgi", "slgi", "wlgi"))
+
     def test_config_negative_tolerance_names_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[x]\ntheta = 0\ntau = 1\ntolerance = -1e-9\n")
@@ -365,6 +381,15 @@ class TestThresholdEta:
         with pytest.raises(ConfigError):
             threshold_eta("slgi")
 
+    @pytest.mark.parametrize("family, index", [("slgi", "4"), ("wlgi", "-6")])
+    def test_spec_index_out_of_range_exits_2(self, capsys, family, index):
+        # slgi 4 used to end in an IndexError traceback, wlgi -6 to print
+        # the threshold of spec 18
+        code = cli.main(["threshold", "--family", family, "--maximize-tau",
+                         f"--spec-index={index}"])
+        assert code == 2
+        assert f"{family} spec index must lie in 0.." in capsys.readouterr().err
+
 
 class TestReport:
     def test_header_only_for_empty(self, tmp_path):
@@ -485,6 +510,15 @@ class TestCli:
         assert line[0].startswith("jm triple: inconclusive by the four-norm sufficient criterion")
         assert "incompatible" not in line[0]
         assert "(margin -" in line[0] and line[0].endswith("threshold 0.618034")
+
+    def test_eval_reports_lowest_tied_spec(self, capsys):
+        # WLGI specs 7, 12 and 18 tie here in exact arithmetic; rounding
+        # made spec 12 the largest by 9e-17, the pick rule reports spec 7
+        code = cli.main(["eval", "--theta", "pi/3", "--phi", "pi/2",
+                         "--tau", "pi/4", "--eta", "0.65"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "wlgi: max value -0.091085405 (bound 0, spec 7) satisfied" in out.splitlines()
 
     def test_scan_and_artifacts(self, tmp_path):
         cfg = tmp_path / "run.cfg"
