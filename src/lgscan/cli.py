@@ -21,7 +21,7 @@ import sys
 
 from .config import eval_expr, load_configs, parse_bias
 from .errors import ConfigError, InvariantError, LgscanError, NoBracket
-from .grid import FAMILY_TABLE, pick, violated
+from .grid import FAMILY_TABLE, NSIT_TOL, pick, violated
 from .inequalities import elgi_all, slgi_all, wlgi_all
 from .measurement import QubitState, Schedule
 from .jointmeas import jm_verdict
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", parents=[common_point],
                         help="evaluate one parameter point")
     pe.add_argument("--tau", type=_angle, required=True)
-    pe.add_argument("--tolerance", type=float, default=1e-10)
+    pe.add_argument("--tolerance", type=float, default=NSIT_TOL)
 
     ps = sub.add_parser("scan", help="run config-file scans")
     ps.add_argument("--config", required=True)

@@ -27,7 +27,7 @@ import operator
 import numpy as np
 
 from .errors import ConfigError
-from .scan import FAMILIES, ScanConfig
+from .scan import ScanConfig
 
 _KEYS = {
     "theta", "phi", "tau", "eta", "bias", "axis_alpha", "axis_beta",
@@ -153,7 +153,13 @@ def _read_sections(path: str) -> dict[str, dict[str, tuple[int, str]]]:
     return sections
 
 
+# ScanConfig field -> the config key that sets it, where the names differ
+_FIELD_KEYS = {"nsit_tol": "tolerance", "x_fixed": "bias", "bias_mode": "bias"}
+
+
 def _build(section: str, kv: dict[str, tuple[int, str]]) -> ScanConfig:
+    """ScanConfig from one section's keys; ScanConfig validates the values,
+    and an error it raises for a key set here names that key's line."""
     def where(key: str) -> str:
         return f"line {kv[key][0]} ({section}.{key})"
 
@@ -162,59 +168,36 @@ def _build(section: str, kv: dict[str, tuple[int, str]]) -> ScanConfig:
             return parse_grid(kv[key][1], where(key))
         return parse_grid(default, f"default {key}")
 
-    theta = grid("theta", "0")
-    phi = grid("phi", "0")
-    tau = grid("tau", "pi/360 : pi - pi/360 : pi/360")
-    eta = grid("eta", "1")
-    if np.any(eta < 0) or np.any(eta > 1):
-        raise ConfigError(f"{where('eta')}: eta must lie in [0, 1]")
-
-    bias_mode, x_fixed = "zero", 0.0
+    fields = {
+        "theta": grid("theta", "0"),
+        "phi": grid("phi", "0"),
+        "tau": grid("tau", "pi/360 : pi - pi/360 : pi/360"),
+        "eta": grid("eta", "1"),
+    }
     if "bias" in kv:
         lineno, text = kv["bias"]
-        bias_mode, x_fixed = parse_bias(text, f"line {lineno}", f"{section}.bias")
-
-    families: tuple[str, ...] = FAMILIES
+        fields["bias_mode"], fields["x_fixed"] = parse_bias(text, f"line {lineno}",
+                                                            f"{section}.bias")
     if "families" in kv:
-        lineno, text = kv["families"]
-        families = tuple(f.strip() for f in text.split(",") if f.strip())
-        bad = [f for f in families if f not in FAMILIES]
-        if bad:
-            raise ConfigError(f"line {lineno}: unknown families {bad}")
-        if len(set(families)) != len(families):
-            raise ConfigError(f"{where('families')}: families must not repeat, got {text!r}")
-
-    def scalar(key: str, default: float) -> float:
+        fields["families"] = tuple(f.strip() for f in kv["families"][1].split(",") if f.strip())
+    for field in ("axis_alpha", "axis_beta", "nsit_tol"):
+        key = _FIELD_KEYS.get(field, field)
         if key in kv:
-            return eval_expr(kv[key][1], where(key))
-        return default
-
-    nsit_tol = scalar("tolerance", 1e-10)
-    if nsit_tol < 0:
-        raise ConfigError(f"{where('tolerance')}: tolerance must be >= 0")
-
-    jobs = 1
+            fields[field] = eval_expr(kv[key][1], where(key))
     if "jobs" in kv:
-        lineno, text = kv["jobs"]
         try:
-            jobs = int(text)
+            fields["jobs"] = int(kv["jobs"][1])
         except ValueError as exc:
             raise ConfigError(f"{where('jobs')}: jobs must be an integer") from exc
-        if jobs < 1:
-            raise ConfigError(f"{where('jobs')}: jobs must be >= 1")
-
-    out = kv["out"][1].strip() if "out" in kv else None
-
-    return ScanConfig(
-        theta=theta, phi=phi, tau=tau, eta=eta,
-        bias_mode=bias_mode, x_fixed=x_fixed,
-        axis_alpha=scalar("axis_alpha", 0.0),
-        axis_beta=scalar("axis_beta", math.pi / 2),
-        families=families,
-        nsit_tol=nsit_tol,
-        jobs=jobs,
-        out=out,
-    )
+    if "out" in kv:
+        fields["out"] = kv["out"][1].strip()
+    try:
+        return ScanConfig(**fields)
+    except ConfigError as exc:
+        key = _FIELD_KEYS.get(exc.field, exc.field)
+        if key not in kv:
+            raise
+        raise ConfigError(f"{where(key)}: {exc}") from exc
 
 
 def load_configs(path: str) -> dict[str, ScanConfig]:

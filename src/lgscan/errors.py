@@ -30,7 +30,11 @@ class NoBracket(LgscanError):
 
 
 class ConfigError(LgscanError):
-    """Malformed scan configuration (bad key, value, or grid)."""
+    """Malformed scan configuration; `field` names the ScanConfig field at fault."""
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class InvariantError(LgscanError):

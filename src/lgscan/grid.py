@@ -16,12 +16,13 @@ prefixes are computed once: 14 Lueders updates and 6 rotations per call.
 The singles are measured, not marginals, so the AoT residual stays a real
 check.  `sequential_probabilities` selects one experiment from the result.
 
-The family reductions (SLGI, WLGI, ELGI), the disturbance functionals and
-the AoT residual are defined here and nowhere else.  They take a dict of
-outcome-probability arrays keyed by measured subset and accept any batch
-shape, including the shape-() vectors of one `run_schedule(...)` result, so
-the scalar evaluators in lgscan.inequalities and lgscan.nsit feed them the
-operator pipeline's distributions.
+The family reductions (SLGI, WLGI, ELGI), the disturbance functionals, the
+AoT residual and the NSIT conditions (`NSIT_CONDITIONS`, `nsit_flags`) are
+defined here and nowhere else.  They take a dict of outcome-probability
+arrays keyed by measured subset and accept any batch shape, including the
+shape-() vectors of one `run_schedule(...)` result, so the scalar
+evaluators in lgscan.inequalities and lgscan.nsit feed them the operator
+pipeline's distributions.
 
 Every caller reads a family's bound, specs and reduction from
 `FAMILY_TABLE`, and chooses the reported member by `pick`.
@@ -322,6 +323,23 @@ def aot_residual(dists: dict) -> np.ndarray:
         marg = dists[big].reshape(dists[big].shape[:-1] + (2, 2)).sum(axis=-1)
         res.append(np.abs(marg - dists[small]).max(axis=-1))
     return np.max(np.stack(res, axis=-1), axis=-1)
+
+
+NSIT_TOL = 1e-10
+
+# NSIT condition -> the D family that must vanish for it (see lgscan.nsit);
+# nsit_1_2_3 also requires the AoT residual within tolerance
+NSIT_CONDITIONS = {"nsit_12": "d1_m2", "nsit_13": "d1_m3", "nsit_23": "d2_m3",
+                   "nsit_123": "d1_pair", "nsit_1_2_3": "d2_pair"}
+
+
+def nsit_flags(disturbance_arrays: dict, aot, tol: float) -> dict[str, np.ndarray]:
+    """Per-condition NSIT booleans from `disturbances` arrays and the AoT
+    residual: every entry of the condition's D family within tol."""
+    flags = {cond: np.abs(disturbance_arrays[fam]).max(axis=-1) <= tol
+             for cond, fam in NSIT_CONDITIONS.items()}
+    flags["nsit_1_2_3"] &= np.asarray(aot) <= tol
+    return flags
 
 
 def pure_bloch(theta, phi) -> np.ndarray:

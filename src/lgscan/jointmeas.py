@@ -43,7 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidEffect, NoBracket
-from .measurement import Schedule, effect_at_time
+from .grid import Z_HAT, rotate_bloch
+from .linalg import X_HAT
+from .measurement import Schedule
 
 MARGIN_TOL = 1e-12
 BIAS_ZERO = 1e-15
@@ -194,17 +196,27 @@ def _numeric_pair_threshold(x: float, d1: np.ndarray, d2: np.ndarray) -> float:
     return 0.5 * (lo + hi)
 
 
+def lg_directions(tau, axis) -> dict[int, np.ndarray]:
+    """Unit Bloch directions of the Heisenberg-evolved effects at t1, t2, t3:
+    z_hat rotated by -2 (k - 1) tau about the axis; broadcasts over tau."""
+    tau = np.asarray(tau, dtype=float)
+    z = np.broadcast_to(Z_HAT, tau.shape + (3,))
+    return {k: rotate_bloch(z, axis, -2.0 * (k - 1) * tau) for k in (1, 2, 3)}
+
+
 def jm_verdict(schedule: Schedule) -> JmVerdict:
     """Assemble pairwise (and, for x = 0, triple-wise) verdicts for the three
     time-evolved effects of the schedule.
 
-    Margins always come from the criteria on the actual effect vectors;
-    thresholds use the closed forms for the unbiased and x = eta - 1
-    families and a numeric bisection for any other fixed bias.
+    Margins come from the criteria on the effect vectors eta * d_k, with d_k
+    from `lg_directions`; thresholds use the closed forms for the unbiased
+    and x = eta - 1 families and a numeric bisection for any other fixed
+    bias.  They depend on the d_k only, so at eta = 0 they are the
+    eta -> 0+ limit.
     """
     x, eta = schedule.x, schedule.eta
-    vecs = {t: effect_at_time(schedule, t, +1).m for t in (1, 2, 3)}
-    dirs = {t: v / eta if eta > 0 else np.array([0.0, 0.0, 1.0]) for t, v in vecs.items()}
+    dirs = lg_directions(schedule.tau, schedule.axis)
+    vecs = {t: eta * d for t, d in dirs.items()}
     unbiased = abs(x) < BIAS_ZERO
     bias_family = abs(x - (eta - 1.0)) < 1e-12
 
@@ -227,15 +239,11 @@ def jm_verdict(schedule: Schedule) -> JmVerdict:
     return JmVerdict(pairwise=pairwise, triple=triple)
 
 
-def lg_pair_thresholds(tau: float, biased: bool = False) -> dict[tuple[int, int], float]:
-    """Closed-form per-pair thresholds for the LG geometry (angles 0, 2tau, 4tau)."""
-    fn = biased_pair_threshold if biased else unbiased_pair_threshold
-    return {(1, 2): fn(2 * tau), (2, 3): fn(2 * tau), (1, 3): fn(4 * tau)}
-
-
 def lg_combined_pair_threshold(tau: float, biased: bool = False) -> float:
-    """Largest eta with all three LG pairs compatible at this tau."""
-    return min(lg_pair_thresholds(tau, biased).values())
+    """Largest eta with all three LG pairs compatible at this tau (closed
+    forms; the pairs are separated by 2tau, 2tau and 4tau)."""
+    fn = biased_pair_threshold if biased else unbiased_pair_threshold
+    return min(fn(2 * tau), fn(4 * tau))
 
 
 def lg_triple_threshold(tau: float) -> float:
@@ -245,7 +253,4 @@ def lg_triple_threshold(tau: float) -> float:
     (sqrt 5 - 1)/2 at pi/4, while the exact threshold is 1/sqrt 2 there and
     has its minimum 2/3 at tau = pi/6.
     """
-    d1 = np.array([0.0, 0.0, 1.0])
-    d2 = np.array([0.0, np.sin(2 * tau), np.cos(2 * tau)])
-    d3 = np.array([0.0, np.sin(4 * tau), np.cos(4 * tau)])
-    return triple_threshold(d1, d2, d3)
+    return triple_threshold(*lg_directions(tau, X_HAT).values())

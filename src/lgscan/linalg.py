@@ -30,7 +30,6 @@ AXIS_TOL = 1e-12
 _DEGENERATE_AXIS_TOL = 1e-14
 
 X_HAT = np.array([1.0, 0.0, 0.0])
-Y_HAT = np.array([0.0, 1.0, 0.0])
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
 

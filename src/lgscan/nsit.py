@@ -12,7 +12,10 @@ a larger experiment, with the fixed sign convention
     D2(M3^k)       = P_{3}(k)     - P_{23}(., k)
 
 An NSIT condition holds iff every entry of the corresponding D family
-vanishes (to a tolerance; default 1e-10, since everything here is analytic).
+vanishes (to a tolerance; default lgscan.grid.NSIT_TOL = 1e-10, since
+everything here is analytic): NSIT_(1)2 <-> D1(M2), NSIT_(1)3 <-> D1(M3),
+NSIT_(2)3 <-> D2(M3), NSIT_(1)23 <-> D1(M2, M3), NSIT_1(2)3 <-> D2(M1, M3),
+the last one together with AoT (lgscan.grid.NSIT_CONDITIONS).
 AoT identities (earlier statistics unaffected by later measurements) hold
 automatically in quantum mechanics; their largest residual is reported and a
 residual above 1e-10 is a pipeline bug, never a physical effect.
@@ -31,7 +34,6 @@ from .grid import WlgiSpec
 from .inequalities import experiment_probabilities
 from .measurement import QubitState, Schedule, run_schedule
 
-NSIT_TOL = 1e-10
 AOT_TOL = 1e-10
 
 SIGNS = (1, -1)
@@ -147,23 +149,13 @@ def closed_form_variants(theta: float, phi: float, tau: float) -> dict[str, dict
     return {"d1_m2": d1_m2, "d2_m3": d2_m3}
 
 
-def nsit_satisfied(report: DisturbanceReport, tol: float = NSIT_TOL) -> dict[str, bool]:
-    """Per-condition booleans from the D families.
-
-    Mapping: NSIT_(1)2 <-> D1(M2), NSIT_(1)3 <-> D1(M3), NSIT_(2)3 <-> D2(M3),
-    NSIT_(1)23 <-> D1(M2, M3), NSIT_1(2)3 <-> D2(M1, M3).  The last one also
-    carries the AoT residual check (the condition is a conjunction of an
-    in-between-measurement non-disturbance statement and AoT, and AoT is
-    asserted rather than configurable).
-    """
-    ok = lambda fam: report.max_abs(fam) <= tol
-    return {
-        "nsit_12": ok("d1_m2"),
-        "nsit_13": ok("d1_m3"),
-        "nsit_23": ok("d2_m3"),
-        "nsit_123": ok("d1_pair"),
-        "nsit_1_2_3": ok("d2_pair") and report.aot_residual <= tol,
-    }
+def nsit_satisfied(report: DisturbanceReport, tol: float = grid.NSIT_TOL) -> dict[str, bool]:
+    """Per-condition booleans from the D families, by lgscan.grid.nsit_flags.
+    NSIT_1(2)3 also carries the AoT residual check: the condition is an
+    in-between-measurement non-disturbance statement and AoT."""
+    arrays = {fam: np.array(list(d.values())) for fam, d in report.families().items()}
+    flags = grid.nsit_flags(arrays, report.aot_residual, tol)
+    return {cond: bool(flag) for cond, flag in flags.items()}
 
 
 def wlgi_threshold_check(state: QubitState, schedule: Schedule, spec: WlgiSpec) -> ThresholdCheck:

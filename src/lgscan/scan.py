@@ -19,6 +19,7 @@ fixed mode grid points with |x| + eta > 1 are skipped and counted.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -49,7 +50,6 @@ _FLAG_CODES = {False: 0, True: 1, None: 2}
 # grid points per kernel call in `scan`, and rows per block written by `report`
 CHUNK = 2**14
 
-DEFAULT_ANGLE_STEP = math.pi / 60
 DEFAULT_TAU_STEP = math.pi / 360  # threshold-resolution grid
 
 ETA_LO, ETA_HI, BRACKET_SAMPLES = 1e-6, 1.0, 9  # threshold_eta's bracket and sign samples
@@ -73,6 +73,11 @@ def bias_x(bias_mode: str, eta, x_fixed: float = 0.0) -> np.ndarray:
     return np.full_like(eta, x_fixed)
 
 
+def valid_effect(eta, x):
+    """|x| + eta <= 1 (to 1e-12): M(x, eta) is a valid effect; broadcasts."""
+    return np.abs(x) + eta <= 1.0 + 1e-12
+
+
 def default_tau_grid(step: float = DEFAULT_TAU_STEP) -> np.ndarray:
     """Open grid on (0, pi); endpoints are degenerate (coinciding effects)."""
     n = int(round(math.pi / step))
@@ -90,7 +95,7 @@ class ScanConfig:
     axis_alpha: float = 0.0
     axis_beta: float = math.pi / 2
     families: tuple[str, ...] = FAMILIES
-    nsit_tol: float = 1e-10
+    nsit_tol: float = gridmod.NSIT_TOL
     jobs: int = 1
     out: str | None = None
 
@@ -98,31 +103,31 @@ class ScanConfig:
         for name in ("theta", "phi", "tau", "eta"):
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if arr.ndim != 1 or arr.size < 1:
-                raise ConfigError(f"grid '{name}' must be a nonempty 1-D array")
+                raise ConfigError(f"grid '{name}' must be a nonempty 1-D array", name)
             if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"grid '{name}' must hold finite numbers only")
+                raise ConfigError(f"grid '{name}' must hold finite numbers only", name)
             object.__setattr__(self, name, arr)
         for name in ("x_fixed", "axis_alpha", "axis_beta", "nsit_tol"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+                raise ConfigError(f"{name} must be a finite number, got {value!r}", name)
             object.__setattr__(self, name, value)
         if self.nsit_tol < 0:
-            raise ConfigError(f"nsit_tol must be >= 0, got {self.nsit_tol!r}")
+            raise ConfigError(f"nsit_tol must be >= 0, got {self.nsit_tol!r}", "nsit_tol")
         if np.any(self.eta < 0) or np.any(self.eta > 1):
-            raise ConfigError("eta grid must lie in [0, 1]")
+            raise ConfigError("eta must lie in [0, 1]", "eta")
         if self.bias_mode not in ("zero", "eta-1", "fixed"):
-            raise ConfigError(f"unknown bias mode {self.bias_mode!r}")
+            raise ConfigError(f"unknown bias mode {self.bias_mode!r}", "bias_mode")
         if not self.families:
-            raise ConfigError("families must be nonempty")
+            raise ConfigError("families must be nonempty", "families")
         bad = [f for f in self.families if f not in FAMILIES]
         if bad:
-            raise ConfigError(f"unknown families {bad}")
+            raise ConfigError(f"unknown families {bad}", "families")
         object.__setattr__(self, "families", tuple(self.families))
         if len(set(self.families)) != len(self.families):
-            raise ConfigError(f"families must not repeat, got {self.families}")
+            raise ConfigError(f"families must not repeat, got {self.families}", "families")
         if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+            raise ConfigError("jobs must be >= 1", "jobs")
 
     @property
     def axis(self) -> np.ndarray:
@@ -134,7 +139,7 @@ class ScanConfig:
     @property
     def eta_kept(self) -> np.ndarray:
         """Eta grid values with a valid effect, |x| + eta <= 1 (fixed bias only)."""
-        return self.eta[np.abs(self.x_of(self.eta)) + self.eta <= 1.0 + 1e-12]
+        return self.eta[valid_effect(self.eta, self.x_of(self.eta))]
 
 
 @dataclass(frozen=True)
@@ -254,31 +259,15 @@ def skipped_points(config: ScanConfig) -> int:
 
 def _point_flags(dists: dict, tau, eta, x, config: ScanConfig) -> dict[str, np.ndarray]:
     """NSIT and JM flag columns (FLAG_VALUES codes) for a flat parameter batch."""
-    dist_arrays = gridmod.disturbances(dists)
-    tol = config.nsit_tol
-    aot = gridmod.aot_residual(dists)
-    flags = {
-        "nsit_12": np.abs(dist_arrays["d1_m2"]).max(axis=-1) <= tol,
-        "nsit_13": np.abs(dist_arrays["d1_m3"]).max(axis=-1) <= tol,
-        "nsit_23": np.abs(dist_arrays["d2_m3"]).max(axis=-1) <= tol,
-        "nsit_123": np.abs(dist_arrays["d1_pair"]).max(axis=-1) <= tol,
-        "nsit_1_2_3": (np.abs(dist_arrays["d2_pair"]).max(axis=-1) <= tol) & (aot <= tol),
-    }
-    # JM depends only on (tau, eta, x); directions follow the Heisenberg rotation
-    tau, eta, x = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(tau, dtype=float)),
-        np.asarray(eta, dtype=float),
-        np.asarray(x, dtype=float),
-    )
-    d1 = np.broadcast_to(gridmod.Z_HAT, tau.shape + (3,)).astype(float)
-    d2 = gridmod.rotate_bloch(d1, config.axis, -2.0 * tau)
-    d3 = gridmod.rotate_bloch(d1, config.axis, -4.0 * tau)
-    e = eta[..., None]
+    flags = gridmod.nsit_flags(gridmod.disturbances(dists), gridmod.aot_residual(dists),
+                               config.nsit_tol)
+    # JM depends only on (tau, eta, x)
+    tau, eta, x = np.broadcast_arrays(np.atleast_1d(np.asarray(tau, dtype=float)), eta, x)
+    m = {k: eta[..., None] * d for k, d in jointmeas.lg_directions(tau, config.axis).items()}
     jm_tol = jointmeas.MARGIN_TOL
-    flags["jm_12"] = jointmeas.general_margin(x, e * d1, x, e * d2) >= -jm_tol
-    flags["jm_23"] = jointmeas.general_margin(x, e * d2, x, e * d3) >= -jm_tol
-    flags["jm_13"] = jointmeas.general_margin(x, e * d1, x, e * d3) >= -jm_tol
-    triple_margin = 4.0 - jointmeas.triple_sum(e * d1, e * d2, e * d3)
+    for a, b in jointmeas.PAIR_ORDER:
+        flags[f"jm_{a}{b}"] = jointmeas.general_margin(x, m[a], x, m[b]) >= -jm_tol
+    triple_margin = 4.0 - jointmeas.triple_sum(m[1], m[2], m[3])
     flags["jm_triple"] = np.where(np.abs(x) < jointmeas.BIAS_ZERO, triple_margin >= -jm_tol,
                                   _FLAG_CODES[None])
     return flags
@@ -370,8 +359,9 @@ def threshold_eta(
     Bisection on g(eta) = value(eta) - bound, to absolute tolerance `tol`.
     With maximize_tau, the inner maximization runs over `default_tau_grid()`
     with one parabolic polish; otherwise `tau` must be given.  Raises
-    NoBracket when g has no sign change on [ETA_LO, ETA_HI] or the sampled
-    g (BRACKET_SAMPLES points) is not monotone-crossing.
+    NoBracket when g has no sign change on [ETA_LO, ETA_HI], the sampled
+    g (BRACKET_SAMPLES points) is not monotone-crossing, or the threshold
+    lies where the effect is not valid (|x| + eta > 1 at a fixed bias).
     """
     if family not in gridmod.FAMILY_TABLE:
         raise ConfigError(f"unknown family {family!r}")
@@ -392,8 +382,11 @@ def threshold_eta(
         if tau is None:
             raise ConfigError("either tau or maximize_tau is required")
         grid_values = np.array([float(tau)])
+    if not valid_effect(ETA_LO, bias_x(bias_mode, ETA_LO, x_fixed)):
+        raise ConfigError(f"bias x = {x_fixed:g} leaves no valid eta >= {ETA_LO:g}")
     bloch = gridmod.pure_bloch(theta, phi)
 
+    @functools.cache  # g is deterministic; the bisection revisits bracket samples
     def g(eta: float) -> float:
         x = bias_x(bias_mode, eta, x_fixed)
 
@@ -423,7 +416,11 @@ def threshold_eta(
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    eta = 0.5 * (lo + hi)
+    if not valid_effect(eta, bias_x(bias_mode, eta, x_fixed)):
+        raise NoBracket(f"threshold eta = {eta:.6f} lies outside the valid range "
+                        f"0 <= eta <= {1.0 - abs(x_fixed):g} of bias x = {x_fixed:g}")
+    return eta
 
 
 # --- reporting ------------------------------------------------------------------

@@ -7,6 +7,7 @@ from lgscan.jointmeas import (
     general_margin,
     jm_verdict,
     lg_combined_pair_threshold,
+    lg_directions,
     lg_triple_threshold,
     pairwise_jm_general,
     pairwise_jm_unbiased,
@@ -14,7 +15,7 @@ from lgscan.jointmeas import (
     triplewise_jm_unbiased,
     unbiased_pair_threshold,
 )
-from lgscan.measurement import Schedule
+from lgscan.measurement import Schedule, effect_at_time
 
 from conftest import random_axis
 
@@ -160,6 +161,31 @@ class TestTriplewise:
                 else:
                     hi = mid
             assert 0.5 * (lo + hi) == pytest.approx(min(lg_triple_threshold(tau), 1.0), abs=1e-6)
+
+
+class TestLgDirections:
+    def test_match_operator_pipeline(self, rng):
+        # jm_verdict and the scan JM flags both read lg_directions, so the
+        # operator pipeline's Heisenberg effects are the independent check
+        for _ in range(50):
+            axis = random_axis(rng)
+            tau, eta = rng.uniform(0, np.pi), rng.uniform(0.05, 1.0)
+            x = rng.uniform(-1, 1) * (1 - eta)
+            sched = Schedule(measured=(1, 2, 3), tau=tau, axis=axis, x=x, eta=eta)
+            dirs = lg_directions(tau, axis)
+            for t in (1, 2, 3):
+                m = effect_at_time(sched, t, +1).m
+                assert np.max(np.abs(dirs[t] - m / eta)) < 1e-14
+
+    def test_broadcasts_over_tau(self, rng):
+        axis = random_axis(rng)
+        taus = rng.uniform(0, np.pi, (4, 5))
+        batch = lg_directions(taus, axis)
+        for t in (1, 2, 3):
+            assert batch[t].shape == (4, 5, 3)
+            for idx in np.ndindex(4, 5):
+                assert np.allclose(batch[t][idx], lg_directions(taus[idx], axis)[t],
+                                   rtol=0, atol=1e-15)
 
 
 class TestVerdict:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +206,7 @@ class TestInputValidation:
         ("eta", "1.5", "eta must lie in [0, 1]"),
         ("jobs", "0", "jobs must be >= 1"),
         ("families", "wlgi,wlgi", "families must not repeat"),
+        ("families", ",", "families must be nonempty"),
     ])
     def test_config_value_rejected_names_line(self, tmp_path, capsys, key, text, message):
         cfg = tmp_path / "run.cfg"
@@ -344,7 +346,8 @@ class TestScan:
         assert rec.jm_triple is None
 
     def test_nsit_flags_match_scalar(self):
-        from lgscan.measurement import make_pure_state, Schedule
+        from lgscan.jointmeas import jm_verdict
+        from lgscan.measurement import QubitState, Schedule, make_pure_state
         from lgscan.nsit import disturbance_report, nsit_satisfied
 
         cfg = ScanConfig(theta=[np.pi / 4], phi=[0.0], tau=[np.pi / 4], eta=[1.0])
@@ -358,6 +361,26 @@ class TestScan:
             flags["nsit_12"], flags["nsit_13"], flags["nsit_23"],
             flags["nsit_123"], flags["nsit_1_2_3"],
         )
+        # seeded points in every bias mode, turned axis: NSIT and JM flags
+        rng = np.random.default_rng(17)
+        for bias_mode, x_fixed in (("zero", 0.0), ("eta-1", 0.0), ("fixed", -0.2)):
+            cfg = ScanConfig(theta=rng.uniform(0, np.pi, 2), phi=rng.uniform(0, 2 * np.pi, 2),
+                             tau=rng.uniform(0.05, np.pi - 0.05, 3),
+                             eta=rng.uniform(0.05, 0.8, 2), bias_mode=bias_mode,
+                             x_fixed=x_fixed, axis_alpha=0.4, axis_beta=1.1, families=("slgi",))
+            records = scan(cfg)
+            assert len(records) == 24
+            for rec in records:
+                sched = Schedule(measured=(1, 2, 3), tau=rec.tau, axis=cfg.axis, x=rec.x,
+                                 eta=rec.eta)
+                rep = disturbance_report(QubitState.pure(rec.theta, rec.phi), sched)
+                for cond, ok in nsit_satisfied(rep, cfg.nsit_tol).items():
+                    assert getattr(rec, cond) == ok
+                verdict = jm_verdict(sched)
+                for (a, b), pair in verdict.pairwise.items():
+                    assert getattr(rec, f"jm_{a}{b}") == pair.jointly_measurable
+                triple = verdict.triple
+                assert rec.jm_triple == (None if triple is None else triple.jointly_measurable)
 
 
 class TestThresholdEta:
@@ -380,6 +403,25 @@ class TestThresholdEta:
     def test_requires_tau(self):
         with pytest.raises(ConfigError):
             threshold_eta("slgi")
+
+    def test_fixed_bias_threshold_outside_valid_range_exits_2(self, capsys):
+        # used to print 0.829071, where |x| + eta = 1.129
+        code = cli.main(["threshold", "--family", "slgi", "--maximize-tau", "--bias", "x=-0.3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "threshold eta = 0.829071 lies outside the valid range 0 <= eta <= 0.7" in err
+
+    def test_fixed_bias_without_valid_eta(self, capsys):
+        # used to report "no violation bracket ... g=0..0"
+        with pytest.raises(ConfigError, match="leaves no valid eta"):
+            threshold_eta("slgi", maximize_tau=True, bias_mode="fixed", x_fixed=2.0)
+        assert cli.main(["threshold", "--family", "slgi", "--maximize-tau", "--bias", "x=2"]) == 2
+        assert "bias x = 2 leaves no valid eta" in capsys.readouterr().err
+
+    def test_fixed_bias_valid_threshold_unchanged(self, capsys):
+        code = cli.main(["threshold", "--family", "wlgi", "--maximize-tau", "--bias", "x=0.1"])
+        assert code == 0
+        assert capsys.readouterr().out == "wlgi threshold eta = 0.718293\n"
 
     @pytest.mark.parametrize("family, index", [("slgi", "4"), ("wlgi", "-6")])
     def test_spec_index_out_of_range_exits_2(self, capsys, family, index):
@@ -406,19 +448,19 @@ class TestReport:
         parsed = parse_report(p1)
         p2 = str(tmp_path / "b.csv")
         report(parsed, p2, "csv")
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_two_runs_byte_identical(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         report(scan(small_config()), p1, "csv")
         report(scan(small_config()), p2, "csv")
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_json_mirror(self, tmp_path):
         records = scan(small_config(families=("wlgi",)))
         path = str(tmp_path / "r.json")
         report(records, path, "json")
-        payload = json.load(open(path))
+        payload = json.loads(Path(path).read_text())
         assert len(payload) == len(records)
         assert set(payload[0]) == set(CSV_COLUMNS)
         assert payload[0]["family"] == "wlgi"
@@ -427,7 +469,7 @@ class TestReport:
         records = scan(small_config(families=("slgi",)))
         path = str(tmp_path / "r.csv")
         report(records, path, "csv")
-        row = open(path).readlines()[1].split(",")
+        row = Path(path).read_text().splitlines()[1].split(",")
         value_cell = row[CSV_COLUMNS.index("value")]
         assert value_cell == f"{records[0].value:.12g}"
 
@@ -511,6 +553,19 @@ class TestCli:
         assert "incompatible" not in line[0]
         assert "(margin -" in line[0] and line[0].endswith("threshold 0.618034")
 
+    @pytest.mark.parametrize("bias", ["zero", "eta-1", "x=0.3"])
+    def test_eval_eta_zero_thresholds_are_the_limit(self, capsys, bias):
+        # the thresholds depend on the effect directions only; at eta = 0
+        # they used to be computed for z_hat at every time
+        def thresholds(eta):
+            assert cli.main(["eval", "--tau", "0.7", "--eta", eta, "--bias", bias]) == 0
+            return [ln.rsplit("threshold", 1)[1] for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("jm ") and "threshold" in ln]
+
+        at_zero = thresholds("0")
+        assert len(at_zero) == (4 if bias == "zero" else 3)
+        assert at_zero == thresholds("1e-9")
+
     def test_eval_reports_lowest_tied_spec(self, capsys):
         # WLGI specs 7, 12 and 18 tie here in exact arithmetic; rounding
         # made spec 12 the largest by 9e-17, the pick rule reports spec 7
@@ -530,7 +585,7 @@ class TestCli:
         assert proc.returncode == 0
         produced = os.listdir(out)
         assert produced == ["tiny.csv"]
-        rows = open(out / "tiny.csv").read().splitlines()
+        rows = (out / "tiny.csv").read_text().splitlines()
         assert rows[0] == ",".join(CSV_COLUMNS)
         assert len(rows) == 1 + 7 * 3
 
