@@ -52,6 +52,8 @@ BIAS_ZERO = 1e-15
 
 PAIR_ORDER = ((1, 2), (2, 3), (1, 3))
 
+HALVINGS_PER_CALL = 3  # bisection steps decided per margin call; divides 60
+
 
 @dataclass(frozen=True)
 class JmPair:
@@ -175,24 +177,48 @@ def _separation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(cosang))
 
 
-def _numeric_pair_threshold(x: float, d1: np.ndarray, d2: np.ndarray) -> float:
-    """Bisect the general-criterion margin in eta at fixed bias x."""
+def _numeric_pair_thresholds(x: float, da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Bisect the general-criterion margin in eta at fixed bias x, for the
+    pairs of unit directions (da[i], db[i]) all at once.
+
+    A row whose margin passes at cap = 1 - |x| returns cap.  The other rows
+    halve [0, cap] together until no row has a float left between its ends
+    (at most 60 halvings); a stalled row cannot move, since its lo passes
+    and its hi fails.  One margin call decides HALVINGS_PER_CALL halvings:
+    it tests every midpoint those halvings can reach, a binary tree of
+    2**HALVINGS_PER_CALL - 1 per row, so the midpoints and the result are
+    those of halving one step at a time.
+    """
     cap = 1.0 - abs(x)
 
-    def margin(eta: float) -> float:
-        return float(general_margin(x, eta * d1, x, eta * d2))
+    def passes(eta: np.ndarray) -> np.ndarray:
+        e = eta[..., None]
+        return general_margin(x, e * da, x, e * db) >= -MARGIN_TOL
 
-    if margin(cap) >= -MARGIN_TOL:
-        return cap
-    lo, hi = 0.0, cap
-    if margin(lo) < -MARGIN_TOL:
+    cap_ok, zero_ok = passes(np.array([[cap], [0.0]]))  # both bracket ends, one call
+    if np.any(~cap_ok & ~zero_ok):
         raise NoBracket("no compatible eta at this bias")
-    for _ in range(60):
+    lo = np.where(cap_ok, cap, 0.0)
+    hi = np.full(lo.shape, cap)
+    rows = np.arange(lo.size)
+    for _ in range(60 // HALVINGS_PER_CALL):
         mid = 0.5 * (lo + hi)
-        if margin(mid) >= -MARGIN_TOL:
-            lo = mid
-        else:
-            hi = mid
+        if not np.any((lo < mid) & (mid < hi)):  # no float left between lo and hi
+            break
+        # node i halves ends[i]; nodes 2i + 1 and 2i + 2 halve its lower and upper half
+        ends, mids = [(lo, hi)], []
+        for i in range(2**HALVINGS_PER_CALL - 1):
+            a, b = ends[i]
+            mids.append(0.5 * (a + b))
+            ends += [(a, mids[i]), (mids[i], b)]
+        mids = np.array(mids)
+        ok = passes(mids)
+        node = np.zeros(lo.shape, dtype=int)
+        for _ in range(HALVINGS_PER_CALL):
+            mid, good = mids[node, rows], ok[node, rows]
+            lo = np.where(good, mid, lo)
+            hi = np.where(good, hi, mid)
+            node = 2 * node + 1 + good
     return 0.5 * (lo + hi)
 
 
@@ -204,38 +230,56 @@ def lg_directions(tau, axis) -> dict[int, np.ndarray]:
     return {k: rotate_bloch(z, axis, -2.0 * (k - 1) * tau) for k in (1, 2, 3)}
 
 
+def lg_margins(tau, eta, x, axis) -> tuple[np.ndarray, np.ndarray]:
+    """Criterion margins of the LG effects M(x, eta * d_k), d_k from
+    `lg_directions`; broadcasts over tau, eta and x.
+
+    Returns the general-criterion margins of the three pairs, in PAIR_ORDER
+    on the last axis, and the four-norm triple margin 4 - sum (meaningful
+    for x = 0 only).
+    """
+    tau, eta, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (tau, eta, x)))
+    return _margins(lg_directions(tau, axis), eta, x)
+
+
+def _margins(dirs: dict[int, np.ndarray], eta, x) -> tuple[np.ndarray, np.ndarray]:
+    """`lg_margins` from directions already at hand (dirs[k] = d_k)."""
+    eta, x = np.asarray(eta, dtype=float), np.asarray(x, dtype=float)
+    m = {k: eta[..., None] * d for k, d in dirs.items()}
+    first = np.stack([m[a] for a, _ in PAIR_ORDER], axis=-2)
+    second = np.stack([m[b] for _, b in PAIR_ORDER], axis=-2)
+    pairs = general_margin(x[..., None], first, x[..., None], second)
+    return pairs, 4.0 - triple_sum(m[1], m[2], m[3])
+
+
 def jm_verdict(schedule: Schedule) -> JmVerdict:
     """Assemble pairwise (and, for x = 0, triple-wise) verdicts for the three
     time-evolved effects of the schedule.
 
-    Margins come from the criteria on the effect vectors eta * d_k, with d_k
-    from `lg_directions`; thresholds use the closed forms for the unbiased
-    and x = eta - 1 families and a numeric bisection for any other fixed
-    bias.  They depend on the d_k only, so at eta = 0 they are the
-    eta -> 0+ limit.
+    Margins are those of `lg_margins`, computed on the directions that the
+    thresholds also read; thresholds use the closed forms for the unbiased
+    and x = eta - 1 families and one bisection over all three pairs for any
+    other fixed bias.  They depend on the directions d_k only, so at
+    eta = 0 they are the eta -> 0+ limit.
     """
     x, eta = schedule.x, schedule.eta
     dirs = lg_directions(schedule.tau, schedule.axis)
-    vecs = {t: eta * d for t, d in dirs.items()}
+    pair_margins, triple_margin = _margins(dirs, eta, x)
     unbiased = abs(x) < BIAS_ZERO
-    bias_family = abs(x - (eta - 1.0)) < 1e-12
-
-    pairwise: dict[tuple[int, int], JmPair] = {}
-    for a, b in PAIR_ORDER:
-        _, margin = pairwise_jm_general(x, vecs[a], x, vecs[b])
-        sep = _separation(dirs[a], dirs[b])
-        if unbiased:
-            threshold = unbiased_pair_threshold(sep)
-        elif bias_family:
-            threshold = biased_pair_threshold(sep)
-        else:
-            threshold = _numeric_pair_threshold(x, dirs[a], dirs[b])
-        pairwise[(a, b)] = JmPair(margin >= -MARGIN_TOL, margin, threshold)
+    if unbiased or abs(x - (eta - 1.0)) < 1e-12:
+        fn = unbiased_pair_threshold if unbiased else biased_pair_threshold
+        thresholds = [fn(_separation(dirs[a], dirs[b])) for a, b in PAIR_ORDER]
+    else:
+        thresholds = _numeric_pair_thresholds(x, np.stack([dirs[a] for a, _ in PAIR_ORDER]),
+                                              np.stack([dirs[b] for _, b in PAIR_ORDER]))
+    pairwise = {pair: JmPair(margin >= -MARGIN_TOL, margin, float(threshold))
+                for pair, margin, threshold in zip(PAIR_ORDER, pair_margins.tolist(), thresholds)}
 
     triple = None
     if unbiased:
-        jm, margin = triplewise_jm_unbiased(vecs[1], vecs[2], vecs[3])
-        triple = JmTriple(jm, margin, triple_threshold(dirs[1], dirs[2], dirs[3]))
+        margin = float(triple_margin)
+        triple = JmTriple(margin >= -MARGIN_TOL, margin,
+                          triple_threshold(dirs[1], dirs[2], dirs[3]))
     return JmVerdict(pairwise=pairwise, triple=triple)
 
 

@@ -262,13 +262,11 @@ def _point_flags(dists: dict, tau, eta, x, config: ScanConfig) -> dict[str, np.n
     flags = gridmod.nsit_flags(gridmod.disturbances(dists), gridmod.aot_residual(dists),
                                config.nsit_tol)
     # JM depends only on (tau, eta, x)
-    tau, eta, x = np.broadcast_arrays(np.atleast_1d(np.asarray(tau, dtype=float)), eta, x)
-    m = {k: eta[..., None] * d for k, d in jointmeas.lg_directions(tau, config.axis).items()}
+    pairs, triple = jointmeas.lg_margins(np.atleast_1d(tau), eta, x, config.axis)
     jm_tol = jointmeas.MARGIN_TOL
-    for a, b in jointmeas.PAIR_ORDER:
-        flags[f"jm_{a}{b}"] = jointmeas.general_margin(x, m[a], x, m[b]) >= -jm_tol
-    triple_margin = 4.0 - jointmeas.triple_sum(m[1], m[2], m[3])
-    flags["jm_triple"] = np.where(np.abs(x) < jointmeas.BIAS_ZERO, triple_margin >= -jm_tol,
+    for i, (a, b) in enumerate(jointmeas.PAIR_ORDER):
+        flags[f"jm_{a}{b}"] = pairs[..., i] >= -jm_tol
+    flags["jm_triple"] = np.where(np.abs(x) < jointmeas.BIAS_ZERO, triple >= -jm_tol,
                                   _FLAG_CODES[None])
     return flags
 

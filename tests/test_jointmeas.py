@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+from lgscan import jointmeas
 from lgscan.errors import InvalidEffect
 from lgscan.jointmeas import (
+    MARGIN_TOL,
+    PAIR_ORDER,
+    _numeric_pair_thresholds,
+    _separation,
     biased_pair_threshold,
     general_margin,
     jm_verdict,
     lg_combined_pair_threshold,
     lg_directions,
+    lg_margins,
     lg_triple_threshold,
     pairwise_jm_general,
     pairwise_jm_unbiased,
@@ -18,6 +24,33 @@ from lgscan.jointmeas import (
 from lgscan.measurement import Schedule, effect_at_time
 
 from conftest import random_axis
+
+
+def scalar_pair_threshold(x, d1, d2):
+    """Reference: one pair bisected on its own, 60 scalar halvings of [0, cap]."""
+    cap = 1.0 - abs(x)
+
+    def margin(eta):
+        return float(general_margin(x, eta * d1, x, eta * d2))
+
+    if margin(cap) >= -MARGIN_TOL:
+        return cap
+    lo, hi = 0.0, cap
+    assert margin(lo) >= -MARGIN_TOL
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if margin(mid) >= -MARGIN_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def pair_rows(tau, axis):
+    """(da, db): the unit directions of the three LG pairs, one row each."""
+    dirs = lg_directions(tau, axis)
+    return (np.stack([dirs[a] for a, _ in PAIR_ORDER]),
+            np.stack([dirs[b] for _, b in PAIR_ORDER]))
 
 
 def lg_vectors(tau, eta):
@@ -217,6 +250,25 @@ class TestVerdict:
             # thresholds bounded by validity
             assert 0 <= res.threshold <= 0.8 + 1e-9
 
+    def test_fixed_bias_margin_call_count(self, rng, monkeypatch):
+        # one bisection over all three pairs: the margins, one call for both
+        # bracket ends and one per HALVINGS_PER_CALL of the at most 60 halvings
+        calls = []
+        inner = jointmeas.general_margin
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(jointmeas, "general_margin", counted)
+        for _ in range(20):
+            eta = rng.uniform(0.05, 0.8)
+            sched = Schedule(measured=(1, 2, 3), tau=rng.uniform(0.05, np.pi - 0.05),
+                             axis=random_axis(rng), x=0.2, eta=eta)
+            calls.clear()
+            jm_verdict(sched)
+            assert 1 < len(calls) <= 2 + 60 // jointmeas.HALVINGS_PER_CALL <= 62
+
     def test_thresholds_consistent_with_margins(self, rng):
         for tau in rng.uniform(0.2, np.pi / 2 - 0.1, 10):
             for eta in rng.uniform(0.05, 1.0, 4):
@@ -227,6 +279,76 @@ class TestVerdict:
                         assert res.jointly_measurable
                     if eta > res.threshold + 1e-9:
                         assert not res.jointly_measurable
+
+
+class TestNumericPairThresholds:
+    def test_matches_scalar_bisection(self, rng):
+        ulp = np.spacing(1.0)
+        for _ in range(200):
+            x = rng.uniform(-0.9, 0.9)
+            da, db = pair_rows(rng.uniform(0, np.pi), random_axis(rng))
+            got = _numeric_pair_thresholds(x, da, db)
+            want = [scalar_pair_threshold(x, d1, d2) for d1, d2 in zip(da, db)]
+            assert np.max(np.abs(got - want)) <= 2 * ulp
+
+    @pytest.mark.parametrize("per_call", [1, 2, 4])
+    def test_same_as_one_halving_per_call(self, rng, monkeypatch, per_call):
+        cases = [(rng.uniform(-0.9, 0.9), *pair_rows(rng.uniform(0, np.pi), random_axis(rng)))
+                 for _ in range(50)]
+        want = [_numeric_pair_thresholds(*case) for case in cases]
+        monkeypatch.setattr(jointmeas, "HALVINGS_PER_CALL", per_call)
+        for case, thr in zip(cases, want):
+            assert np.array_equal(_numeric_pair_thresholds(*case), thr)
+
+    def test_brackets_the_margin_sign_change(self, rng):
+        for _ in range(400):
+            x = rng.uniform(-0.9, 0.9)
+            cap = 1.0 - abs(x)
+            da, db = pair_rows(rng.uniform(0, np.pi), random_axis(rng))
+            for d1, d2, thr in zip(da, db, _numeric_pair_thresholds(x, da, db)):
+                below = max(thr - 1e-6, 0.0)
+                assert general_margin(x, below * d1, x, below * d2) >= -MARGIN_TOL
+                above = thr + 1e-6
+                if above <= cap:  # past cap the effect is not valid
+                    assert general_margin(x, above * d1, x, above * d2) < -MARGIN_TOL
+
+    def test_zero_bias_matches_closed_form(self, rng):
+        for _ in range(100):
+            da, db = pair_rows(rng.uniform(0, np.pi), random_axis(rng))
+            got = _numeric_pair_thresholds(0.0, da, db)
+            for d1, d2, thr in zip(da, db, got):
+                assert thr == pytest.approx(min(1.0, unbiased_pair_threshold(_separation(d1, d2))),
+                                            abs=1e-8)
+
+
+class TestLgMargins:
+    @pytest.mark.parametrize("mode", ["zero", "eta-1", "fixed"])
+    def test_matches_scalar_criteria(self, rng, mode):
+        axis = random_axis(rng)
+        n = 60
+        tau = rng.uniform(0, np.pi, n)
+        eta = rng.uniform(0.05, 0.8 if mode == "fixed" else 1.0, n)
+        x = {"zero": np.zeros(n), "eta-1": eta - 1.0, "fixed": np.full(n, 0.2)}[mode]
+        pairs, triple = lg_margins(tau, eta, x, axis)
+        assert pairs.shape == (n, 3) and triple.shape == (n,)
+        for i in range(n):
+            dirs = lg_directions(tau[i], axis)
+            m = {k: eta[i] * d for k, d in dirs.items()}
+            for j, (a, b) in enumerate(PAIR_ORDER):
+                _, want = pairwise_jm_general(x[i], m[a], x[i], m[b])
+                assert abs(pairs[i, j] - want) <= 1e-15
+            _, want = triplewise_jm_unbiased(m[1], m[2], m[3])
+            assert abs(triple[i] - want) <= 1e-15
+
+    def test_verdict_reads_lg_margins(self, rng):
+        for _ in range(20):
+            axis = random_axis(rng)
+            tau, eta = rng.uniform(0, np.pi), rng.uniform(0.05, 0.8)
+            sched = Schedule(measured=(1, 2, 3), tau=tau, axis=axis, x=0.0, eta=eta)
+            v = jm_verdict(sched)
+            pairs, triple = lg_margins(tau, eta, 0.0, axis)
+            assert [v.pairwise[p].margin for p in PAIR_ORDER] == pairs.tolist()
+            assert v.triple.margin == float(triple)
 
 
 class TestGapChain:
