@@ -110,9 +110,8 @@ def _cmd_eval(args) -> int:
     print(f"aot residual: {rep.aot_residual:.3e}")
     verdict = jm_verdict(sched)
     for pair, pr in verdict.pairwise.items():
-        thr = f" threshold {pr.threshold:.6g}" if pr.threshold is not None else ""
         print(f"jm {pair}: {'compatible' if pr.jointly_measurable else 'incompatible'} "
-              f"(margin {pr.margin:+.6g}){thr}")
+              f"(margin {pr.margin:+.6g}) threshold {pr.threshold:.6g}")
     if verdict.triple is not None:
         # the four-norm criterion is sufficient only: failing it decides nothing
         t = verdict.triple

@@ -62,23 +62,11 @@ class InequalityResult:
     bound: float
     violated: bool
     spec: object
-    params: dict
 
 
-def _result(value: float, bound: float, spec: object, state: QubitState, schedule: Schedule) -> InequalityResult:
-    return InequalityResult(
-        value=float(value),
-        bound=float(bound),
-        violated=bool(grid.violated(value, bound)),
-        spec=spec,
-        params={
-            "tau": schedule.tau,
-            "eta": schedule.eta,
-            "x": schedule.x,
-            "axis": tuple(schedule.axis),
-            "state_bloch": tuple(state.bloch()),
-        },
-    )
+def _result(value: float, bound: float, spec: object) -> InequalityResult:
+    return InequalityResult(value=float(value), bound=float(bound),
+                            violated=bool(grid.violated(value, bound)), spec=spec)
 
 
 def pair_distributions(state: QubitState, schedule: Schedule) -> dict[tuple[int, int], JointDistribution]:
@@ -99,7 +87,7 @@ def _family_all(family: str, state: QubitState, schedule: Schedule, specs) -> li
     """One result per spec, from only the experiments the family reads."""
     fam = grid.FAMILY_TABLE[family]
     values = fam.values(experiment_probabilities(state, schedule, fam.reads), specs)
-    return [_result(v, fam.bound, spec, state, schedule) for v, spec in zip(values, specs)]
+    return [_result(v, fam.bound, spec) for v, spec in zip(values, specs)]
 
 
 # --- SLGI -------------------------------------------------------------------

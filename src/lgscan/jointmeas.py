@@ -59,7 +59,7 @@ HALVINGS_PER_CALL = 3  # bisection steps decided per margin call; divides 60
 class JmPair:
     jointly_measurable: bool
     margin: float
-    threshold: float | None
+    threshold: float
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,8 @@ def lg_directions(tau, axis) -> dict[int, np.ndarray]:
     z_hat rotated by -2 (k - 1) tau about the axis; broadcasts over tau."""
     tau = np.asarray(tau, dtype=float)
     z = np.broadcast_to(Z_HAT, tau.shape + (3,))
-    return {k: rotate_bloch(z, axis, -2.0 * (k - 1) * tau) for k in (1, 2, 3)}
+    d1, d2, d3 = rotate_bloch(z, axis, -2.0 * np.multiply.outer(np.arange(3.0), tau))
+    return {1: d1, 2: d2, 3: d3}
 
 
 def lg_margins(tau, eta, x, axis) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,8 @@ configuration produce byte-identical files.
 Records are held as a `ScanTable`, one numpy array per report column.  The
 scan evaluates the grid in blocks of `CHUNK` points and fills the table with
 array operations; `report` formats whole columns and writes `CHUNK` rows at
-a time.  `ScanRecord` is the row view.
+a time, and `parse_report` reads a CSV report back into a table.
+`ScanRecord` is the row view.
 
 Bias modes (`bias_x`, the one rule every command uses): "zero" (x = 0),
 "eta-1" (x = eta - 1, always a valid effect), or a fixed explicit x; in
@@ -23,7 +24,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,7 +46,6 @@ FLOAT_COLUMNS = ("theta", "phi", "tau", "eta", "x", "axis_alpha", "axis_beta",
 FLAG_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("violated"):]
 # flag cells are int8 codes into FLAG_VALUES; jm_triple is None for biased effects
 FLAG_VALUES = (False, True, None)
-_FLAG_CODES = {False: 0, True: 1, None: 2}
 
 # grid points per kernel call in `scan`, and rows per block written by `report`
 CHUNK = 2**14
@@ -78,10 +78,11 @@ def valid_effect(eta, x):
     return np.abs(x) + eta <= 1.0 + 1e-12
 
 
-def default_tau_grid(step: float = DEFAULT_TAU_STEP) -> np.ndarray:
-    """Open grid on (0, pi); endpoints are degenerate (coinciding effects)."""
-    n = int(round(math.pi / step))
-    return np.arange(1, n) * step
+def default_tau_grid() -> np.ndarray:
+    """Open grid on (0, pi) in DEFAULT_TAU_STEP steps; endpoints are
+    degenerate (coinciding effects)."""
+    n = int(round(math.pi / DEFAULT_TAU_STEP))
+    return np.arange(1, n) * DEFAULT_TAU_STEP
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,21 +199,6 @@ class ScanTable:
     def empty(cls, n: int) -> "ScanTable":
         return cls({col: np.empty(n, dtype=_dtype(col)) for col in CSV_COLUMNS})
 
-    @classmethod
-    def from_records(cls, records: Sequence[ScanRecord]) -> "ScanTable":
-        table = cls.empty(len(records))
-        for col in CSV_COLUMNS:
-            values = [getattr(r, col) for r in records]
-            if col == "family":
-                bad = sorted(set(values) - set(FAMILIES))
-                if bad:
-                    raise ConfigError(f"unknown families {bad} in records")
-                values = [FAMILIES.index(v) for v in values]
-            elif col in FLAG_COLUMNS:
-                values = [_FLAG_CODES[v] for v in values]
-            table.columns[col][:] = values
-        return table
-
     def put(self, start: int, rows: dict[str, np.ndarray]) -> int:
         """Write a block of rows from row `start` on; returns the row after it."""
         stop = start + len(rows["theta"])
@@ -267,7 +253,7 @@ def _point_flags(dists: dict, tau, eta, x, config: ScanConfig) -> dict[str, np.n
     for i, (a, b) in enumerate(jointmeas.PAIR_ORDER):
         flags[f"jm_{a}{b}"] = pairs[..., i] >= -jm_tol
     flags["jm_triple"] = np.where(np.abs(x) < jointmeas.BIAS_ZERO, triple >= -jm_tol,
-                                  _FLAG_CODES[None])
+                                  FLAG_VALUES.index(None))
     return flags
 
 
@@ -392,9 +378,7 @@ def threshold_eta(
             dists = gridmod.lg_distributions(bloch, taus, axis, eta, x)
             return fam.values(dists, specs).max(axis=-1)
 
-        if maximize_tau:
-            return _polish_tau(value_fn, grid_values) - fam.bound
-        return float(value_fn(grid_values)[0]) - fam.bound
+        return _polish_tau(value_fn, grid_values) - fam.bound
 
     g_lo, g_hi = g(ETA_LO), g(ETA_HI)
     if not (g_lo < 0.0 < g_hi):
@@ -458,16 +442,14 @@ def _cells(column: np.ndarray, col: str, as_json: bool) -> list[str]:
     return np.array(distinct, dtype=object)[inverse].tolist()
 
 
-def report(records: ScanTable | Iterable[ScanRecord], path: str, fmt: str = "csv") -> None:
-    """Write records; floats carry 12 significant digits in either format.
+def report(table: ScanTable, path: str, fmt: str = "csv") -> None:
+    """Write a table; floats carry 12 significant digits in either format.
 
     JSON is what json.dump(rows, indent=1) writes for the rows as dicts, with
-    each float rounded through f"{v:.12g}".  Records that are not a
-    ScanTable are turned into one first.
+    each float rounded through f"{v:.12g}".
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
-    table = records if isinstance(records, ScanTable) else ScanTable.from_records(list(records))
     as_json = fmt == "json"
     with open(path, "w", newline=None if as_json else "") as fh:
         if not as_json:
@@ -487,37 +469,36 @@ def report(records: ScanTable | Iterable[ScanRecord], path: str, fmt: str = "csv
             fh.write("\n]\n")
 
 
-def _parse_cell(col: str, cell: str):
+def _decoder(col: str):
+    """CSV cell text -> the column's stored code, through the writer's cell
+    tables; raises ValueError for a cell the writer does not write."""
     if col == "family":
-        return cell
-    if col == "spec_index":
-        return int(cell)
+        return _FAMILY_CELLS[False].index
     if col in FLAG_COLUMNS:
-        return FLAG_VALUES[_FLAG_CELLS[False].index(cell)]
-    return float(cell)
+        return _FLAG_CELLS[False].index
+    return int if col == "spec_index" else float
 
 
-def parse_report(path: str) -> list[ScanRecord]:
-    """Read a CSV report back into records (inverse of `report`); a missing
+def parse_report(path: str) -> ScanTable:
+    """Read a CSV report back into a table (inverse of `report`); a missing
     or wrong header, row length or cell raises ConfigError naming the line."""
     with open(path) as fh:
         lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
     n, header = lines[0] if lines else (1, "")
     if tuple(header.split(",")) != CSV_COLUMNS:
         raise ConfigError(f"line {n}: expected the report header, got {header!r}")
-    out = []
-    for n, ln in lines[1:]:
+    decoders = [(col, _decoder(col)) for col in CSV_COLUMNS]
+    table = ScanTable.empty(len(lines) - 1)
+    for row, (n, ln) in enumerate(lines[1:]):
         cells = ln.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ConfigError(f"line {n}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
-        values = []
-        for col, cell in zip(CSV_COLUMNS, cells):
+        for (col, decode), cell in zip(decoders, cells):
             try:
-                values.append(_parse_cell(col, cell))
-            except ValueError:
+                table.columns[col][row] = decode(cell)
+            except (ValueError, OverflowError):  # OverflowError: spec_index beyond int64
                 raise ConfigError(f"line {n}: cannot parse {col} cell {cell!r}") from None
-        out.append(ScanRecord(*values))
-    return out
+    return table
 
 
 # --- canned figure runs ---------------------------------------------------------

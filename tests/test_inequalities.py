@@ -314,4 +314,3 @@ class TestInequalityResult:
     def test_violation_flag_tolerance(self):
         r = slgi_value(PLUS, spin_sched(np.pi / 6, 1.0), SLGI_SPECS[0])
         assert r.violated == (r.value > r.bound + 1e-12)
-        assert set(r.params) == {"tau", "eta", "x", "axis", "state_bloch"}

@@ -3,6 +3,7 @@ import pytest
 
 from lgscan import jointmeas
 from lgscan.errors import InvalidEffect
+from lgscan.grid import Z_HAT, rotate_bloch
 from lgscan.jointmeas import (
     MARGIN_TOL,
     PAIR_ORDER,
@@ -219,6 +220,16 @@ class TestLgDirections:
             for idx in np.ndindex(4, 5):
                 assert np.allclose(batch[t][idx], lg_directions(taus[idx], axis)[t],
                                    rtol=0, atol=1e-15)
+
+    def test_equals_one_rotation_per_direction(self, rng):
+        # the three directions are rotated in one stacked call; each must be
+        # bit for bit what rotating z_hat on its own gives
+        axis = random_axis(rng)
+        for tau in (rng.uniform(0, np.pi), rng.uniform(0, np.pi, 1000)):
+            z = np.broadcast_to(Z_HAT, np.shape(tau) + (3,))
+            dirs = lg_directions(tau, axis)
+            for k in (1, 2, 3):
+                assert np.array_equal(dirs[k], rotate_bloch(z, axis, -2.0 * (k - 1) * tau))
 
 
 class TestVerdict:

@@ -22,6 +22,7 @@ from lgscan.errors import ConfigError, NoBracket
 from lgscan.scan import (
     CSV_COLUMNS,
     ScanConfig,
+    ScanTable,
     axis_from_angles,
     bias_x,
     figure_records,
@@ -257,7 +258,8 @@ class TestInputValidation:
             parse_report(str(path))
 
     @pytest.mark.parametrize("col, cell", [("value", "abc"), ("spec_index", "1.5"),
-                                           ("violated", "maybe")])
+                                           ("violated", "maybe"), ("family", "qlgi"),
+                                           ("spec_index", "9" * 20)])
     def test_parse_report_bad_cell_names_line(self, tmp_path, col, cell):
         # a bad number used to raise a bare ValueError, a bad flag read as false
         path, lines = self._report_lines(tmp_path)
@@ -446,6 +448,7 @@ class TestReport:
         p1 = str(tmp_path / "a.csv")
         report(records, p1, "csv")
         parsed = parse_report(p1)
+        assert isinstance(parsed, ScanTable)
         p2 = str(tmp_path / "b.csv")
         report(parsed, p2, "csv")
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
