@@ -24,6 +24,10 @@ shape-() vectors of one `run_schedule(...)` result, so the scalar
 evaluators in lgscan.inequalities and lgscan.nsit feed them the operator
 pipeline's distributions.
 
+SLGI, WLGI, D and AoT find each outcome term by `locate`, once.  Each D
+family is a row of `DISTURBANCES` and each AoT identity a row of
+`AOT_IDENTITIES`: a stand-alone experiment and the time a larger one adds.
+
 Every caller reads a family's bound, specs and reduction from
 `FAMILY_TABLE`, and chooses the reported member by `pick`.
 
@@ -40,6 +44,7 @@ the earliest measured time varies slowest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import product
 from typing import Callable
 
@@ -72,6 +77,12 @@ class WlgiSpec:
     def marginalized(self) -> int:
         (p, q) = self.positive_pair
         return ({1, 2, 3} - {p, q}).pop()
+
+    @cached_property
+    def terms(self) -> tuple:
+        """Locations of P(p:u, q:v), P(p:u, r:s) and P(q:v, r:-s)."""
+        (p, q), r, u, v, s = self.positive_pair, self.marginalized, self.u, self.v, self.s
+        return tuple(map(locate, (((p, u), (q, v)), ((p, u), (r, s)), ((q, v), (r, -s)))))
 
 
 @dataclass(frozen=True)
@@ -170,11 +181,21 @@ def sequential_probabilities(bloch0, measured, tau, axis, eta, x) -> np.ndarray:
     return lg_distributions(bloch0, tau, axis, eta, x)[tuple(sorted(measured))]
 
 
-def _idx(*signs: int) -> int:
-    i = 0
-    for s in signs:
-        i = 2 * i + (0 if s == 1 else 1)
-    return i
+def locate(outcomes) -> tuple[tuple[int, ...], int]:
+    """Where P(outcomes) is stored, for an outcome assignment
+    ((time, sign), ...): the key of the experiment that measures exactly
+    those times, and the outcome's flat index in it."""
+    key, index = (), 0
+    for time, sign in sorted(outcomes):
+        key, index = key + (time,), 2 * index + (sign == -1)
+    return key, index
+
+
+@cache
+def _correlator_terms(pair: tuple[int, int]) -> tuple:
+    """Locations of P(+,+), P(-,-), P(+,-), P(-,+) in the pair experiment."""
+    (a, b) = pair
+    return tuple(locate(((a, u), (b, v))) for u, v in ((1, 1), (-1, -1), (1, -1), (-1, 1)))
 
 
 def slgi_values(dists: dict, specs=SLGI_SPECS) -> np.ndarray:
@@ -185,8 +206,8 @@ def slgi_values(dists: dict, specs=SLGI_SPECS) -> np.ndarray:
     """
     c = {}
     for pair in PAIRS:
-        d = dists[pair]
-        c[pair] = d[..., _idx(1, 1)] + d[..., _idx(-1, -1)] - d[..., _idx(1, -1)] - d[..., _idx(-1, 1)]
+        pp, mm, pm, mp = (dists[key][..., i] for key, i in _correlator_terms(pair))
+        c[pair] = pp + mm - pm - mp
     cols = []
     for spec in specs:
         s1, s2, s3 = spec.signs
@@ -195,26 +216,14 @@ def slgi_values(dists: dict, specs=SLGI_SPECS) -> np.ndarray:
 
 
 def wlgi_values(dists: dict, specs=WLGI_SPECS) -> np.ndarray:
-    """(..., len(specs)) WLGI values, by default in the canonical spec order.
+    """(..., len(specs)) WLGI values, by default in the canonical spec order:
+    P(p:u, q:v) - P(p:u, r:s) - P(q:v, r:-s), r the marginalized time.
 
-    Only the three pair experiments are read.  The subtracted terms pair the
-    marginalized time r (outcome s with the earlier of p, q; outcome -s with
-    the later), each temporally ordered.
+    Only the three pair experiments are read.
     """
     cols = []
     for spec in specs:
-        (p, q), u, v, s = spec.positive_pair, spec.u, spec.v, spec.s
-        r = spec.marginalized
-        pos = dists[(p, q)][..., _idx(u, v)]
-        if r == 1:
-            neg1 = dists[(1, 2)][..., _idx(s, u)]
-            neg2 = dists[(1, 3)][..., _idx(-s, v)]
-        elif r == 2:
-            neg1 = dists[(1, 2)][..., _idx(u, s)]
-            neg2 = dists[(2, 3)][..., _idx(-s, v)]
-        else:
-            neg1 = dists[(1, 3)][..., _idx(u, s)]
-            neg2 = dists[(2, 3)][..., _idx(v, -s)]
+        pos, neg1, neg2 = (dists[key][..., i] for key, i in spec.terms)
         cols.append(pos - neg1 - neg2)
     return np.stack(cols, axis=-1)
 
@@ -282,46 +291,51 @@ def pick(values) -> tuple[np.ndarray, np.ndarray]:
     return best, np.argmax(values >= best[..., None] - VIOLATION_TOL, axis=-1)
 
 
+# D family -> (stand-alone experiment, the time t the larger one adds, before
+# its last): D = P(o) - P(o, t=+) - P(o, t=-); lgscan.nsit has the formulas.
+DISTURBANCES = {"d1_pair": ((2, 3), 1), "d2_pair": ((1, 3), 2), "d1_m2": ((2,), 1),
+                "d1_m3": ((3,), 1), "d2_m3": ((3,), 2)}
+
+# AoT identities (stand-alone experiment, a later time t): measuring t too
+# leaves the marginal unchanged, |P(o, t=+) + P(o, t=-) - P(o)| = 0.
+AOT_IDENTITIES = (((1, 2), 3), ((1,), 2), ((1,), 3), ((2,), 3))
+
+
+@cache
+def _marginal_terms(experiment: tuple[int, ...], t: int) -> tuple:
+    """Key of the experiment that also measures t, and the flat indices in it
+    of each outcome of `experiment` (product order) with t = + and t = -."""
+    outcomes = [tuple(zip(experiment, signs))
+                for signs in product((1, -1), repeat=len(experiment))]
+    keys, plus = zip(*(locate(o + ((t, 1),)) for o in outcomes))
+    _, minus = zip(*(locate(o + ((t, -1),)) for o in outcomes))
+    return keys[0], np.array(plus), np.array(minus)
+
+
+def _split(dists: dict, experiment: tuple[int, ...], t: int) -> tuple:
+    """P(o) from the stand-alone experiment and P(o, t=+), P(o, t=-) from
+    the one that also measures t, each over the outcomes o in product order."""
+    key, plus, minus = _marginal_terms(experiment, t)
+    larger = dists[key]
+    return dists[experiment], larger[..., plus], larger[..., minus]
+
+
 def disturbances(dists: dict) -> dict[str, np.ndarray]:
-    """D families stacked along the last axis (signs iterate (+1, -1), pairs
-    in product order); lgscan.nsit documents the sign convention."""
-    tri = dists[(1, 2, 3)]
-    p23, p13, p12 = dists[(2, 3)], dists[(1, 3)], dists[(1, 2)]
-    p2, p3 = dists[(2,)], dists[(3,)]
-    d1_pair = np.stack(
-        [p23[..., _idx(j, k)] - tri[..., _idx(1, j, k)] - tri[..., _idx(-1, j, k)]
-         for j in (1, -1) for k in (1, -1)],
-        axis=-1,
-    )
-    d2_pair = np.stack(
-        [p13[..., _idx(i, k)] - tri[..., _idx(i, 1, k)] - tri[..., _idx(i, -1, k)]
-         for i in (1, -1) for k in (1, -1)],
-        axis=-1,
-    )
-    d1_m2 = np.stack(
-        [p2[..., _idx(j)] - p12[..., _idx(1, j)] - p12[..., _idx(-1, j)] for j in (1, -1)],
-        axis=-1,
-    )
-    d1_m3 = np.stack(
-        [p3[..., _idx(k)] - p13[..., _idx(1, k)] - p13[..., _idx(-1, k)] for k in (1, -1)],
-        axis=-1,
-    )
-    d2_m3 = np.stack(
-        [p3[..., _idx(k)] - p23[..., _idx(1, k)] - p23[..., _idx(-1, k)] for k in (1, -1)],
-        axis=-1,
-    )
-    return {"d1_pair": d1_pair, "d2_pair": d2_pair, "d1_m2": d1_m2, "d1_m3": d1_m3, "d2_m3": d2_m3}
+    """The D families of `DISTURBANCES`, each over the stand-alone
+    experiment's outcomes in product order."""
+    out = {}
+    for name, (experiment, t) in DISTURBANCES.items():
+        p, plus, minus = _split(dists, experiment, t)
+        out[name] = p - plus - minus
+    return out
 
 
 def aot_residual(dists: dict) -> np.ndarray:
-    """Worst arrow-of-time residual per batch point (drop-latest identities)."""
-    tri = dists[(1, 2, 3)]
+    """Worst arrow-of-time residual per batch point over `AOT_IDENTITIES`."""
     res = []
-    marg12 = tri.reshape(tri.shape[:-1] + (4, 2)).sum(axis=-1)
-    res.append(np.abs(marg12 - dists[(1, 2)]).max(axis=-1))
-    for big, small in (((1, 2), (1,)), ((1, 3), (1,)), ((2, 3), (2,))):
-        marg = dists[big].reshape(dists[big].shape[:-1] + (2, 2)).sum(axis=-1)
-        res.append(np.abs(marg - dists[small]).max(axis=-1))
+    for experiment, t in AOT_IDENTITIES:
+        p, plus, minus = _split(dists, experiment, t)
+        res.append(np.abs(plus + minus - p).max(axis=-1))
     return np.max(np.stack(res, axis=-1), axis=-1)
 
 

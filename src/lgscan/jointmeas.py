@@ -56,14 +56,9 @@ HALVINGS_PER_CALL = 3  # bisection steps decided per margin call; divides 60
 
 
 @dataclass(frozen=True)
-class JmPair:
-    jointly_measurable: bool
-    margin: float
-    threshold: float
+class JmCheck:
+    """One criterion's verdict, its margin and its eta threshold."""
 
-
-@dataclass(frozen=True)
-class JmTriple:
     jointly_measurable: bool
     margin: float
     threshold: float
@@ -74,8 +69,8 @@ class JmVerdict:
     """Pairwise verdicts for (1,2), (2,3), (1,3) and, for unbiased POVMs,
     the triple-wise verdict."""
 
-    pairwise: dict[tuple[int, int], JmPair]
-    triple: JmTriple | None
+    pairwise: dict[tuple[int, int], JmCheck]
+    triple: JmCheck | None
 
     def all_pairs_jm(self) -> bool:
         return all(p.jointly_measurable for p in self.pairwise.values())
@@ -273,14 +268,14 @@ def jm_verdict(schedule: Schedule) -> JmVerdict:
     else:
         thresholds = _numeric_pair_thresholds(x, np.stack([dirs[a] for a, _ in PAIR_ORDER]),
                                               np.stack([dirs[b] for _, b in PAIR_ORDER]))
-    pairwise = {pair: JmPair(margin >= -MARGIN_TOL, margin, float(threshold))
+    pairwise = {pair: JmCheck(margin >= -MARGIN_TOL, margin, float(threshold))
                 for pair, margin, threshold in zip(PAIR_ORDER, pair_margins.tolist(), thresholds)}
 
     triple = None
     if unbiased:
         margin = float(triple_margin)
-        triple = JmTriple(margin >= -MARGIN_TOL, margin,
-                          triple_threshold(dirs[1], dirs[2], dirs[3]))
+        triple = JmCheck(margin >= -MARGIN_TOL, margin,
+                         triple_threshold(dirs[1], dirs[2], dirs[3]))
     return JmVerdict(pairwise=pairwise, triple=triple)
 
 

@@ -1,9 +1,8 @@
 """No-signaling-in-time (NSIT) and arrow-of-time (AoT) diagnostics.
 
 The disturbance functionals compare stand-alone statistics with marginals of
-a larger experiment, with the fixed sign convention
-
-    D = P(stand-alone)  -  P(marginal of the larger experiment):
+a larger experiment; lgscan.grid.DISTURBANCES defines them, and these
+formulas give their sign convention, D = P(stand-alone) - P(marginal):
 
     D1(M2^j, M3^k) = P_{23}(j, k) - P_{123}(., j, k)     [t1 disturbs (2,3)]
     D2(M1^i, M3^k) = P_{13}(i, k) - P_{123}(i, ., k)     [t2 disturbs (1,3)]
@@ -16,9 +15,10 @@ vanishes (to a tolerance; default lgscan.grid.NSIT_TOL = 1e-10, since
 everything here is analytic): NSIT_(1)2 <-> D1(M2), NSIT_(1)3 <-> D1(M3),
 NSIT_(2)3 <-> D2(M3), NSIT_(1)23 <-> D1(M2, M3), NSIT_1(2)3 <-> D2(M1, M3),
 the last one together with AoT (lgscan.grid.NSIT_CONDITIONS).
-AoT identities (earlier statistics unaffected by later measurements) hold
-automatically in quantum mechanics; their largest residual is reported and a
-residual above 1e-10 is a pipeline bug, never a physical effect.
+AoT identities (earlier statistics unaffected by later measurements, the
+rows of lgscan.grid.AOT_IDENTITIES) hold automatically in quantum
+mechanics; their largest residual is reported and a residual above 1e-10 is
+a pipeline bug, never a physical effect.
 """
 
 from __future__ import annotations
@@ -51,13 +51,7 @@ class DisturbanceReport:
     aot_residual: float
 
     def families(self) -> dict[str, dict]:
-        return {
-            "d1_pair": self.d1_pair,
-            "d2_pair": self.d2_pair,
-            "d1_m2": self.d1_m2,
-            "d1_m3": self.d1_m3,
-            "d2_m3": self.d2_m3,
-        }
+        return {name: getattr(self, name) for name in grid.DISTURBANCES}
 
     def max_abs(self, family: str) -> float:
         return max(abs(v) for v in self.families()[family].values())
@@ -84,15 +78,11 @@ def disturbance_report(state: QubitState, schedule: Schedule) -> DisturbanceRepo
     if residual > AOT_TOL:
         raise InvariantError(f"AoT residual {residual:g} exceeds {AOT_TOL:g}")
     fams = grid.disturbances(dists)
-    pairs = list(product(SIGNS, repeat=2))
-    return DisturbanceReport(
-        d1_pair=dict(zip(pairs, fams["d1_pair"].tolist())),
-        d2_pair=dict(zip(pairs, fams["d2_pair"].tolist())),
-        d1_m2=dict(zip(SIGNS, fams["d1_m2"].tolist())),
-        d1_m3=dict(zip(SIGNS, fams["d1_m3"].tolist())),
-        d2_m3=dict(zip(SIGNS, fams["d2_m3"].tolist())),
-        aot_residual=residual,
-    )
+    families = {}
+    for name, (experiment, _) in grid.DISTURBANCES.items():
+        outcomes = product(SIGNS, repeat=len(experiment)) if len(experiment) > 1 else SIGNS
+        families[name] = dict(zip(outcomes, fams[name].tolist()))
+    return DisturbanceReport(**families, aot_residual=residual)
 
 
 def disturbance_closed_forms(theta: float, phi: float, tau: float) -> DisturbanceReport:

@@ -156,11 +156,8 @@ class TestFamilyEvaluators:
             state, sched, dists = self._both(rng, biased=True)
             fast = gridmod.disturbances(dists)
             rep = disturbance_report(state, sched)
-            assert np.max(np.abs(fast["d1_pair"] - list(rep.d1_pair.values()))) < 1e-12
-            assert np.max(np.abs(fast["d2_pair"] - list(rep.d2_pair.values()))) < 1e-12
-            assert np.max(np.abs(fast["d1_m2"] - list(rep.d1_m2.values()))) < 1e-12
-            assert np.max(np.abs(fast["d1_m3"] - list(rep.d1_m3.values()))) < 1e-12
-            assert np.max(np.abs(fast["d2_m3"] - list(rep.d2_m3.values()))) < 1e-12
+            for name, family in rep.families().items():
+                assert np.max(np.abs(fast[name] - list(family.values()))) < 1e-12, name
 
     def test_aot_residual_zero(self, rng):
         theta = rng.uniform(0, np.pi, 200)
@@ -178,6 +175,56 @@ class TestFamilyEvaluators:
         ours = gridmod.entropy(p)
         ref = np.array([scipy.stats.entropy(row) for row in p])
         assert np.max(np.abs(ours - ref)) < 1e-12
+
+
+# The definitions in lgscan.nsit, written out independently of grid's tables:
+# D family -> (stand-alone experiment, the larger experiment it is compared with)
+D_EXPERIMENTS = {"d1_pair": ((2, 3), (1, 2, 3)), "d2_pair": ((1, 3), (1, 2, 3)),
+                 "d1_m2": ((2,), (1, 2)), "d1_m3": ((3,), (1, 3)), "d2_m3": ((3,), (2, 3))}
+# AoT identity: the stand-alone experiment equals this marginal of the larger one
+AOT_EXPERIMENTS = (((1, 2), (1, 2, 3)), ((1,), (1, 2)), ((1,), (1, 3)), ((2,), (2, 3)))
+
+
+class TestDisturbanceDefinitions:
+    @pytest.mark.parametrize("bias", ["zero", "eta-1", "fixed"])
+    def test_against_marginalized_pipeline(self, rng, bias):
+        for _ in range(15):
+            theta, phi, tau, eta, _ = random_point(rng, biased=False)
+            eta = 0.8 * eta if bias == "fixed" else eta
+            x = {"zero": 0.0, "eta-1": eta - 1.0, "fixed": 0.2}[bias]
+            state = make_pure_state(theta, phi)
+            sched = Schedule(measured=(1, 2, 3), tau=tau, axis=random_axis(rng), x=x, eta=eta)
+            runs = {s: run_schedule(state, sched.with_measured(s)) for s in gridmod.SUBSETS}
+            dists = {s: run.probabilities() for s, run in runs.items()}
+
+            def gap(small, larger):
+                """P(small) minus the marginal of the larger experiment, in product order."""
+                marginal = runs[larger].marginalize(small)
+                return np.array([runs[small].prob(o) - marginal.prob(o)
+                                 for o in product((1, -1), repeat=len(small))])
+
+            fast = gridmod.disturbances(dists)
+            assert set(fast) == set(D_EXPERIMENTS)
+            for name, (small, larger) in D_EXPERIMENTS.items():
+                assert np.max(np.abs(fast[name] - gap(small, larger))) < 1e-14, name
+            worst = max(np.max(np.abs(gap(*pair))) for pair in AOT_EXPERIMENTS)
+            assert abs(float(gridmod.aot_residual(dists)) - worst) < 1e-14
+
+    def test_aot_residual_reads_each_identity(self, rng):
+        theta, phi, tau, eta, x = random_point(rng)
+        dists = gridmod.lg_distributions(gridmod.pure_bloch(theta, phi), tau, X_HAT, eta, x)
+        base = float(gridmod.aot_residual(dists))
+        assert base < 1e-15
+        delta = 1e-3
+        for key, probs in dists.items():
+            for i in range(probs.size):
+                moved = dict(dists)
+                moved[key] = probs + delta * (np.arange(probs.size) == i)
+                residual = float(gridmod.aot_residual(moved))
+                if key == (3,):  # no identity reads the stand-alone t3 experiment
+                    assert residual == base
+                else:
+                    assert abs(residual - delta) < 1e-12, (key, i)
 
 
 class TestPick:

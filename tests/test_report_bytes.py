@@ -22,6 +22,7 @@ from lgscan.scan import (
     CSV_COLUMNS,
     ScanConfig,
     ScanRecord,
+    ScanTable,
     default_tau_grid,
     figure_records,
     parse_report,
@@ -232,7 +233,7 @@ def test_figures_match_row_wise_reference(tmp_path, which):
 
 
 def test_empty_report(tmp_path):
-    assert_same_bytes([], [], tmp_path)
+    assert_same_bytes(ScanTable.empty(0), [], tmp_path)
     table = scan(config(bias_mode="fixed", x_fixed=0.9, eta=[0.5]))  # every point skipped
     assert len(table) == 0 and list(table) == []
     assert_same_bytes(table, [], tmp_path, "skipped")

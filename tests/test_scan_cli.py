@@ -438,7 +438,7 @@ class TestThresholdEta:
 class TestReport:
     def test_header_only_for_empty(self, tmp_path):
         path = str(tmp_path / "empty.csv")
-        report([], path, "csv")
+        report(ScanTable.empty(0), path, "csv")
         with open(path) as fh:
             content = fh.read()
         assert content == ",".join(CSV_COLUMNS) + "\n"
