@@ -8,7 +8,8 @@ Subcommands:
   figure     emit the data behind one of the four canned survey figures
   selftest   run the built-in numerical invariant suites
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-invariant failure.
+Exit codes: 0 success, 1 stdout closed early (broken pipe), 2 configuration
+error, 3 numerical-invariant failure.
 """
 
 from __future__ import annotations
@@ -196,7 +197,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("eval", "scan") and tol is not None and not (
                 math.isfinite(tol) and tol >= 0):
             raise ConfigError(f"tolerance must be a finite number >= 0, got {tol!r}")
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`lgscan eval ... | head -2`): point
+        # stdout at devnull so the interpreter's last flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (ConfigError, NoBracket) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

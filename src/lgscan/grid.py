@@ -12,7 +12,13 @@ vectors so that whole parameter grids evaluate as numpy array operations:
 
 `lg_distributions` runs the seven stand-alone experiments (the nonempty
 subsets of t1 < t2 < t3) as one walk over the measurement tree, so shared
-prefixes are computed once: 14 Lueders updates and 6 rotations per call.
+prefixes are computed once: 14 Lueders outcome probabilities and 6
+rotations per call.  Only the 6 updates at t1 and t2 compute post-states;
+the 8 leaf steps at t3 compute probabilities only, since nothing reads the
+states after the last measurement.  The update is written once, as
+`luders_coefficients`, `luders_probability` and `luders_post`, which
+`luders_step` composes; a call computes the coefficients of each outcome
+and the cosine and sine of 2 tau once, not at every node.
 The singles are measured, not marginals, so the AoT residual stays a real
 check.  `sequential_probabilities` selects one experiment from the result.
 
@@ -107,21 +113,28 @@ WLGI_SPECS: tuple[WlgiSpec, ...] = tuple(
 ELGI_SPECS: tuple[ElgiSpec, ...] = tuple(ElgiSpec(m) for m in (1, 2, 3))
 
 
+# cyclic shifts of the components: a x r = a[_NEXT] r[_PREV] - a[_PREV] r[_NEXT]
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def rotate_bloch(r: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
     """Rodrigues rotation of Bloch vectors; r (..., 3), angle broadcastable."""
+    angle = np.asarray(angle, dtype=float)[..., None]
+    return _rotate(r, axis, np.cos(angle), np.sin(angle))
+
+
+def _rotate(r, axis, cos, sin) -> np.ndarray:
+    """`rotate_bloch` by the angle whose cosine and sine are given."""
     r = np.asarray(r, dtype=float)
     axis = np.asarray(axis, dtype=float)
-    angle = np.asarray(angle, dtype=float)[..., None]
-    c, s = np.cos(angle), np.sin(angle)
-    cross = np.cross(np.broadcast_to(axis, r.shape), r)
+    cross = axis[..., _NEXT] * r[..., _PREV] - axis[..., _PREV] * r[..., _NEXT]
     dot = np.sum(axis * r, axis=-1, keepdims=True)
-    return r * c + cross * s + axis * dot * (1.0 - c)
+    return r * cos + cross * sin + axis * dot * (1.0 - cos)
 
 
-def luders_step(r: np.ndarray, m_hat: np.ndarray, eta, x, sign: int):
-    """Probability and post-measurement Bloch vector of one Lueders update."""
-    r = np.asarray(r, dtype=float)
-    m_hat = np.asarray(m_hat, dtype=float)
+def luders_coefficients(eta, x, sign: int) -> tuple:
+    """(c, d, p, q) of outcome `sign`: its effect is c I + d (mhat.sigma) and
+    the effect's square root p I + q (mhat.sigma)."""
     eta = np.asarray(eta, dtype=float)
     x = np.asarray(x, dtype=float)
     c = 0.5 * (1.0 + sign * x)
@@ -130,32 +143,57 @@ def luders_step(r: np.ndarray, m_hat: np.ndarray, eta, x, sign: int):
     lam_m = np.clip(c - d, 0.0, None)
     p = 0.5 * (np.sqrt(lam_p) + np.sqrt(lam_m))
     q = 0.5 * (np.sqrt(lam_p) - np.sqrt(lam_m))
+    return c, d, p, q
+
+
+def luders_probability(r: np.ndarray, m_hat: np.ndarray, coefficients) -> tuple:
+    """(mhat.r, unclipped outcome probability c + d mhat.r) of one Lueders
+    update with `luders_coefficients`."""
+    c, d, _, _ = coefficients
     mdotr = np.sum(m_hat * r, axis=-1)
-    prob = c + d * mdotr
+    return mdotr, c + d * mdotr
+
+
+def luders_post(r: np.ndarray, m_hat: np.ndarray, coefficients, mdotr, prob) -> np.ndarray:
+    """Post-measurement Bloch vector of the update that `luders_probability`
+    gave (mdotr, prob); 0 where the outcome has probability <= 1e-15."""
+    _, _, p, q = coefficients
     safe = np.where(prob > 1e-15, prob, 1.0)[..., None]
     post = ((p**2 - q**2)[..., None] * r
             + (2 * p * q + 2 * q**2 * mdotr)[..., None] * np.broadcast_to(m_hat, r.shape))
-    post = np.where(prob[..., None] > 1e-15, post / safe, 0.0)
-    return np.clip(prob, 0.0, 1.0), post
+    return np.where(prob[..., None] > 1e-15, post / safe, 0.0)
 
 
-def _expand(done, t, weights, r, axis, angle, eta, x, out) -> list:
+def luders_step(r: np.ndarray, m_hat: np.ndarray, eta, x, sign: int):
+    """Probability and post-measurement Bloch vector of one Lueders update."""
+    r = np.asarray(r, dtype=float)
+    m_hat = np.asarray(m_hat, dtype=float)
+    coefficients = luders_coefficients(eta, x, sign)
+    mdotr, prob = luders_probability(r, m_hat, coefficients)
+    return np.clip(prob, 0.0, 1.0), luders_post(r, m_hat, coefficients, mdotr, prob)
+
+
+def _expand(done, t, weights, r, axis, turn, coefficients, out) -> list:
     """Measure node (done, t, weights, r) of the `lg_distributions` walk at
     time t, store its distribution as out[done + (t,)] and return its
     children at t + 1: the post-states (t measured) and r (t skipped), each
-    rotated by 2 tau.  A function, not a loop body, so that its temporaries
-    are freed before the next node is measured."""
-    (p_up, post_up), (p_down, post_down) = (
-        luders_step(r, Z_HAT, eta, x, sign) for sign in (1, -1))
+    rotated by 2 tau, whose cosine and sine are `turn`.  At t = 3 only the
+    probabilities are computed: nothing reads a leaf's post-states.
+    `coefficients` holds the `luders_coefficients` of outcomes + and -.  A
+    function, not a loop body, so that its temporaries are freed before the
+    next node is measured."""
+    steps = [luders_probability(r, Z_HAT, cf) for cf in coefficients]
     # earliest time slowest: each branch b splits into (2b, 2b+1)
     batch = weights.shape[:-1]
-    probs = np.stack([weights * p_up, weights * p_down], axis=-1).reshape(batch + (-1,))
+    probs = np.stack([weights * np.clip(prob, 0.0, 1.0) for _, prob in steps],
+                     axis=-1).reshape(batch + (-1,))
     out[done + (t,)] = probs
     if t == 3:
         return []
-    post = np.stack([post_up, post_down], axis=-2).reshape(batch + (-1, 3))
-    return [(done + (t,), t + 1, probs, rotate_bloch(post, axis, angle)),
-            (done, t + 1, weights, rotate_bloch(r, axis, angle))]
+    post = np.stack([luders_post(r, Z_HAT, cf, *step) for cf, step in zip(coefficients, steps)],
+                    axis=-2).reshape(batch + (-1, 3))
+    return [(done + (t,), t + 1, probs, _rotate(post, axis, *turn)),
+            (done, t + 1, weights, _rotate(r, axis, *turn))]
 
 
 def lg_distributions(bloch0, tau, axis, eta, x) -> dict[tuple[int, ...], np.ndarray]:
@@ -168,11 +206,13 @@ def lg_distributions(bloch0, tau, axis, eta, x) -> dict[tuple[int, ...], np.ndar
     batch = np.broadcast_shapes(bloch0.shape[:-1], np.shape(tau), np.shape(eta), np.shape(x))
     r = np.broadcast_to(bloch0, batch + (3,)).reshape(batch + (1, 3))
     tau, eta, x = (np.asarray(v, dtype=float)[..., None] for v in (tau, eta, x))
-    angle = 2.0 * tau
+    angle = (2.0 * tau)[..., None]
+    turn = np.cos(angle), np.sin(angle)
+    coefficients = [luders_coefficients(eta, x, sign) for sign in (1, -1)]
     out = {}
     todo = [((), 1, np.ones(batch + (1,)), r)]
     while todo:
-        todo += _expand(*todo.pop(), axis, angle, eta, x, out)
+        todo += _expand(*todo.pop(), axis, turn, coefficients, out)
     return {s: out[s] for s in SUBSETS}
 
 
@@ -314,10 +354,12 @@ def _marginal_terms(experiment: tuple[int, ...], t: int) -> tuple:
 
 def _split(dists: dict, experiment: tuple[int, ...], t: int) -> tuple:
     """P(o) from the stand-alone experiment and P(o, t=+), P(o, t=-) from
-    the one that also measures t, each over the outcomes o in product order."""
+    the one that also measures t, over the outcomes o in product order.  Each
+    comes transposed, outcomes first, so that a gather copies whole rows and
+    the arithmetic on the terms runs along the batch."""
     key, plus, minus = _marginal_terms(experiment, t)
-    larger = dists[key]
-    return dists[experiment], larger[..., plus], larger[..., minus]
+    larger = dists[key].T
+    return dists[experiment].T, larger[plus], larger[minus]
 
 
 def disturbances(dists: dict) -> dict[str, np.ndarray]:
@@ -326,7 +368,7 @@ def disturbances(dists: dict) -> dict[str, np.ndarray]:
     out = {}
     for name, (experiment, t) in DISTURBANCES.items():
         p, plus, minus = _split(dists, experiment, t)
-        out[name] = p - plus - minus
+        out[name] = (p - plus - minus).T
     return out
 
 
@@ -335,7 +377,7 @@ def aot_residual(dists: dict) -> np.ndarray:
     res = []
     for experiment, t in AOT_IDENTITIES:
         p, plus, minus = _split(dists, experiment, t)
-        res.append(np.abs(plus + minus - p).max(axis=-1))
+        res.append(np.abs(plus + minus - p).max(axis=0).T)
     return np.max(np.stack(res, axis=-1), axis=-1)
 
 

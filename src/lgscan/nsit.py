@@ -32,7 +32,8 @@ from . import grid
 from .errors import InvariantError
 from .grid import WlgiSpec
 from .inequalities import experiment_probabilities
-from .measurement import QubitState, Schedule, run_schedule
+# not called here; imported so that lgscan.nsit.run_schedule still resolves
+from .measurement import QubitState, Schedule, run_schedule  # noqa: F401
 
 AOT_TOL = 1e-10
 
@@ -66,6 +67,15 @@ class ThresholdCheck:
     predicted_violation: bool
 
 
+def _checked_disturbances(dists: dict) -> tuple[dict[str, np.ndarray], float]:
+    """lgscan.grid.disturbances of the operator pipeline's distributions, and
+    their AoT residual, which must not exceed AOT_TOL."""
+    residual = float(grid.aot_residual(dists))
+    if residual > AOT_TOL:
+        raise InvariantError(f"AoT residual {residual:g} exceeds {AOT_TOL:g}")
+    return grid.disturbances(dists), residual
+
+
 def disturbance_report(state: QubitState, schedule: Schedule) -> DisturbanceReport:
     """Every D family from the operator pipeline's distributions.
 
@@ -73,11 +83,8 @@ def disturbance_report(state: QubitState, schedule: Schedule) -> DisturbanceRepo
     (three singles, three pairs, the triple) are run with its parameters and
     reduced by lgscan.grid.disturbances / aot_residual.
     """
-    dists = experiment_probabilities(state, schedule, grid.SUBSETS)
-    residual = float(grid.aot_residual(dists))
-    if residual > AOT_TOL:
-        raise InvariantError(f"AoT residual {residual:g} exceeds {AOT_TOL:g}")
-    fams = grid.disturbances(dists)
+    fams, residual = _checked_disturbances(
+        experiment_probabilities(state, schedule, grid.SUBSETS))
     families = {}
     for name, (experiment, _) in grid.DISTURBANCES.items():
         outcomes = product(SIGNS, repeat=len(experiment)) if len(experiment) > 1 else SIGNS
@@ -154,24 +161,30 @@ def wlgi_threshold_check(state: QubitState, schedule: Schedule, spec: WlgiSpec) 
     Each WLGI value decomposes exactly as (lhs - rhs) with lhs a signed
     combination of pair disturbances and rhs a sum of two triple
     probabilities; the WLGI is violated iff lhs > rhs.  For the positive
-    pair (2,3) with outcomes (u, v) and split s:
+    pair (p, q) with outcomes (u, v), split s and marginalized time r:
 
-        D1(M2^u, M3^v) - D2(M1^-s, M3^v) > P(s,u,-v) + P(-s,-u,v)
+        D(p:u, q:v) - D(p:u, r:s) - D(q:v, r:-s)
+            > P(p:u, q:-v, r:s) + P(p:-u, q:v, r:-s)
 
-    and cyclic analogues for positive pairs (1,3) and (1,2).
+    where D of a pair is its D family (D1 for (2,3), D2 for (1,3)) and
+    D = 0 for (1,2), which only a later measurement could disturb.  The seven
+    experiments run once, through the operator pipeline.
     """
-    report = disturbance_report(state, schedule)
-    triple = run_schedule(state, schedule.with_measured((1, 2, 3)))
-    u, v, s = spec.u, spec.v, spec.s
-    r = spec.marginalized
-    if r == 1:
-        lhs = report.d1_pair[(u, v)] - report.d2_pair[(-s, v)]
-        rhs = triple.prob((s, u, -v)) + triple.prob((-s, -u, v))
-    elif r == 2:
-        lhs = report.d2_pair[(u, v)] - report.d1_pair[(-s, v)]
-        rhs = triple.prob((u, s, -v)) + triple.prob((-u, -s, v))
-    else:  # r == 3
-        lhs = -report.d2_pair[(u, s)] - report.d1_pair[(v, -s)]
-        rhs = triple.prob((u, -v, s)) + triple.prob((-u, v, -s))
+    dists = experiment_probabilities(state, schedule, grid.SUBSETS)
+    fams, _ = _checked_disturbances(dists)
+    pair_d = {experiment: fams[name] for name, (experiment, _) in grid.DISTURBANCES.items()
+              if len(experiment) == 2}
+
+    def d(*outcomes) -> float:
+        key, i = grid.locate(outcomes)
+        return pair_d[key][i] if key in pair_d else 0.0
+
+    def p(*outcomes) -> float:
+        key, i = grid.locate(outcomes)
+        return dists[key][i]
+
+    (a, b), r, u, v, s = spec.positive_pair, spec.marginalized, spec.u, spec.v, spec.s
+    lhs = d((a, u), (b, v)) - d((a, u), (r, s)) - d((b, v), (r, -s))
+    rhs = p((a, u), (b, -v), (r, s)) + p((a, -u), (b, v), (r, -s))
     return ThresholdCheck(lhs=float(lhs), rhs=float(rhs),
                           predicted_violation=bool(grid.violated(lhs, rhs)))

@@ -20,7 +20,6 @@ fixed mode grid points with |x| + eta > 1 are skipped and counted.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -308,19 +307,27 @@ def scan(config: ScanConfig) -> ScanTable:
 # --- threshold search ---------------------------------------------------------
 
 
-def _polish_tau(value_fn, tau_grid: np.ndarray) -> float:
-    """Grid maximum plus one parabolic refinement step."""
-    vals = value_fn(tau_grid)
-    k = int(np.argmax(vals))
-    best = float(vals[k])
-    if 0 < k < tau_grid.size - 1:
-        t0, t1, t2 = tau_grid[k - 1 : k + 2]
-        v0, v1, v2 = vals[k - 1 : k + 2]
-        denom = (v0 - 2 * v1 + v2)
-        if denom < -1e-300:
-            t_star = t1 + 0.5 * (t1 - t0) * (v0 - v2) / denom
-            if t0 < t_star < t2:
-                best = max(best, float(value_fn(np.array([t_star]))[0]))
+def _polish_tau(value_fn, tau_grid: np.ndarray, etas: Sequence[float]) -> np.ndarray:
+    """Per eta, the grid maximum of value_fn(tau, eta) plus one parabolic
+    refinement step.  value_fn takes broadcasting tau and eta arrays: every
+    grid point goes in one call and every refinement point in one more."""
+    etas = np.asarray(etas, dtype=float)[:, None]
+    vals = value_fn(tau_grid, etas)
+    rows = np.arange(len(etas))
+    k = np.argmax(vals, axis=-1)
+    best = vals[rows, k]
+    if tau_grid.size < 3:
+        return best
+    mid = np.clip(k, 1, tau_grid.size - 2)
+    t0, t1, t2 = tau_grid[mid - 1], tau_grid[mid], tau_grid[mid + 1]
+    v0, v1, v2 = vals[rows, mid - 1], vals[rows, mid], vals[rows, mid + 1]
+    denom = v0 - 2 * v1 + v2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_star = t1 + 0.5 * (t1 - t0) * (v0 - v2) / denom
+    polish = (mid == k) & (denom < -1e-300) & (t0 < t_star) & (t_star < t2)
+    if polish.any():
+        refined = value_fn(t_star[polish], etas[polish, 0])
+        best[polish] = np.where(refined > best[polish], refined, best[polish])
     return best
 
 
@@ -346,6 +353,10 @@ def threshold_eta(
     NoBracket when g has no sign change on [ETA_LO, ETA_HI], the sampled
     g (BRACKET_SAMPLES points) is not monotone-crossing, or the threshold
     lies where the effect is not valid (|x| + eta > 1 at a fixed bias).
+
+    The bracket samples are one kernel call (their tau grids side by side)
+    and their polish points one more; g is memoized, so a midpoint that
+    equals a sample costs nothing, and each later halving is one g.
     """
     if family not in gridmod.FAMILY_TABLE:
         raise ConfigError(f"unknown family {family!r}")
@@ -370,23 +381,27 @@ def threshold_eta(
         raise ConfigError(f"bias x = {x_fixed:g} leaves no valid eta >= {ETA_LO:g}")
     bloch = gridmod.pure_bloch(theta, phi)
 
-    @functools.cache  # g is deterministic; the bisection revisits bracket samples
-    def g(eta: float) -> float:
-        x = bias_x(bias_mode, eta, x_fixed)
+    def value_fn(taus, etas):
+        dists = gridmod.lg_distributions(bloch, taus, axis, etas,
+                                         bias_x(bias_mode, etas, x_fixed))
+        return fam.values(dists, specs).max(axis=-1)
 
-        def value_fn(taus: np.ndarray) -> np.ndarray:
-            dists = gridmod.lg_distributions(bloch, taus, axis, eta, x)
-            return fam.values(dists, specs).max(axis=-1)
+    memo: dict[float, float] = {}  # g is deterministic; the bisection revisits bracket samples
 
-        return _polish_tau(value_fn, grid_values) - fam.bound
+    def g(*etas: float) -> list[float]:
+        """g at each eta; the etas not seen before are evaluated together."""
+        new = [e for e in dict.fromkeys(etas) if e not in memo]
+        if new:
+            memo.update(zip(new, (_polish_tau(value_fn, grid_values, new) - fam.bound).tolist()))
+        return [memo[e] for e in etas]
 
-    g_lo, g_hi = g(ETA_LO), g(ETA_HI)
+    samples = np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES).tolist()
+    signs = [v > 0 for v in g(*samples)]
+    g_lo, g_hi = g(ETA_LO, ETA_HI)
     if not (g_lo < 0.0 < g_hi):
         raise NoBracket(
             f"no violation bracket on [{ETA_LO:g}, {ETA_HI:g}]: g={g_lo:.3g}..{g_hi:.3g}"
         )
-    samples = np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES)
-    signs = [g(e) > 0 for e in samples]
     if sum(1 for a, b in zip(signs, signs[1:]) if a != b) != 1:
         raise NoBracket("g(eta) is not monotone-crossing on the bracket")
     lo, hi = ETA_LO, ETA_HI
@@ -394,7 +409,8 @@ def threshold_eta(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # no float left between lo and hi
             break
-        if g(mid) > 0:
+        (g_mid,) = g(mid)
+        if g_mid > 0:
             hi = mid
         else:
             lo = mid

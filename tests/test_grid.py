@@ -109,6 +109,26 @@ class TestLgDistributions:
             for subset, probs in dists.items():
                 assert np.array_equal(probs, _experiment(bloch, subset, tau, axis, eta, x))
 
+    @pytest.mark.parametrize("mode", ["zero", "eta-1", "fixed"])
+    def test_batch_equals_per_point_calls(self, rng, mode):
+        # a distinct (tau, eta, x) per point, as one call or one call per point;
+        # threshold bisection evaluates its bracket samples as one batch
+        n = 40
+        bloch = gridmod.pure_bloch(rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))
+        tau, eta = rng.uniform(0, np.pi, n), rng.uniform(0, 1, n)
+        eta[:4] = (0.0, 1.0, 0.0, 1.0)
+        x = {"zero": np.zeros(n), "eta-1": eta - 1.0,
+             "fixed": rng.uniform(-1, 1, n) * (1 - eta)}[mode]
+        axis = random_axis(rng)
+        batch = gridmod.lg_distributions(bloch, tau, axis, eta, x)
+        grid = gridmod.lg_distributions(bloch[0], tau[:5], axis, eta[5:8, None], x[5:8, None])
+        for i in range(n):
+            point = gridmod.lg_distributions(bloch[i], tau[i], axis, eta[i], x[i])
+            assert all(np.array_equal(batch[s][i], point[s]) for s in gridmod.SUBSETS)
+        for i, k in product(range(3), range(5)):
+            point = gridmod.lg_distributions(bloch[0], tau[k], axis, eta[5 + i], x[5 + i])
+            assert all(np.array_equal(grid[s][i, k], point[s]) for s in gridmod.SUBSETS)
+
     def test_result_freed_without_cycle_collector(self):
         # a reference cycle in the walk would keep its arrays until gc runs
         gc.disable()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from lgscan import inequalities, nsit
+from lgscan.grid import SUBSETS
 from lgscan.inequalities import WLGI_SPECS, pair_distributions, wlgi_from_pairs
-from lgscan.measurement import QubitState, Schedule, make_pure_state
+from lgscan.measurement import QubitState, Schedule, make_pure_state, run_schedule
 from lgscan.nsit import (
     closed_form_variants,
     disturbance_closed_forms,
@@ -238,3 +240,39 @@ class TestWlgiThresholdCheck:
             check = wlgi_threshold_check(state, sched, spec)
             value = wlgi_from_pairs(dists, spec)
             assert value == pytest.approx(check.lhs - check.rhs, abs=1e-13)
+
+    def test_seven_experiment_runs(self, monkeypatch):
+        calls = []
+
+        def counting(state, schedule):
+            calls.append(schedule.measured)
+            return run_schedule(state, schedule)
+
+        for module in (inequalities, nsit):
+            monkeypatch.setattr(module, "run_schedule", counting)
+        wlgi_threshold_check(make_pure_state(0.4, 1.2), sharp_sched(0.7), WLGI_SPECS[5])
+        assert sorted(calls) == sorted(SUBSETS)
+
+    def test_equals_three_case_form(self, rng):
+        # the three hand-ordered cases the one formula replaced, one per
+        # marginalized time r
+        for _ in range(10):
+            theta, phi, tau, eta, x = random_point(rng)
+            state = make_pure_state(theta, phi)
+            sched = Schedule(measured=(1, 2, 3), tau=tau, x=x, eta=eta)
+            rep = disturbance_report(state, sched)
+            triple = run_schedule(state, sched)
+            for spec in (WLGI_SPECS[int(i)] for i in rng.integers(0, 24, 8)):
+                u, v, s = spec.u, spec.v, spec.s
+                if spec.marginalized == 1:
+                    lhs = rep.d1_pair[(u, v)] - rep.d2_pair[(-s, v)]
+                    rhs = triple.prob((s, u, -v)) + triple.prob((-s, -u, v))
+                elif spec.marginalized == 2:
+                    lhs = rep.d2_pair[(u, v)] - rep.d1_pair[(-s, v)]
+                    rhs = triple.prob((u, s, -v)) + triple.prob((-u, -s, v))
+                else:
+                    lhs = -rep.d2_pair[(u, s)] - rep.d1_pair[(v, -s)]
+                    rhs = triple.prob((u, -v, s)) + triple.prob((-u, v, -s))
+                check = wlgi_threshold_check(state, sched, spec)
+                assert (check.lhs.hex(), check.rhs.hex()) == (float(lhs).hex(), float(rhs).hex())
+                assert check.predicted_violation == (lhs > rhs + 1e-12)

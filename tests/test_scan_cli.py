@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgscan.cli as cli
+from lgscan import grid as gridmod
 from lgscan.config import (
     MAX_RANGE_POINTS,
     eval_expr,
@@ -20,17 +22,22 @@ from lgscan.config import (
 )
 from lgscan.errors import ConfigError, NoBracket
 from lgscan.scan import (
+    BRACKET_SAMPLES,
     CSV_COLUMNS,
+    ETA_HI,
+    ETA_LO,
     ScanConfig,
     ScanTable,
     axis_from_angles,
     bias_x,
+    default_tau_grid,
     figure_records,
     parse_report,
     report,
     scan,
     skipped_points,
     threshold_eta,
+    valid_effect,
 )
 
 
@@ -385,7 +392,114 @@ class TestScan:
                 assert rec.jm_triple == (None if triple is None else triple.jointly_measurable)
 
 
+def _threshold_one_sample_at_a_time(family, *, theta=0.0, phi=0.0, tau=None,
+                                    maximize_tau=False, bias_mode="zero", x_fixed=0.0,
+                                    spec_index=None, tol=1e-4):
+    """The eta bisection with one g evaluation, one grid call and one polish
+    call per eta, each bracket sample on its own; returns the threshold and
+    the number of distinct etas the bisection evaluated past the samples."""
+    fam = gridmod.FAMILY_TABLE[family]
+    specs = fam.specs if spec_index is None else fam.specs[spec_index:spec_index + 1]
+    axis = axis_from_angles(0.0, math.pi / 2)
+    taus = default_tau_grid() if maximize_tau else np.array([float(tau)])
+    bloch = gridmod.pure_bloch(theta, phi)
+
+    @functools.cache
+    def g(eta):
+        def value_fn(t):
+            x = bias_x(bias_mode, eta, x_fixed)
+            return fam.values(gridmod.lg_distributions(bloch, t, axis, eta, x),
+                              specs).max(axis=-1)
+
+        vals = value_fn(taus)
+        k = int(np.argmax(vals))
+        best = float(vals[k])
+        if 0 < k < taus.size - 1:
+            t0, t1, t2 = taus[k - 1:k + 2]
+            v0, v1, v2 = vals[k - 1:k + 2]
+            denom = v0 - 2 * v1 + v2
+            if denom < -1e-300:
+                t_star = t1 + 0.5 * (t1 - t0) * (v0 - v2) / denom
+                if t0 < t_star < t2:
+                    best = max(best, float(value_fn(np.array([t_star]))[0]))
+        return best - fam.bound
+
+    g_lo, g_hi = g(ETA_LO), g(ETA_HI)
+    if not g_lo < 0.0 < g_hi:
+        raise NoBracket(f"no violation bracket on [{ETA_LO:g}, {ETA_HI:g}]: "
+                        f"g={g_lo:.3g}..{g_hi:.3g}")
+    signs = [g(e) > 0 for e in np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES)]
+    if sum(1 for a, b in zip(signs, signs[1:]) if a != b) != 1:
+        raise NoBracket("g(eta) is not monotone-crossing on the bracket")
+    lo, hi = ETA_LO, ETA_HI
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if g(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    eta = 0.5 * (lo + hi)
+    if not valid_effect(eta, bias_x(bias_mode, eta, x_fixed)):
+        raise NoBracket(f"threshold eta = {eta:.6f} lies outside the valid range "
+                        f"0 <= eta <= {1.0 - abs(x_fixed):g} of bias x = {x_fixed:g}")
+    return eta, g.cache_info().misses - BRACKET_SAMPLES
+
+
+def _outcome(fn, *args, **kw):
+    """fn's result, or the type and text of the NoBracket it raised."""
+    try:
+        return fn(*args, **kw)
+    except NoBracket as exc:
+        return NoBracket, str(exc)
+
+
+_STATES = [(float(t), float(p)) for t, p in np.random.default_rng(2024).uniform(
+    (0.0, 0.0), (math.pi, 2 * math.pi), size=(2, 2))]
+_BIASES = [dict(bias_mode="zero"), dict(bias_mode="eta-1"),
+           dict(bias_mode="fixed", x_fixed=0.1)]
+_TAU_MODES = [dict(maximize_tau=True), dict(tau=0.7), dict(tau=0.7, spec_index=1)]
+
+
 class TestThresholdEta:
+    @pytest.mark.parametrize("family", ["slgi", "wlgi", "elgi"])
+    @pytest.mark.parametrize("bias", _BIASES, ids=["zero", "eta-1", "x=0.1"])
+    @pytest.mark.parametrize("taus", _TAU_MODES, ids=["maximize", "fixed", "spec"])
+    def test_equals_one_sample_at_a_time(self, family, bias, taus):
+        for theta, phi in _STATES + [(1.7, math.pi / 2)]:
+            kw = dict(theta=theta, phi=phi, **bias, **taus)
+            want = _outcome(lambda: _threshold_one_sample_at_a_time(family, **kw)[0])
+            assert _outcome(threshold_eta, family, **kw) == want
+
+    def test_not_monotone_crossing_equals_one_sample_at_a_time(self):
+        kw = dict(theta=1.0203076046982933, phi=4.90879241562788, tau=1.793517709541068,
+                  bias_mode="eta-1")
+        want = _outcome(lambda: _threshold_one_sample_at_a_time("slgi", **kw)[0])
+        assert want == (NoBracket, "g(eta) is not monotone-crossing on the bracket")
+        assert _outcome(threshold_eta, "slgi", **kw) == want
+
+    @pytest.mark.parametrize("family", ["slgi", "wlgi", "elgi"])
+    def test_bracket_samples_take_one_kernel_call(self, family, monkeypatch):
+        # one call for the nine samples' tau grids and one for their polish
+        # points; each later halving takes at most a grid and a polish call
+        calls = []
+        kernel = gridmod.lg_distributions
+
+        def counting(bloch0, tau, axis, eta, x):
+            calls.append(np.ravel(eta))
+            return kernel(bloch0, tau, axis, eta, x)
+
+        for theta, phi in _STATES:
+            eta, halvings = _threshold_one_sample_at_a_time(family, theta=theta, phi=phi,
+                                                            maximize_tau=True)
+            calls.clear()
+            monkeypatch.setattr(gridmod, "lg_distributions", counting)
+            assert threshold_eta(family, theta=theta, phi=phi, maximize_tau=True) == eta
+            monkeypatch.undo()
+            assert np.array_equal(calls[0], np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES))
+            assert len(calls) <= 2 + 2 * halvings
+
     def test_slgi_spin_threshold(self):
         thr = threshold_eta("slgi", maximize_tau=True)
         assert thr == pytest.approx(np.sqrt(2 / 3), abs=2e-3)
@@ -541,6 +655,21 @@ class TestCli:
                             "--tau", "pi/3", "--eta", "1")
         assert proc.returncode == 0
         assert "slgi" in proc.stdout and "jm triple" in proc.stdout
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # as `lgscan eval ... | head -2` once the reader has gone: the read end
+        # of the pipe is closed before lgscan writes a line
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lgscan.cli", "eval", "--theta", "pi/3",
+                 "--phi", "pi/2", "--tau", "pi/3"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
     def test_eval_triple_line_is_inconclusive_not_incompatible(self, capsys):
         # the four-norm criterion fails at tau = pi/4, eta = 0.65 (threshold
