@@ -129,7 +129,17 @@ def _rotate(r, axis, cos, sin) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     cross = axis[..., _NEXT] * r[..., _PREV] - axis[..., _PREV] * r[..., _NEXT]
     dot = np.sum(axis * r, axis=-1, keepdims=True)
-    return r * cos + cross * sin + axis * dot * (1.0 - cos)
+    # r cos + cross sin + axis dot (1 - cos), summed in that order in place.
+    # r cos and cross sin have the full shape (axis is one vector); cross
+    # and dot need not have the batch shape of cos, so they are not scaled
+    # in place
+    out = r * cos
+    term = cross * sin
+    out += term
+    np.multiply(axis, dot, out=term)
+    term *= 1.0 - cos
+    out += term
+    return out
 
 
 def luders_coefficients(eta, x, sign: int) -> tuple:
@@ -295,12 +305,20 @@ def elgi_values(dists: dict, specs=ELGI_SPECS) -> np.ndarray:
 class Family:
     """An inequality family: its macrorealist bound, canonical specs, the
     stand-alone experiments it reads and its reduction
-    reduce(dists, specs) -> (..., len(specs))."""
+    reduce(dists, specs) -> (..., len(specs)).
+
+    `linear`: the reduction is a linear combination of outcome
+    probabilities.  Every probability of `lg_distributions` is a
+    trigonometric polynomial of degree 2 in u = 2 tau (each rotation by u
+    acts linearly on the unnormalized Bloch vectors), so at fixed state,
+    eta, x and axis so is every value of a linear family.
+    """
 
     bound: float
     specs: tuple
     reads: tuple[tuple[int, ...], ...]
     reduce: Callable[[dict, tuple], np.ndarray]
+    linear: bool
 
     def values(self, dists: dict, specs: tuple | None = None) -> np.ndarray:
         return self.reduce(dists, self.specs if specs is None else specs)
@@ -309,9 +327,10 @@ class Family:
 # The reductions are looked up by name when called, so a wrapper installed on
 # the module attribute (as perfbench's tracer does) sees every call.
 FAMILY_TABLE: dict[str, Family] = {
-    "slgi": Family(1.0, SLGI_SPECS, PAIRS, lambda d, s: slgi_values(d, s)),
-    "wlgi": Family(0.0, WLGI_SPECS, PAIRS, lambda d, s: wlgi_values(d, s)),
-    "elgi": Family(0.0, ELGI_SPECS, PAIRS + ((1,), (2,), (3,)), lambda d, s: elgi_values(d, s)),
+    "slgi": Family(1.0, SLGI_SPECS, PAIRS, lambda d, s: slgi_values(d, s), linear=True),
+    "wlgi": Family(0.0, WLGI_SPECS, PAIRS, lambda d, s: wlgi_values(d, s), linear=True),
+    "elgi": Family(0.0, ELGI_SPECS, PAIRS + ((1,), (2,), (3,)), lambda d, s: elgi_values(d, s),
+                   linear=False),
 }
 
 VIOLATION_TOL = 1e-12

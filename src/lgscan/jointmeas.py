@@ -52,7 +52,7 @@ BIAS_ZERO = 1e-15
 
 PAIR_ORDER = ((1, 2), (2, 3), (1, 3))
 
-HALVINGS_PER_CALL = 3  # bisection steps decided per margin call; divides 60
+HALVINGS_PER_CALL = 3  # bisection steps decided per call (also scan.threshold_eta); divides 60
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,21 @@ def _separation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(cosang))
 
 
+def halving_tree(lo, hi, depth: int) -> list[tuple]:
+    """The halvings that `depth` bisection steps from [lo, hi] can reach, as
+    (a, b, midpoint of [a, b]) in tree order: node i halves its [a, b], and
+    nodes 2i + 1 and 2i + 2 halve its lower and upper half.  Testing every
+    midpoint at once decides `depth` steps, at the midpoints that halving
+    one step at a time would test.  lo and hi may be arrays."""
+    nodes, ends = [], [(lo, hi)]
+    for i in range(2**depth - 1):
+        a, b = ends[i]
+        mid = 0.5 * (a + b)
+        nodes.append((a, b, mid))
+        ends += [(a, mid), (mid, b)]
+    return nodes
+
+
 def _numeric_pair_thresholds(x: float, da: np.ndarray, db: np.ndarray) -> np.ndarray:
     """Bisect the general-criterion margin in eta at fixed bias x, for the
     pairs of unit directions (da[i], db[i]) all at once.
@@ -180,9 +195,8 @@ def _numeric_pair_thresholds(x: float, da: np.ndarray, db: np.ndarray) -> np.nda
     halve [0, cap] together until no row has a float left between its ends
     (at most 60 halvings); a stalled row cannot move, since its lo passes
     and its hi fails.  One margin call decides HALVINGS_PER_CALL halvings:
-    it tests every midpoint those halvings can reach, a binary tree of
-    2**HALVINGS_PER_CALL - 1 per row, so the midpoints and the result are
-    those of halving one step at a time.
+    it tests every row's `halving_tree`, so the midpoints and the result
+    are those of halving one step at a time.
     """
     cap = 1.0 - abs(x)
 
@@ -200,13 +214,7 @@ def _numeric_pair_thresholds(x: float, da: np.ndarray, db: np.ndarray) -> np.nda
         mid = 0.5 * (lo + hi)
         if not np.any((lo < mid) & (mid < hi)):  # no float left between lo and hi
             break
-        # node i halves ends[i]; nodes 2i + 1 and 2i + 2 halve its lower and upper half
-        ends, mids = [(lo, hi)], []
-        for i in range(2**HALVINGS_PER_CALL - 1):
-            a, b = ends[i]
-            mids.append(0.5 * (a + b))
-            ends += [(a, mids[i]), (mids[i], b)]
-        mids = np.array(mids)
+        mids = np.array([m for _, _, m in halving_tree(lo, hi, HALVINGS_PER_CALL)])
         ok = passes(mids)
         node = np.zeros(lo.shape, dtype=int)
         for _ in range(HALVINGS_PER_CALL):

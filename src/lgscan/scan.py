@@ -53,6 +53,15 @@ DEFAULT_TAU_STEP = math.pi / 360  # threshold-resolution grid
 
 ETA_LO, ETA_HI, BRACKET_SAMPLES = 1e-6, 1.0, 9  # threshold_eta's bracket and sign samples
 
+# A linear family's values are trigonometric polynomials of degree 2 in
+# u = 2 tau (gridmod.Family.linear), fixed by these 5 equispaced samples
+EXACT_TAUS = (np.arange(5) + 0.5) * (math.pi / 5)
+# (a0, a1, b1, a2, b2) of f(u) = a0 + a1 cos u + b1 sin u + a2 cos 2u
+# + b2 sin 2u are _FOURIER @ f(u), u = 2 EXACT_TAUS
+_U = 2 * EXACT_TAUS
+_FOURIER = 0.4 * np.stack([np.full(5, 0.5), np.cos(_U), np.sin(_U), np.cos(2 * _U),
+                           np.sin(2 * _U)])
+
 
 def axis_from_angles(alpha: float, beta: float) -> np.ndarray:
     """Hamiltonian axis (cos a sin b, cos a cos b, sin a); (0, pi/2) is x_hat."""
@@ -331,6 +340,77 @@ def _polish_tau(value_fn, tau_grid: np.ndarray, etas: Sequence[float]) -> np.nda
     return best
 
 
+def _nonzero(a: np.ndarray) -> np.ndarray:
+    return np.where(a != 0.0, a, 1.0)
+
+
+def _unit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) scaled to unit length; (1, 0) where both are 0."""
+    norm = np.sqrt(x * x + y * y)
+    return np.where(norm > 0, x / _nonzero(norm), 1.0), y / _nonzero(norm)
+
+
+def _circle_max(a0, a1, b1, a2, b2) -> np.ndarray:
+    """Maximum over u of f(u) = a0 + a1 cos u + b1 sin u + a2 cos 2u
+    + b2 sin 2u, per element of the coefficient arrays.
+
+    Turned by h, 2h = atan2(b2, a2), so that (X, Y) = (cos(u - h),
+    sin(u - h)), f is the quadratic a0 + r (X^2 - Y^2) + 2 (g1 X + g2 Y),
+    r = |(a2, b2)|, on the unit circle.  Its maximum there is a point with
+    mu X = g1 and (mu + 2r) Y = g2, where r + mu is the Lagrange multiplier
+    and mu >= 0.  If X^2 + Y^2 = 1 has a root mu > 0, it is the only one,
+    and Newton's method on 1/|(X, Y)| - 1, which is concave and increasing
+    in mu, reaches it from mu = |g1| below; otherwise (g1 = 0,
+    |g2| <= 2r) the maximum has mu = 0, Y = g2 / 2r and X = +-sqrt(1 - Y^2).
+    f is evaluated at these three points of the circle, so the result is a
+    value that f takes.  Constant and lower-degree curves need no case of
+    their own.  Only arithmetic and square roots are used: the first call
+    of a companion-matrix `eigvals`, `np.fft`, `np.einsum` or `np.arctan2`
+    pages in 0.1-0.9 MiB of code, which a threshold run's peak RSS shows.
+    """
+    r = np.sqrt(a2 * a2 + b2 * b2)
+    # (cos h, sin h) up to a sign, which f does not see: along (r + a2, b2),
+    # or along (b2, r - a2) where a2 < 0 and r + a2 cancels; any h if r = 0
+    cos_h, sin_h = _unit(np.where(a2 >= 0, r + a2, b2), np.where(a2 >= 0, b2, r - a2))
+    g1 = 0.5 * (a1 * cos_h + b1 * sin_h)
+    g2 = 0.5 * (b1 * cos_h - a1 * sin_h)
+    mu = np.abs(g1)
+    for _ in range(60):  # converges in <= 8 steps on 20,000 random curves
+        x, y = g1 / _nonzero(mu), g2 / _nonzero(mu + 2 * r)
+        norm2 = x * x + y * y
+        slope = x * x / _nonzero(mu) + y * y / _nonzero(mu + 2 * r)
+        step = np.where(slope > 0, norm2 * (np.sqrt(norm2) - 1.0) / _nonzero(slope), 0.0)
+        mu, last = np.maximum(mu + step, 0.0), mu
+        if not np.any(mu - last > 1e-15 * mu):
+            break
+    y0 = np.clip(g2 / _nonzero(2 * r), -1.0, 1.0)  # the mu = 0 points (+-x0, y0)
+    x0 = np.sqrt(1.0 - y0 * y0)
+    X, Y = _unit(np.stack([x0, -x0, g1 / _nonzero(mu)]),
+                 np.stack([y0, y0, g2 / _nonzero(mu + 2 * r)]))
+    cos_u, sin_u = X * cos_h - Y * sin_h, X * sin_h + Y * cos_h
+    f = (a0 + a1 * cos_u + b1 * sin_u + a2 * (cos_u * cos_u - sin_u * sin_u)
+         + 2 * b2 * sin_u * cos_u)
+    return f.max(axis=0)
+
+
+def exact_tau_max(samples: np.ndarray) -> np.ndarray:
+    """Maximum over tau, and over the last axis, of values that are
+    trigonometric polynomials of degree 2 in u = 2 tau, from their samples
+    at EXACT_TAUS on axis -2: shape (..., 5, specs) -> (...).
+
+    The samples fix each curve's coefficients, and `_circle_max` gives its
+    maximum; the result is never below the samples.  Curves whose bound
+    a0 + |(a1, b1)| + |(a2, b2)| is below the best sample are not solved.
+    """
+    a0, a1, b1, a2, b2 = ((row[:, None] * samples).sum(axis=-2) for row in _FOURIER)
+    best = samples.max(axis=(-2, -1))
+    solve = (a0 + np.sqrt(a1 * a1 + b1 * b1) + np.sqrt(a2 * a2 + b2 * b2)
+             >= best[..., None])
+    peak = np.full(solve.shape, -np.inf)
+    peak[solve] = _circle_max(*(c[solve] for c in (a0, a1, b1, a2, b2)))
+    return np.maximum(best, peak.max(axis=-1))
+
+
 def threshold_eta(
     family: str,
     *,
@@ -348,15 +428,24 @@ def threshold_eta(
     crosses the family bound.
 
     Bisection on g(eta) = value(eta) - bound, to absolute tolerance `tol`.
-    With maximize_tau, the inner maximization runs over `default_tau_grid()`
-    with one parabolic polish; otherwise `tau` must be given.  Raises
-    NoBracket when g has no sign change on [ETA_LO, ETA_HI], the sampled
-    g (BRACKET_SAMPLES points) is not monotone-crossing, or the threshold
-    lies where the effect is not valid (|x| + eta > 1 at a fixed bias).
+    Without maximize_tau, `tau` must be given.  With it, value is the
+    supremum over the open interval 0 < tau < pi, which equals the maximum
+    over the period.  For the linear families SLGI and WLGI at valid effects
+    it is exact (`exact_tau_max` on the 5 samples EXACT_TAUS); for ELGI, and
+    where a fixed bias makes the effect invalid, it is the maximum over
+    `default_tau_grid()` with one parabolic polish.  Raises NoBracket when g
+    has no sign change on [ETA_LO, ETA_HI], the sampled g (BRACKET_SAMPLES
+    points) is not monotone-crossing, or the threshold lies where the effect
+    is not valid (|x| + eta > 1 at a fixed bias).
 
-    The bracket samples are one kernel call (their tau grids side by side)
-    and their polish points one more; g is memoized, so a midpoint that
-    equals a sample costs nothing, and each later halving is one g.
+    The bracket samples are one kernel call (their taus side by side), plus
+    one for their polish points on the grid; g is memoized, so a midpoint
+    that equals a sample costs nothing.  Where g reads few taus (a fixed
+    tau, or the exact maximum) one call decides jointmeas.HALVINGS_PER_CALL
+    halvings by testing every midpoint they can reach
+    (`jointmeas.halving_tree`); on the grid, whose calls cost in proportion
+    to their etas, one call decides one halving.  Either way the decisions
+    are those of halving one step at a time.
     """
     if family not in gridmod.FAMILY_TABLE:
         raise ConfigError(f"unknown family {family!r}")
@@ -381,10 +470,25 @@ def threshold_eta(
         raise ConfigError(f"bias x = {x_fixed:g} leaves no valid eta >= {ETA_LO:g}")
     bloch = gridmod.pure_bloch(theta, phi)
 
-    def value_fn(taus, etas):
+    def exact(etas):
+        """Where the tau maximum is `exact_tau_max`: a linear family at valid
+        effects (an invalid effect's probabilities are clipped to [0, 1], so
+        its values are not polynomials in tau)."""
+        return (maximize_tau and fam.linear) & valid_effect(etas, bias_x(bias_mode, etas, x_fixed))
+
+    def spec_values(taus, etas):
         dists = gridmod.lg_distributions(bloch, taus, axis, etas,
                                          bias_x(bias_mode, etas, x_fixed))
-        return fam.values(dists, specs).max(axis=-1)
+        return fam.values(dists, specs)
+
+    def value_max(etas: np.ndarray) -> np.ndarray:
+        out, fast = np.empty(etas.shape), exact(etas)
+        if fast.any():
+            out[fast] = exact_tau_max(spec_values(EXACT_TAUS, etas[fast, None]))
+        if not fast.all():
+            out[~fast] = _polish_tau(lambda t, e: spec_values(t, e).max(axis=-1),
+                                     grid_values, etas[~fast])
+        return out
 
     memo: dict[float, float] = {}  # g is deterministic; the bisection revisits bracket samples
 
@@ -392,7 +496,7 @@ def threshold_eta(
         """g at each eta; the etas not seen before are evaluated together."""
         new = [e for e in dict.fromkeys(etas) if e not in memo]
         if new:
-            memo.update(zip(new, (_polish_tau(value_fn, grid_values, new) - fam.bound).tolist()))
+            memo.update(zip(new, (value_max(np.array(new)) - fam.bound).tolist()))
         return [memo[e] for e in etas]
 
     samples = np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES).tolist()
@@ -409,8 +513,11 @@ def threshold_eta(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # no float left between lo and hi
             break
-        (g_mid,) = g(mid)
-        if g_mid > 0:
+        if mid not in memo:  # one call for every midpoint of the next `depth` halvings
+            depth = jointmeas.HALVINGS_PER_CALL if not maximize_tau or exact(hi) else 1
+            tree = jointmeas.halving_tree(lo, hi, depth)
+            g(*(m for a, b, m in tree if b - a > tol and a < m < b))
+        if memo[mid] > 0:
             hi = mid
         else:
             lo = mid

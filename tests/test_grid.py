@@ -32,6 +32,23 @@ class TestRotate:
         once = gridmod.rotate_bloch(gridmod.rotate_bloch(r, axis, 0.7), axis, 0.5)
         assert np.allclose(once, gridmod.rotate_bloch(r, axis, 1.2), atol=1e-13)
 
+    @pytest.mark.parametrize("r_shape, angle_shape", [((3,), (7,)), ((3,), (2, 5)),
+                                                      ((7, 3), ()), ((2, 5, 3), ()),
+                                                      ((4, 1, 3), (6,))])
+    def test_in_place_sum_equals_rodrigues_expression(self, rng, r_shape, angle_shape):
+        # the terms are summed in place; a (3,) vector against an angle
+        # batch (as jointmeas.lg_directions rotates z_hat) must broadcast
+        r = rng.normal(size=r_shape)
+        axis = random_axis(rng)
+        angle = np.asarray(rng.uniform(-7, 7, size=angle_shape))[..., None]
+        cos, sin = np.cos(angle), np.sin(angle)
+        cross = np.cross(axis, r)
+        dot = np.sum(axis * r, axis=-1, keepdims=True)
+        want = r * cos + cross * sin + axis * dot * (1.0 - cos)
+        got = gridmod.rotate_bloch(r, axis, angle[..., 0])
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestPureBloch:
     def test_matches_state(self, rng):

@@ -21,16 +21,21 @@ from lgscan.config import (
     parse_grid,
 )
 from lgscan.errors import ConfigError, NoBracket
+from lgscan.jointmeas import HALVINGS_PER_CALL
 from lgscan.scan import (
     BRACKET_SAMPLES,
     CSV_COLUMNS,
     ETA_HI,
     ETA_LO,
+    EXACT_TAUS,
     ScanConfig,
     ScanTable,
+    _circle_max,
+    _polish_tau,
     axis_from_angles,
     bias_x,
     default_tau_grid,
+    exact_tau_max,
     figure_records,
     parse_report,
     report,
@@ -395,9 +400,11 @@ class TestScan:
 def _threshold_one_sample_at_a_time(family, *, theta=0.0, phi=0.0, tau=None,
                                     maximize_tau=False, bias_mode="zero", x_fixed=0.0,
                                     spec_index=None, tol=1e-4):
-    """The eta bisection with one g evaluation, one grid call and one polish
-    call per eta, each bracket sample on its own; returns the threshold and
-    the number of distinct etas the bisection evaluated past the samples."""
+    """The eta bisection with one g evaluation per eta, each bracket sample
+    on its own: with maximize_tau, one `exact_tau_max` call on the 5
+    EXACT_TAUS for a linear family at a valid effect, else one grid call and
+    one polish call.  Returns the threshold and the number of distinct etas
+    the bisection evaluated past the samples."""
     fam = gridmod.FAMILY_TABLE[family]
     specs = fam.specs if spec_index is None else fam.specs[spec_index:spec_index + 1]
     axis = axis_from_angles(0.0, math.pi / 2)
@@ -406,10 +413,16 @@ def _threshold_one_sample_at_a_time(family, *, theta=0.0, phi=0.0, tau=None,
 
     @functools.cache
     def g(eta):
+        x = bias_x(bias_mode, eta, x_fixed)
+
+        def spec_values(t):
+            return fam.values(gridmod.lg_distributions(bloch, t, axis, eta, x), specs)
+
+        if maximize_tau and fam.linear and valid_effect(eta, x):
+            return float(exact_tau_max(spec_values(EXACT_TAUS))) - fam.bound
+
         def value_fn(t):
-            x = bias_x(bias_mode, eta, x_fixed)
-            return fam.values(gridmod.lg_distributions(bloch, t, axis, eta, x),
-                              specs).max(axis=-1)
+            return spec_values(t).max(axis=-1)
 
         vals = value_fn(taus)
         k = int(np.argmax(vals))
@@ -479,11 +492,12 @@ class TestThresholdEta:
         assert want == (NoBracket, "g(eta) is not monotone-crossing on the bracket")
         assert _outcome(threshold_eta, "slgi", **kw) == want
 
-    @pytest.mark.parametrize("family", ["slgi", "wlgi", "elgi"])
-    def test_bracket_samples_take_one_kernel_call(self, family, monkeypatch):
-        # one call for the nine samples' tau grids and one for their polish
-        # points; each later halving takes at most a grid and a polish call
-        calls = []
+    @staticmethod
+    def _kernel_calls(family, monkeypatch, **taus):
+        """Per state of _STATES: the kernel calls of threshold_eta and the
+        halvings of the one-sample-at-a-time bisection; the thresholds agree
+        and the first call carries the nine bracket samples."""
+        calls, counts = [], []
         kernel = gridmod.lg_distributions
 
         def counting(bloch0, tau, axis, eta, x):
@@ -491,14 +505,33 @@ class TestThresholdEta:
             return kernel(bloch0, tau, axis, eta, x)
 
         for theta, phi in _STATES:
-            eta, halvings = _threshold_one_sample_at_a_time(family, theta=theta, phi=phi,
-                                                            maximize_tau=True)
+            kw = dict(theta=theta, phi=phi, **taus)
+            eta, halvings = _threshold_one_sample_at_a_time(family, **kw)
             calls.clear()
             monkeypatch.setattr(gridmod, "lg_distributions", counting)
-            assert threshold_eta(family, theta=theta, phi=phi, maximize_tau=True) == eta
+            assert threshold_eta(family, **kw) == eta
             monkeypatch.undo()
             assert np.array_equal(calls[0], np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES))
-            assert len(calls) <= 2 + 2 * halvings
+            counts.append((len(calls), halvings))
+        return counts
+
+    @pytest.mark.parametrize("family", ["slgi", "wlgi", "elgi"])
+    def test_bracket_samples_take_one_kernel_call(self, family, monkeypatch):
+        # one call for the nine samples, plus one for their polish points on
+        # the ELGI tau grid, where each later halving takes a grid and a
+        # polish call.  The exact SLGI/WLGI maximum reads 5 taus, and one
+        # call decides HALVINGS_PER_CALL halvings
+        for calls, halvings in self._kernel_calls(family, monkeypatch, maximize_tau=True):
+            if family == "elgi":
+                assert calls <= 2 + 2 * halvings
+            else:
+                assert calls <= 1 + math.ceil(halvings / HALVINGS_PER_CALL)
+
+    @pytest.mark.parametrize("family", ["slgi", "wlgi", "elgi"])
+    def test_fixed_tau_decides_halvings_per_call(self, family, monkeypatch):
+        # a fixed tau is one tau per eta: one call decides HALVINGS_PER_CALL halvings
+        for calls, halvings in self._kernel_calls(family, monkeypatch, tau=0.7):
+            assert calls <= 1 + math.ceil(halvings / HALVINGS_PER_CALL)
 
     def test_slgi_spin_threshold(self):
         thr = threshold_eta("slgi", maximize_tau=True)
@@ -547,6 +580,116 @@ class TestThresholdEta:
                          f"--spec-index={index}"])
         assert code == 2
         assert f"{family} spec index must lie in 0.." in capsys.readouterr().err
+
+
+_AXES = [axis_from_angles(0.0, math.pi / 2), axis_from_angles(math.pi / 4, math.pi / 4)]
+
+
+def _tau_cases(n_states):
+    """(eta, values) over seeded states x bias zero / eta-1 / x = 0.1 x the
+    two _AXES, at seeded valid etas; values(taus, family, eta=eta) gives the
+    family's (..., specs) values."""
+    rng = np.random.default_rng(77)
+    for _ in range(n_states):
+        bloch = gridmod.pure_bloch(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        for bias, axis in zip(_BIASES * 2, np.repeat(_AXES, len(_BIASES), axis=0)):
+            eta = rng.uniform(0.05, 0.9)  # x = 0.1 is valid up to eta = 0.9
+
+            def values(taus, family, eta=eta, bias=bias, bloch=bloch, axis=axis):
+                x = bias_x(bias["bias_mode"], eta, bias.get("x_fixed", 0.0))
+                dists = gridmod.lg_distributions(bloch, taus, axis, eta, x)
+                return gridmod.FAMILY_TABLE[family].values(dists)
+
+            yield eta, values
+
+
+def _harmonics_above_2(values):
+    """Largest |c_k|, k > 2, of values at 64 taus over the period of 2 tau."""
+    return np.abs(np.fft.rfft(values(np.arange(64) * (math.pi / 64)), axis=0)[3:] / 64).max()
+
+
+class TestExactTauMax:
+    @pytest.mark.parametrize("family", ["slgi", "wlgi"])
+    def test_linear_families_are_degree_2_in_2tau(self, family):
+        assert gridmod.FAMILY_TABLE[family].linear
+        for _, values in _tau_cases(6):
+            assert _harmonics_above_2(lambda t: values(t, family)) <= 1e-14
+
+    def test_elgi_is_not_band_limited(self):
+        # entropies are not linear in the probabilities: 5 samples do not fix
+        # ELGI, which must stay on the tau grid
+        assert not gridmod.FAMILY_TABLE["elgi"].linear
+        worst = max(_harmonics_above_2(lambda t: values(t, "elgi")) for _, values in _tau_cases(2))
+        assert worst > 1e-3
+
+    @pytest.mark.parametrize("family", ["slgi", "wlgi"])
+    def test_at_least_dense_grid_and_grid_polish(self, family):
+        dense = np.linspace(0.0, math.pi, 20001)
+        for eta, values in _tau_cases(4):
+            exact = float(exact_tau_max(values(EXACT_TAUS, family)))
+            dense_max = values(dense, family).max()
+            grid_max = _polish_tau(lambda t, e: values(t, family, e).max(axis=-1),
+                                   default_tau_grid(), [eta])[0]
+            assert exact >= dense_max - 1e-12
+            assert exact >= grid_max - 1e-12
+            # and it is a value f attains: the dense grid misses the peak by
+            # O(step^2) only
+            assert exact <= dense_max + 1e-7
+
+    def test_batches_over_leading_axes(self):
+        _, values = next(_tau_cases(1))
+        samples = np.stack([values(EXACT_TAUS, "wlgi") * s for s in (1.0, -0.5, 2.0)])
+        each = [float(exact_tau_max(s)) for s in samples]
+        assert exact_tau_max(samples).tolist() == each
+
+    @pytest.mark.parametrize("bloch", [gridmod.pure_bloch(0.3, 1.1), np.array([1.0, 0, 0])],
+                             ids=["state", "on-axis"])
+    @pytest.mark.parametrize("family", ["slgi", "wlgi"])
+    def test_degenerate_curves(self, family, bloch):
+        # eta = 0 makes every curve constant; a state on the axis is a
+        # stationary state.  No NaN and no warning (warnings are errors);
+        # a constant curve keeps its sample maximum, to the DFT's rounding
+        axis = _AXES[0]
+        for eta in (0.0, 1e-9, 0.5):
+            dists = gridmod.lg_distributions(bloch, EXACT_TAUS, axis, eta, 0.0)
+            samples = gridmod.FAMILY_TABLE[family].values(dists)
+            got = exact_tau_max(samples)
+            assert np.isfinite(got) and got >= samples.max()
+            if eta == 0.0:
+                assert got == pytest.approx(samples.max(), rel=0, abs=1e-15)
+
+    def test_degenerate_coefficients(self):
+        def curve(u, c1, c2):  # 0.1 + 2 Re(c_1 e^(iu) + c_2 e^(2iu)), one spec
+            return (0.1 + 2 * (c1 * np.exp(1j * u) + c2 * np.exp(2j * u)).real)[:, None]
+
+        u, dense = 2 * EXACT_TAUS, np.linspace(0.0, 2 * math.pi, 20001)
+        c1 = 0.3 * np.exp(0.4j)
+        assert exact_tau_max(np.full((5, 2), 0.25)) == pytest.approx(0.25, rel=0, abs=1e-15)
+        assert exact_tau_max(np.zeros((5, 1))) == 0.0
+        # c_2 = 0: the degree-1 curve peaks at c_0 + 2|c_1|, between samples
+        assert exact_tau_max(curve(u, c1, 0.0)) == pytest.approx(0.7, rel=0, abs=1e-15)
+        assert curve(u, c1, 0.0).max() < 0.7 - 1e-3
+        # c_1 = 0: the peak is at the mu = 0 points, c_0 + 2|c_2|
+        assert exact_tau_max(curve(u, 0.0, 0.2j)) == pytest.approx(0.5, rel=0, abs=1e-15)
+        # c_2 from tiny to comparable with c_1, and a peak at mu = 0 with c_1 != 0
+        cases = [(c1, c2 * np.exp(1.3j)) for c2 in (5e-15, 1e-11, 1e-9, 1e-6, 0.2)]
+        for c1, c2 in cases + [(0.1j, 0.2)]:
+            assert exact_tau_max(curve(u, c1, c2)) >= curve(dense, c1, c2).max() - 1e-15
+
+
+    @pytest.mark.parametrize("a0, a1, b1, a2, b2", [
+        (0.1, 0.0, 0.2, 0.4, 0.0),     # g1 = 0 exactly: the peak is a mu = 0 point
+        (0.1, 0.05, 0.0, -0.3, 0.0),   # a2 = -r: the half-angle frame from (b2, r - a2)
+        (0.1, 0.0, 0.0, -0.3, 0.0),
+        (0.1, 0.3, -0.2, 0.0, 0.0),    # degree 1
+        (0.1, 0.0, 0.0, 0.0, 0.0),     # constant
+        (0.1, 0.0, 0.7, 0.2, 0.0),     # g1 = 0, |g2| > 2r: mu > 0 from mu = 0
+    ])
+    def test_circle_max_on_exact_coefficients(self, a0, a1, b1, a2, b2):
+        u = np.linspace(0.0, 2 * math.pi, 200001)
+        f = a0 + a1 * np.cos(u) + b1 * np.sin(u) + a2 * np.cos(2 * u) + b2 * np.sin(2 * u)
+        got = _circle_max(*(np.array([c]) for c in (a0, a1, b1, a2, b2)))[0]
+        assert f.max() - 1e-15 <= got <= f.max() + 1e-9
 
 
 class TestReport:
