@@ -44,8 +44,6 @@ import numpy as np
 
 from .errors import InvalidEffect, NoBracket
 from .grid import Z_HAT, rotate_bloch
-from .linalg import X_HAT
-from .measurement import Schedule
 
 MARGIN_TOL = 1e-12
 BIAS_ZERO = 1e-15
@@ -256,9 +254,10 @@ def _margins(dirs: dict[int, np.ndarray], eta, x) -> tuple[np.ndarray, np.ndarra
     return pairs, 4.0 - triple_sum(m[1], m[2], m[3])
 
 
-def jm_verdict(schedule: Schedule) -> JmVerdict:
+def jm_verdict(schedule) -> JmVerdict:
     """Assemble pairwise (and, for x = 0, triple-wise) verdicts for the three
-    time-evolved effects of the schedule.
+    time-evolved effects of a schedule: anything with the `tau`, `axis`, `x`
+    and `eta` of a `measurement.Schedule`.
 
     Margins are those of `lg_margins`, computed on the directions that the
     thresholds also read; thresholds use the closed forms for the unbiased
@@ -301,4 +300,4 @@ def lg_triple_threshold(tau: float) -> float:
     (sqrt 5 - 1)/2 at pi/4, while the exact threshold is 1/sqrt 2 there and
     has its minimum 2/3 at tau = pi/6.
     """
-    return triple_threshold(*lg_directions(tau, X_HAT).values())
+    return triple_threshold(*lg_directions(tau, np.array([1.0, 0.0, 0.0])).values())  # x_hat

@@ -427,25 +427,28 @@ def threshold_eta(
     """Smallest eta at which the family maximum (or spec `spec_index`)
     crosses the family bound.
 
-    Bisection on g(eta) = value(eta) - bound, to absolute tolerance `tol`.
-    Without maximize_tau, `tau` must be given.  With it, value is the
-    supremum over the open interval 0 < tau < pi, which equals the maximum
-    over the period.  For the linear families SLGI and WLGI at valid effects
-    it is exact (`exact_tau_max` on the 5 samples EXACT_TAUS); for ELGI, and
-    where a fixed bias makes the effect invalid, it is the maximum over
-    `default_tau_grid()` with one parabolic polish.  Raises NoBracket when g
-    has no sign change on [ETA_LO, ETA_HI], the sampled g (BRACKET_SAMPLES
-    points) is not monotone-crossing, or the threshold lies where the effect
-    is not valid (|x| + eta > 1 at a fixed bias).
+    Bisection on g(eta) = value(eta) - bound, to absolute tolerance `tol`,
+    that reads g only at valid effects, eta <= cap: cap = 1 - |x| at a
+    fixed bias and ETA_HI otherwise.  Exactly one of `tau` and maximize_tau
+    is required.  With maximize_tau, value is the supremum over the open
+    interval 0 < tau < pi, which equals the maximum over the period.  For
+    the linear families SLGI and WLGI it is exact (`exact_tau_max` on the 5
+    samples EXACT_TAUS); for ELGI it is the maximum over
+    `default_tau_grid()` with one parabolic polish.  Raises NoBracket when
+    g has no sign change on [ETA_LO, cap] or its samples (the
+    BRACKET_SAMPLES points of [ETA_LO, ETA_HI] below cap, and cap) are not
+    monotone-crossing.
 
-    The bracket samples are one kernel call (their taus side by side), plus
-    one for their polish points on the grid; g is memoized, so a midpoint
-    that equals a sample costs nothing.  Where g reads few taus (a fixed
-    tau, or the exact maximum) one call decides jointmeas.HALVINGS_PER_CALL
-    halvings by testing every midpoint they can reach
-    (`jointmeas.halving_tree`); on the grid, whose calls cost in proportion
-    to their etas, one call decides one halving.  Either way the decisions
-    are those of halving one step at a time.
+    The midpoints are those of halving [ETA_LO, ETA_HI]; one past cap (by
+    `valid_effect`) lies above the crossing, since g(cap) > 0, and the
+    result is at most cap.  The bracket samples are one kernel call (their
+    taus side by side), plus one for their polish points on the grid; g is
+    memoized, so a midpoint that equals a sample costs nothing.  Where g
+    reads few taus (a fixed tau, or the exact maximum) one call decides
+    jointmeas.HALVINGS_PER_CALL halvings by testing every midpoint they can
+    reach (`jointmeas.halving_tree`); on the grid, whose calls cost in
+    proportion to their etas, one call decides one halving.  Either way the
+    decisions are those of halving one step at a time.
     """
     if family not in gridmod.FAMILY_TABLE:
         raise ConfigError(f"unknown family {family!r}")
@@ -460,21 +463,17 @@ def threshold_eta(
         raise ConfigError(f"tolerance must be a finite number > 0, got {tol!r}")
     if axis is None:
         axis = axis_from_angles(0.0, math.pi / 2)
-    if maximize_tau:
-        grid_values = default_tau_grid()
-    else:
-        if tau is None:
-            raise ConfigError("either tau or maximize_tau is required")
-        grid_values = np.array([float(tau)])
+    if maximize_tau == (tau is not None):
+        raise ConfigError("exactly one of tau and maximize_tau is required")
+    grid_values = default_tau_grid() if maximize_tau else np.array([float(tau)])
     if not valid_effect(ETA_LO, bias_x(bias_mode, ETA_LO, x_fixed)):
         raise ConfigError(f"bias x = {x_fixed:g} leaves no valid eta >= {ETA_LO:g}")
+    cap = 1.0 - abs(x_fixed) if bias_mode == "fixed" else ETA_HI
+    exact = maximize_tau and fam.linear  # the tau maximum is `exact_tau_max`
     bloch = gridmod.pure_bloch(theta, phi)
 
-    def exact(etas):
-        """Where the tau maximum is `exact_tau_max`: a linear family at valid
-        effects (an invalid effect's probabilities are clipped to [0, 1], so
-        its values are not polynomials in tau)."""
-        return (maximize_tau and fam.linear) & valid_effect(etas, bias_x(bias_mode, etas, x_fixed))
+    def valid(eta: float) -> bool:
+        return bool(valid_effect(eta, bias_x(bias_mode, eta, x_fixed)))
 
     def spec_values(taus, etas):
         dists = gridmod.lg_distributions(bloch, taus, axis, etas,
@@ -482,13 +481,9 @@ def threshold_eta(
         return fam.values(dists, specs)
 
     def value_max(etas: np.ndarray) -> np.ndarray:
-        out, fast = np.empty(etas.shape), exact(etas)
-        if fast.any():
-            out[fast] = exact_tau_max(spec_values(EXACT_TAUS, etas[fast, None]))
-        if not fast.all():
-            out[~fast] = _polish_tau(lambda t, e: spec_values(t, e).max(axis=-1),
-                                     grid_values, etas[~fast])
-        return out
+        if exact:
+            return exact_tau_max(spec_values(EXACT_TAUS, etas[:, None]))
+        return _polish_tau(lambda t, e: spec_values(t, e).max(axis=-1), grid_values, etas)
 
     memo: dict[float, float] = {}  # g is deterministic; the bisection revisits bracket samples
 
@@ -499,12 +494,12 @@ def threshold_eta(
             memo.update(zip(new, (value_max(np.array(new)) - fam.bound).tolist()))
         return [memo[e] for e in etas]
 
-    samples = np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES).tolist()
-    signs = [v > 0 for v in g(*samples)]
-    g_lo, g_hi = g(ETA_LO, ETA_HI)
+    samples = [e for e in np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES).tolist() if e < cap]
+    signs = [v > 0 for v in g(*samples, cap)]
+    g_lo, g_hi = g(ETA_LO, cap)
     if not (g_lo < 0.0 < g_hi):
         raise NoBracket(
-            f"no violation bracket on [{ETA_LO:g}, {ETA_HI:g}]: g={g_lo:.3g}..{g_hi:.3g}"
+            f"no violation bracket on [{ETA_LO:g}, {cap:g}]: g={g_lo:.3g}..{g_hi:.3g}"
         )
     if sum(1 for a, b in zip(signs, signs[1:]) if a != b) != 1:
         raise NoBracket("g(eta) is not monotone-crossing on the bracket")
@@ -513,19 +508,16 @@ def threshold_eta(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # no float left between lo and hi
             break
-        if mid not in memo:  # one call for every midpoint of the next `depth` halvings
-            depth = jointmeas.HALVINGS_PER_CALL if not maximize_tau or exact(hi) else 1
+        above = not valid(mid)
+        if not above and mid not in memo:  # one call for the midpoints of `depth` halvings
+            depth = jointmeas.HALVINGS_PER_CALL if exact or not maximize_tau else 1
             tree = jointmeas.halving_tree(lo, hi, depth)
-            g(*(m for a, b, m in tree if b - a > tol and a < m < b))
-        if memo[mid] > 0:
+            g(*(m for a, b, m in tree if b - a > tol and a < m < b and valid(m)))
+        if above or memo[mid] > 0:
             hi = mid
         else:
             lo = mid
-    eta = 0.5 * (lo + hi)
-    if not valid_effect(eta, bias_x(bias_mode, eta, x_fixed)):
-        raise NoBracket(f"threshold eta = {eta:.6f} lies outside the valid range "
-                        f"0 <= eta <= {1.0 - abs(x_fixed):g} of bias x = {x_fixed:g}")
-    return eta
+    return min(0.5 * (lo + hi), cap)
 
 
 # --- reporting ------------------------------------------------------------------

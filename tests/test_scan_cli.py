@@ -402,9 +402,12 @@ def _threshold_one_sample_at_a_time(family, *, theta=0.0, phi=0.0, tau=None,
                                     spec_index=None, tol=1e-4):
     """The eta bisection with one g evaluation per eta, each bracket sample
     on its own: with maximize_tau, one `exact_tau_max` call on the 5
-    EXACT_TAUS for a linear family at a valid effect, else one grid call and
-    one polish call.  Returns the threshold and the number of distinct etas
-    the bisection evaluated past the samples."""
+    EXACT_TAUS for a linear family, else one grid call and one polish call.
+    g is read only at valid effects: the bracket is [ETA_LO, cap], cap =
+    1 - |x| at a fixed bias, the samples are those below cap plus cap, a
+    midpoint past cap counts as above the crossing, and the result is at
+    most cap.  Returns the threshold and the number of distinct etas the
+    bisection evaluated past the samples."""
     fam = gridmod.FAMILY_TABLE[family]
     specs = fam.specs if spec_index is None else fam.specs[spec_index:spec_index + 1]
     axis = axis_from_angles(0.0, math.pi / 2)
@@ -418,7 +421,8 @@ def _threshold_one_sample_at_a_time(family, *, theta=0.0, phi=0.0, tau=None,
         def spec_values(t):
             return fam.values(gridmod.lg_distributions(bloch, t, axis, eta, x), specs)
 
-        if maximize_tau and fam.linear and valid_effect(eta, x):
+        assert valid_effect(eta, x)
+        if maximize_tau and fam.linear:
             return float(exact_tau_max(spec_values(EXACT_TAUS))) - fam.bound
 
         def value_fn(t):
@@ -437,11 +441,13 @@ def _threshold_one_sample_at_a_time(family, *, theta=0.0, phi=0.0, tau=None,
                     best = max(best, float(value_fn(np.array([t_star]))[0]))
         return best - fam.bound
 
-    g_lo, g_hi = g(ETA_LO), g(ETA_HI)
+    cap = 1.0 - abs(x_fixed) if bias_mode == "fixed" else ETA_HI
+    g_lo, g_hi = g(ETA_LO), g(cap)
     if not g_lo < 0.0 < g_hi:
-        raise NoBracket(f"no violation bracket on [{ETA_LO:g}, {ETA_HI:g}]: "
+        raise NoBracket(f"no violation bracket on [{ETA_LO:g}, {cap:g}]: "
                         f"g={g_lo:.3g}..{g_hi:.3g}")
-    signs = [g(e) > 0 for e in np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES)]
+    samples = [e for e in np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES) if e < cap] + [cap]
+    signs = [g(e) > 0 for e in samples]
     if sum(1 for a, b in zip(signs, signs[1:]) if a != b) != 1:
         raise NoBracket("g(eta) is not monotone-crossing on the bracket")
     lo, hi = ETA_LO, ETA_HI
@@ -449,15 +455,11 @@ def _threshold_one_sample_at_a_time(family, *, theta=0.0, phi=0.0, tau=None,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if g(mid) > 0:
+        if not valid_effect(mid, bias_x(bias_mode, mid, x_fixed)) or g(mid) > 0:
             hi = mid
         else:
             lo = mid
-    eta = 0.5 * (lo + hi)
-    if not valid_effect(eta, bias_x(bias_mode, eta, x_fixed)):
-        raise NoBracket(f"threshold eta = {eta:.6f} lies outside the valid range "
-                        f"0 <= eta <= {1.0 - abs(x_fixed):g} of bias x = {x_fixed:g}")
-    return eta, g.cache_info().misses - BRACKET_SAMPLES
+    return min(0.5 * (lo + hi), cap), g.cache_info().misses - len(samples)
 
 
 def _outcome(fn, *args, **kw):
@@ -554,11 +556,59 @@ class TestThresholdEta:
             threshold_eta("slgi")
 
     def test_fixed_bias_threshold_outside_valid_range_exits_2(self, capsys):
-        # used to print 0.829071, where |x| + eta = 1.129
+        # used to print 0.829071, where |x| + eta = 1.129; the valid range
+        # [1e-6, 1 - |x|] holds no violation
         code = cli.main(["threshold", "--family", "slgi", "--maximize-tau", "--bias", "x=-0.3"])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "threshold eta = 0.829071 lies outside the valid range 0 <= eta <= 0.7" in err
+        assert "no violation bracket on [1e-06, 0.7]: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["slgi", "wlgi", "elgi"])
+    def test_reads_only_valid_effects(self, family, monkeypatch):
+        # at a fixed bias the kernel used to see eta up to 1, past 1 - |x|
+        kernel = gridmod.lg_distributions
+        seen = []
+
+        def checking(bloch0, tau, axis, eta, x):
+            seen.append(bool(np.all(valid_effect(eta, x))))
+            return kernel(bloch0, tau, axis, eta, x)
+
+        monkeypatch.setattr(gridmod, "lg_distributions", checking)
+        biases = _BIASES + [dict(bias_mode="fixed", x_fixed=-0.3),
+                            dict(bias_mode="fixed", x_fixed=0.25)]
+        for bias in biases:
+            for taus in _TAU_MODES:
+                for theta, phi in _STATES + [(1.7, math.pi / 2)]:
+                    _outcome(threshold_eta, family, theta=theta, phi=phi, **bias, **taus)
+        assert seen and all(seen)
+
+    def test_fixed_bias_crossing_inside_valid_range(self, capsys):
+        # used to exit 2 with "no violation bracket on [1e-06, 1]", reading
+        # g(1) at |x| + eta = 1.3; the crossing lies below 1 - |x| = 0.7
+        from lgscan.inequalities import wlgi_all
+        from lgscan.measurement import QubitState, Schedule
+
+        tol = 1e-4
+        kw = dict(theta=1.7, phi=math.pi / 2, bias_mode="fixed", x_fixed=-0.3, spec_index=0)
+        eta = threshold_eta("wlgi", maximize_tau=True, tol=tol, **kw)
+        assert abs(eta - 0.697296) < tol
+        state = QubitState.pure(1.7, math.pi / 2)
+        taus = np.linspace(0.0, math.pi, 1502)[1:-1]
+
+        def scalar_max(e):
+            return max(wlgi_all(state, Schedule(measured=(1, 2, 3), tau=t, x=-0.3, eta=e),
+                                specs=gridmod.WLGI_SPECS[:1])[0].value for t in taus)
+
+        assert scalar_max(eta - tol) < 0.0 < scalar_max(eta + tol)
+        assert cli.main(["threshold", "--family", "wlgi", "--bias", "x=-0.3", "--theta", "1.7",
+                         "--phi", "pi/2", "--maximize-tau", "--spec-index", "0"]) == 0
+        assert capsys.readouterr().out == "wlgi threshold eta = 0.697296\n"
+
+    def test_tau_with_maximize_tau_exits_2(self, capsys):
+        # the tau used to be ignored
+        with pytest.raises(ConfigError, match="exactly one of tau and maximize_tau"):
+            threshold_eta("slgi", tau=0.7, maximize_tau=True)
+        assert cli.main(["threshold", "--family", "slgi", "--tau", "0.7", "--maximize-tau"]) == 2
+        assert "exactly one of tau and maximize_tau" in capsys.readouterr().err
 
     def test_fixed_bias_without_valid_eta(self, capsys):
         # used to report "no violation bracket ... g=0..0"
