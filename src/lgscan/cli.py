@@ -9,7 +9,8 @@ Subcommands:
   selftest   run the built-in numerical invariant suites
 
 Exit codes: 0 success, 1 stdout closed early (broken pipe), 2 configuration
-error, 3 numerical-invariant failure.
+error or an output path that cannot be written, 3 numerical-invariant
+failure.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common_point = argparse.ArgumentParser(add_help=False)
     common_point.add_argument("--theta", type=_angle, default=0.0)
     common_point.add_argument("--phi", type=_angle, default=0.0)
-    common_point.add_argument("--eta", type=float, default=1.0)
     common_point.add_argument("--bias", type=str, default="zero",
                               help="zero | eta-1 | x=<value>")
     common_point.add_argument("--axis-alpha", type=_angle, default=0.0)
@@ -59,6 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", parents=[common_point],
                         help="evaluate one parameter point")
     pe.add_argument("--tau", type=_angle, required=True)
+    pe.add_argument("--eta", type=float, default=1.0)
     pe.add_argument("--tolerance", type=float, default=NSIT_TOL)
 
     ps = sub.add_parser("scan", help="run config-file scans")
@@ -126,7 +127,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_scan(args) -> int:
     configs = load_configs(args.config)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {args.out!r}: "
+                          f"{exc.strerror or exc}") from exc
     for name, cfg in configs.items():
         if args.jobs is not None:
             cfg = dataclasses.replace(cfg, jobs=args.jobs)

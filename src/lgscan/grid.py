@@ -20,7 +20,7 @@ states after the last measurement.  The update is written once, as
 `luders_step` composes; a call computes the coefficients of each outcome
 and the cosine and sine of 2 tau once, not at every node.
 The singles are measured, not marginals, so the AoT residual stays a real
-check.  `sequential_probabilities` selects one experiment from the result.
+check.
 
 The family reductions (SLGI, WLGI, ELGI), the disturbance functionals, the
 AoT residual and the NSIT conditions (`NSIT_CONDITIONS`, `nsit_flags`) are
@@ -224,11 +224,6 @@ def lg_distributions(bloch0, tau, axis, eta, x) -> dict[tuple[int, ...], np.ndar
     while todo:
         todo += _expand(*todo.pop(), axis, turn, coefficients, out)
     return {s: out[s] for s in SUBSETS}
-
-
-def sequential_probabilities(bloch0, measured, tau, axis, eta, x) -> np.ndarray:
-    """Outcome probabilities of the one experiment that measures `measured`."""
-    return lg_distributions(bloch0, tau, axis, eta, x)[tuple(sorted(measured))]
 
 
 def locate(outcomes) -> tuple[tuple[int, ...], int]:

@@ -8,10 +8,11 @@ summary.  Output order is the grid order, and two runs of the same
 configuration produce byte-identical files.
 
 Records are held as a `ScanTable`, one numpy array per report column.  The
-scan evaluates the grid in blocks of `CHUNK` points and fills the table with
-array operations; `report` formats whole columns and writes `CHUNK` rows at
-a time, and `parse_report` reads a CSV report back into a table.
-`ScanRecord` is the row view.
+scan evaluates the grid in blocks of `CHUNK` points, and one fill step
+(`_fill`, which the canned figures share) writes each block's report cells
+straight into the preallocated columns; `report` formats whole columns and
+writes `CHUNK` rows at a time, and `parse_report` reads a CSV report back
+into a table.  `ScanRecord` is the row view.
 
 Bias modes (`bias_x`, the one rule every command uses): "zero" (x = 0),
 "eta-1" (x = eta - 1, always a valid effect), or a fixed explicit x; in
@@ -207,13 +208,6 @@ class ScanTable:
     def empty(cls, n: int) -> "ScanTable":
         return cls({col: np.empty(n, dtype=_dtype(col)) for col in CSV_COLUMNS})
 
-    def put(self, start: int, rows: dict[str, np.ndarray]) -> int:
-        """Write a block of rows from row `start` on; returns the row after it."""
-        stop = start + len(rows["theta"])
-        for col in CSV_COLUMNS:
-            self.columns[col][start:stop] = rows[col]
-        return stop
-
     def __len__(self) -> int:
         return len(self.columns["theta"])
 
@@ -251,44 +245,39 @@ def skipped_points(config: ScanConfig) -> int:
     return per_eta * config.theta.size * config.phi.size * config.tau.size
 
 
-def _point_flags(dists: dict, tau, eta, x, config: ScanConfig) -> dict[str, np.ndarray]:
-    """NSIT and JM flag columns (FLAG_VALUES codes) for a flat parameter batch."""
-    flags = gridmod.nsit_flags(gridmod.disturbances(dists), gridmod.aot_residual(dists),
-                               config.nsit_tol)
-    # JM depends only on (tau, eta, x)
-    pairs, triple = jointmeas.lg_margins(np.atleast_1d(tau), eta, x, config.axis)
-    jm_tol = jointmeas.MARGIN_TOL
-    for i, (a, b) in enumerate(jointmeas.PAIR_ORDER):
-        flags[f"jm_{a}{b}"] = pairs[..., i] >= -jm_tol
-    flags["jm_triple"] = np.where(np.abs(x) < jointmeas.BIAS_ZERO, triple >= -jm_tol,
-                                  FLAG_VALUES.index(None))
-    return flags
-
-
-def _point_rows(theta, phi, tau, eta, x, dists: dict, config: ScanConfig,
-                picks: Sequence[tuple[str, np.ndarray, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Report columns for a flat batch of points evaluated into `dists`.
+def _fill(table: ScanTable, row: int, theta, phi, tau, eta, x, dists: dict,
+          config: ScanConfig, picks: Sequence[tuple[str, np.ndarray, np.ndarray]]) -> int:
+    """Write the report rows of a flat batch of points evaluated into `dists`
+    into `table` from `row` on; returns the row after them.
 
     Each pick (family, value, spec_index) gives one row per point, with
     per-point value and spec_index arrays; rows run points outermost, picks
     innermost.  theta .. x broadcast to the batch.
     """
-    flags = _point_flags(dists, tau, eta, x, config)
-    n = flags["jm_12"].size
-    k = len(picks)
-    rows = {
-        name: np.repeat(np.broadcast_to(np.asarray(v, dtype=float), (n,)), k)
-        for name, v in (("theta", theta), ("phi", phi), ("tau", tau), ("eta", eta), ("x", x))
-    }
-    rows.update((name, np.repeat(flag, k)) for name, flag in flags.items())
-    rows["axis_alpha"] = np.full(n * k, config.axis_alpha)
-    rows["axis_beta"] = np.full(n * k, config.axis_beta)
-    rows["family"] = np.tile([FAMILIES.index(f) for f, _, _ in picks], n)
-    rows["value"] = np.stack([v for _, v, _ in picks], axis=-1).ravel()
-    rows["spec_index"] = np.stack([s for _, _, s in picks], axis=-1).ravel()
-    rows["bound"] = np.tile([gridmod.FAMILY_TABLE[f].bound for f, _, _ in picks], n)
-    rows["violated"] = gridmod.violated(rows["value"], rows["bound"])
-    return rows
+    n, k = picks[0][1].size, len(picks)
+    # (point, pick) views of the rows: a per-point cell fills its point's
+    # row, a per-pick cell its pick's column
+    cols = {c: a[row:row + n * k].reshape(n, k) for c, a in table.columns.items()}
+    per_point = {"theta": theta, "phi": phi, "tau": tau, "eta": eta, "x": x,
+                 "axis_alpha": config.axis_alpha, "axis_beta": config.axis_beta}
+    per_point.update(gridmod.nsit_flags(gridmod.disturbances(dists),
+                                        gridmod.aot_residual(dists), config.nsit_tol))
+    # JM depends only on (tau, eta, x)
+    pairs, triple = jointmeas.lg_margins(tau, eta, x, config.axis)
+    jm_tol = jointmeas.MARGIN_TOL
+    for i, (a, b) in enumerate(jointmeas.PAIR_ORDER):
+        per_point[f"jm_{a}{b}"] = pairs[..., i] >= -jm_tol
+    per_point["jm_triple"] = np.where(np.abs(x) < jointmeas.BIAS_ZERO, triple >= -jm_tol,
+                                      FLAG_VALUES.index(None))
+    for name, v in per_point.items():
+        cols[name][...] = np.reshape(v, (-1, 1))
+    for j, (family, value, spec) in enumerate(picks):
+        cols["family"][:, j] = FAMILIES.index(family)
+        cols["value"][:, j] = value
+        cols["spec_index"][:, j] = spec
+        cols["bound"][:, j] = gridmod.FAMILY_TABLE[family].bound
+    cols["violated"][...] = gridmod.violated(cols["value"], cols["bound"])
+    return row + n * k
 
 
 def scan(config: ScanConfig) -> ScanTable:
@@ -309,7 +298,7 @@ def scan(config: ScanConfig) -> ScanTable:
         dists = gridmod.lg_distributions(gridmod.pure_bloch(theta, phi), tau, config.axis, eta, x)
         picks = [(fam, *gridmod.pick(gridmod.FAMILY_TABLE[fam].values(dists)))
                  for fam in config.families]
-        row = table.put(row, _point_rows(theta, phi, tau, eta, x, dists, config, picks))
+        row = _fill(table, row, theta, phi, tau, eta, x, dists, config, picks)
     return table
 
 
@@ -566,22 +555,25 @@ def report(table: ScanTable, path: str, fmt: str = "csv") -> None:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
     as_json = fmt == "json"
-    with open(path, "w", newline=None if as_json else "") as fh:
-        if not as_json:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-        elif len(table) == 0:
-            fh.write("[]\n")
-            return
-        for start in range(0, len(table), CHUNK):
-            cols = [_cells(table.columns[c][start:start + CHUNK], c, as_json)
-                    for c in CSV_COLUMNS]
+    try:
+        with open(path, "w", newline=None if as_json else "") as fh:
+            if not as_json:
+                fh.write(",".join(CSV_COLUMNS) + "\n")
+            elif len(table) == 0:
+                fh.write("[]\n")
+                return
+            for start in range(0, len(table), CHUNK):
+                cols = [_cells(table.columns[c][start:start + CHUNK], c, as_json)
+                        for c in CSV_COLUMNS]
+                if as_json:
+                    rows = map(",\n".join, zip(*cols))
+                    fh.write(("[\n" if start == 0 else ",\n") + ",\n".join(rows))
+                else:
+                    fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
             if as_json:
-                rows = map(",\n".join, zip(*cols))
-                fh.write(("[\n" if start == 0 else ",\n") + ",\n".join(rows))
-            else:
-                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
-        if as_json:
-            fh.write("\n]\n")
+                fh.write("\n]\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path!r}: {exc.strerror or exc}") from exc
 
 
 def _decoder(col: str):
@@ -652,5 +644,5 @@ def figure_records(which: int) -> ScanTable:
         dists = gridmod.lg_distributions(bloch, tau_grid, cfg.axis, eta, x)
         values = gridmod.FAMILY_TABLE[family].values(dists)
         picks = [(family, values[:, k], np.full(tau_grid.size, k)) for k in specs]
-        row = table.put(row, _point_rows(theta, phi, tau_grid, eta, x, dists, cfg, picks))
+        row = _fill(table, row, theta, phi, tau_grid, eta, x, dists, cfg, picks)
     return table

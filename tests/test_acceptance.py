@@ -274,12 +274,7 @@ def test_criterion_09_general_hamiltonian():
     axis = axis_from_angles(np.pi / 4, np.pi / 4)
     # |0>: no WLGI violation on a width-0.2 interval containing pi/3
     taus = np.linspace(np.pi / 3 - 0.1, np.pi / 3 + 0.1, 81)
-    dists = {
-        pair: gridmod.sequential_probabilities(
-            gridmod.pure_bloch(0.0, 0.0), pair, taus, axis, 1.0, 0.0
-        )
-        for pair in ((1, 2), (1, 3), (2, 3))
-    }
+    dists = gridmod.lg_distributions(gridmod.pure_bloch(0.0, 0.0), taus, axis, 1.0, 0.0)
     window_max = float(gridmod.wlgi_values(dists).max())
     assert window_max <= 0.0
 

@@ -75,22 +75,19 @@ class TestSequentialProbabilities:
             state = make_pure_state(theta, phi)
             sched = Schedule(measured=subset, tau=tau, axis=axis, x=x, eta=eta)
             slow = run_schedule(state, sched).probabilities()
-            fast = gridmod.sequential_probabilities(state.bloch(), subset, tau, axis, eta, x)
+            fast = gridmod.lg_distributions(state.bloch(), tau, axis, eta, x)[subset]
             worst = max(worst, float(np.max(np.abs(slow - fast))))
         assert worst < 1e-13
 
     def test_batch_shapes(self):
         bloch = gridmod.pure_bloch(np.linspace(0.1, 1.0, 7), 0.4)
-        probs = gridmod.sequential_probabilities(
-            bloch, (1, 2, 3), np.linspace(0.1, 3.0, 7), X_HAT, 0.8, 0.0
-        )
+        probs = gridmod.lg_distributions(bloch, np.linspace(0.1, 3.0, 7), X_HAT, 0.8, 0.0)
+        probs = probs[(1, 2, 3)]
         assert probs.shape == (7, 8)
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_mixed_state_input(self):
-        probs = gridmod.sequential_probabilities(
-            np.zeros(3), (1, 2, 3), np.pi / 4, X_HAT, 1.0, 0.0
-        )
+        probs = gridmod.lg_distributions(np.zeros(3), np.pi / 4, X_HAT, 1.0, 0.0)[(1, 2, 3)]
         assert np.allclose(probs, 0.125, atol=1e-14)
 
 

@@ -937,6 +937,34 @@ class TestCli:
         assert proc.returncode == 2
         assert "unknown key" in proc.stderr
 
+    @pytest.mark.parametrize("case", ["figure", "config-out", "scan-out-is-file"])
+    def test_unwritable_output_exits_2_without_traceback(self, tmp_path, case):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[tiny]\ntheta = pi/3\nphi = pi/2\ntau = 0.4\neta = 1\n"
+                       + ("out = nosuch/x.csv\n" if case == "config-out" else ""))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        args, message = {
+            "figure": (["figure", "3", "--out", str(tmp_path / "nosuch" / "f.csv")],
+                       f"error: cannot write report '{tmp_path / 'nosuch' / 'f.csv'}': "
+                       "No such file or directory"),
+            "config-out": (["scan", "--config", str(cfg), "--out", str(tmp_path)],
+                           f"error: cannot write report '{tmp_path / 'nosuch' / 'x.csv'}': "
+                           "No such file or directory"),
+            "scan-out-is-file": (["scan", "--config", str(cfg), "--out", str(afile)],
+                                 f"error: cannot make output directory '{afile}': File exists"),
+        }[case]
+        proc = self.run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr == message + "\n"
+        assert proc.stdout == ""
+
+    def test_threshold_takes_no_eta(self):
+        proc = self.run_cli("threshold", "--family", "slgi", "--maximize-tau", "--eta", "0.5")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --eta 0.5" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_threshold_cli(self):
         proc = self.run_cli("threshold", "--family", "wlgi", "--theta", "pi/3",
                             "--phi", "pi/2", "--tau", "pi/3", "--spec-index", "18")
