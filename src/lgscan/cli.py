@@ -110,7 +110,7 @@ def _cmd_eval(args) -> int:
     flags = nsit_satisfied(rep, args.tolerance)
     print("nsit: " + " ".join(f"{k}={'ok' if v else 'VIOLATED'}" for k, v in flags.items()))
     print(f"aot residual: {rep.aot_residual:.3e}")
-    verdict = jm_verdict(sched)
+    verdict = jm_verdict(sched, bias_mode=mode)
     for pair, pr in verdict.pairwise.items():
         print(f"jm {pair}: {'compatible' if pr.jointly_measurable else 'incompatible'} "
               f"(margin {pr.margin:+.6g}) threshold {pr.threshold:.6g}")

@@ -28,7 +28,18 @@ Closed-form eta thresholds for the time-evolved LG effects (separation
 angle 2*tau between consecutive Bloch directions):
 
 * unbiased pair:  eta <= 1/(|cos(d/2)| + |sin(d/2)|), d the separation;
-* bias family x = eta - 1:  eta <= 1/(1 + |cos(d/2)|).
+* bias family x = eta - 1:  eta <= 1/(1 + |cos(d/2)|);
+* fixed bias x:  for two effects of the same x and eta, with c = cos d and
+  u = eta^2, the left side above is exactly
+  (1 - 2F^2)(1 - 2x^2/F^2) = 2u + 2x^2 - 1, so the margin (right side
+  minus left side) is the quadratic
+
+      c^2 u^2 - 2 (1 + c x^2) u + (1 - x^2)^2.
+
+  It is (1 - x^2)^2 >= 0 at u = 0, and its larger root is at least
+  (1 - |x|)^2, so the threshold is its smaller root (at margin
+  -MARGIN_TOL), capped at 1 - |x|.  At x = 0 that root is
+  1/(1 + |sin d|), the square of the unbiased threshold.
 
 The biased threshold is discontinuous at coincidence (d -> 0 gives 1/2,
 yet two identical POVMs are trivially compatible and the criterion itself
@@ -42,15 +53,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidEffect, NoBracket
+from .errors import InvalidEffect
 from .grid import Z_HAT, rotate_bloch
 
 MARGIN_TOL = 1e-12
 BIAS_ZERO = 1e-15
 
 PAIR_ORDER = ((1, 2), (2, 3), (1, 3))
-
-HALVINGS_PER_CALL = 3  # bisection steps decided per call (also scan.threshold_eta); divides 60
 
 
 @dataclass(frozen=True)
@@ -156,6 +165,18 @@ def biased_pair_threshold(separation: float) -> float:
     return 1.0 / (1.0 + abs(np.cos(0.5 * separation)))
 
 
+def fixed_bias_pair_threshold(x, cos_sep):
+    """Largest eta <= 1 - |x| with M(x, eta d_a) and M(x, eta d_b)
+    compatible by the general criterion, cos_sep = d_a . d_b for unit d_a,
+    d_b; broadcasts.  The smaller root of the fixed-bias margin quadratic
+    at margin -MARGIN_TOL, written without cancellation."""
+    x, c = np.asarray(x, dtype=float), np.asarray(cos_sep, dtype=float)
+    k = (1.0 - x * x) ** 2 + MARGIN_TOL
+    p = 1.0 + c * x * x
+    u = k / (p + np.sqrt(np.maximum(p * p - c * c * k, 0.0)))
+    return np.minimum(np.sqrt(u), 1.0 - np.abs(x))
+
+
 def triple_threshold(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> float:
     """Largest eta with eta*d_i compatible by the four-norm criterion (unit d_i).
 
@@ -168,59 +189,6 @@ def triple_threshold(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> float:
 def _separation(a: np.ndarray, b: np.ndarray) -> float:
     cosang = np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0)
     return float(np.arccos(cosang))
-
-
-def halving_tree(lo, hi, depth: int) -> list[tuple]:
-    """The halvings that `depth` bisection steps from [lo, hi] can reach, as
-    (a, b, midpoint of [a, b]) in tree order: node i halves its [a, b], and
-    nodes 2i + 1 and 2i + 2 halve its lower and upper half.  Testing every
-    midpoint at once decides `depth` steps, at the midpoints that halving
-    one step at a time would test.  lo and hi may be arrays."""
-    nodes, ends = [], [(lo, hi)]
-    for i in range(2**depth - 1):
-        a, b = ends[i]
-        mid = 0.5 * (a + b)
-        nodes.append((a, b, mid))
-        ends += [(a, mid), (mid, b)]
-    return nodes
-
-
-def _numeric_pair_thresholds(x: float, da: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """Bisect the general-criterion margin in eta at fixed bias x, for the
-    pairs of unit directions (da[i], db[i]) all at once.
-
-    A row whose margin passes at cap = 1 - |x| returns cap.  The other rows
-    halve [0, cap] together until no row has a float left between its ends
-    (at most 60 halvings); a stalled row cannot move, since its lo passes
-    and its hi fails.  One margin call decides HALVINGS_PER_CALL halvings:
-    it tests every row's `halving_tree`, so the midpoints and the result
-    are those of halving one step at a time.
-    """
-    cap = 1.0 - abs(x)
-
-    def passes(eta: np.ndarray) -> np.ndarray:
-        e = eta[..., None]
-        return general_margin(x, e * da, x, e * db) >= -MARGIN_TOL
-
-    cap_ok, zero_ok = passes(np.array([[cap], [0.0]]))  # both bracket ends, one call
-    if np.any(~cap_ok & ~zero_ok):
-        raise NoBracket("no compatible eta at this bias")
-    lo = np.where(cap_ok, cap, 0.0)
-    hi = np.full(lo.shape, cap)
-    rows = np.arange(lo.size)
-    for _ in range(60 // HALVINGS_PER_CALL):
-        mid = 0.5 * (lo + hi)
-        if not np.any((lo < mid) & (mid < hi)):  # no float left between lo and hi
-            break
-        mids = np.array([m for _, _, m in halving_tree(lo, hi, HALVINGS_PER_CALL)])
-        ok = passes(mids)
-        node = np.zeros(lo.shape, dtype=int)
-        for _ in range(HALVINGS_PER_CALL):
-            mid, good = mids[node, rows], ok[node, rows]
-            lo = np.where(good, mid, lo)
-            hi = np.where(good, hi, mid)
-            node = 2 * node + 1 + good
-    return 0.5 * (lo + hi)
 
 
 def lg_directions(tau, axis) -> dict[int, np.ndarray]:
@@ -254,32 +222,31 @@ def _margins(dirs: dict[int, np.ndarray], eta, x) -> tuple[np.ndarray, np.ndarra
     return pairs, 4.0 - triple_sum(m[1], m[2], m[3])
 
 
-def jm_verdict(schedule) -> JmVerdict:
+def jm_verdict(schedule, bias_mode: str = "fixed") -> JmVerdict:
     """Assemble pairwise (and, for x = 0, triple-wise) verdicts for the three
     time-evolved effects of a schedule: anything with the `tau`, `axis`, `x`
     and `eta` of a `measurement.Schedule`.
 
     Margins are those of `lg_margins`, computed on the directions that the
-    thresholds also read; thresholds use the closed forms for the unbiased
-    and x = eta - 1 families and one bisection over all three pairs for any
-    other fixed bias.  They depend on the directions d_k only, so at
+    thresholds also read.  `bias_mode` is how x follows eta, in the mode
+    strings of `scan.bias_x`; the schedule's numbers cannot tell it.  The
+    thresholds are `biased_pair_threshold` for "eta-1" and
+    `fixed_bias_pair_threshold` at the schedule's x otherwise (x = 0 for
+    "zero").  They depend on the directions d_k and the mode only, so at
     eta = 0 they are the eta -> 0+ limit.
     """
     x, eta = schedule.x, schedule.eta
     dirs = lg_directions(schedule.tau, schedule.axis)
     pair_margins, triple_margin = _margins(dirs, eta, x)
-    unbiased = abs(x) < BIAS_ZERO
-    if unbiased or abs(x - (eta - 1.0)) < 1e-12:
-        fn = unbiased_pair_threshold if unbiased else biased_pair_threshold
-        thresholds = [fn(_separation(dirs[a], dirs[b])) for a, b in PAIR_ORDER]
+    if bias_mode == "eta-1":
+        thresholds = [biased_pair_threshold(_separation(dirs[a], dirs[b])) for a, b in PAIR_ORDER]
     else:
-        thresholds = _numeric_pair_thresholds(x, np.stack([dirs[a] for a, _ in PAIR_ORDER]),
-                                              np.stack([dirs[b] for _, b in PAIR_ORDER]))
+        thresholds = fixed_bias_pair_threshold(x, [dirs[a] @ dirs[b] for a, b in PAIR_ORDER])
     pairwise = {pair: JmCheck(margin >= -MARGIN_TOL, margin, float(threshold))
                 for pair, margin, threshold in zip(PAIR_ORDER, pair_margins.tolist(), thresholds)}
 
     triple = None
-    if unbiased:
+    if abs(x) < BIAS_ZERO:
         margin = float(triple_margin)
         triple = JmCheck(margin >= -MARGIN_TOL, margin,
                          triple_threshold(dirs[1], dirs[2], dirs[3]))

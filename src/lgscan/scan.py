@@ -53,6 +53,7 @@ CHUNK = 2**14
 DEFAULT_TAU_STEP = math.pi / 360  # threshold-resolution grid
 
 ETA_LO, ETA_HI, BRACKET_SAMPLES = 1e-6, 1.0, 9  # threshold_eta's bracket and sign samples
+HALVINGS_PER_CALL = 3  # threshold_eta's halvings decided per call, where g reads few taus
 
 # A linear family's values are trigonometric polynomials of degree 2 in
 # u = 2 tau (gridmod.Family.linear), fixed by these 5 equispaced samples
@@ -400,6 +401,21 @@ def exact_tau_max(samples: np.ndarray) -> np.ndarray:
     return np.maximum(best, peak.max(axis=-1))
 
 
+def halving_tree(lo: float, hi: float, depth: int) -> list[tuple[float, float, float]]:
+    """The halvings that `depth` bisection steps from [lo, hi] can reach, as
+    (a, b, midpoint of [a, b]) in tree order: node i halves its [a, b], and
+    nodes 2i + 1 and 2i + 2 halve its lower and upper half.  Testing every
+    midpoint at once decides `depth` steps, at the midpoints that halving
+    one step at a time would test."""
+    nodes, ends = [], [(lo, hi)]
+    for i in range(2**depth - 1):
+        a, b = ends[i]
+        mid = 0.5 * (a + b)
+        nodes.append((a, b, mid))
+        ends += [(a, mid), (mid, b)]
+    return nodes
+
+
 def threshold_eta(
     family: str,
     *,
@@ -434,10 +450,10 @@ def threshold_eta(
     taus side by side), plus one for their polish points on the grid; g is
     memoized, so a midpoint that equals a sample costs nothing.  Where g
     reads few taus (a fixed tau, or the exact maximum) one call decides
-    jointmeas.HALVINGS_PER_CALL halvings by testing every midpoint they can
-    reach (`jointmeas.halving_tree`); on the grid, whose calls cost in
-    proportion to their etas, one call decides one halving.  Either way the
-    decisions are those of halving one step at a time.
+    HALVINGS_PER_CALL halvings by testing every midpoint they can reach
+    (`halving_tree`); on the grid, whose calls cost in proportion to their
+    etas, one call decides one halving.  Either way the decisions are those
+    of halving one step at a time.
     """
     if family not in gridmod.FAMILY_TABLE:
         raise ConfigError(f"unknown family {family!r}")
@@ -499,8 +515,8 @@ def threshold_eta(
             break
         above = not valid(mid)
         if not above and mid not in memo:  # one call for the midpoints of `depth` halvings
-            depth = jointmeas.HALVINGS_PER_CALL if exact or not maximize_tau else 1
-            tree = jointmeas.halving_tree(lo, hi, depth)
+            depth = HALVINGS_PER_CALL if exact or not maximize_tau else 1
+            tree = halving_tree(lo, hi, depth)
             g(*(m for a, b, m in tree if b - a > tol and a < m < b and valid(m)))
         if above or memo[mid] > 0:
             hi = mid

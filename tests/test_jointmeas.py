@@ -7,9 +7,9 @@ from lgscan.grid import Z_HAT, rotate_bloch
 from lgscan.jointmeas import (
     MARGIN_TOL,
     PAIR_ORDER,
-    _numeric_pair_thresholds,
     _separation,
     biased_pair_threshold,
+    fixed_bias_pair_threshold,
     general_margin,
     jm_verdict,
     lg_combined_pair_threshold,
@@ -242,7 +242,7 @@ class TestVerdict:
 
     def test_biased_point_jm(self):
         sched = Schedule(measured=(1, 2, 3), tau=np.pi / 4, x=-0.45, eta=0.55)
-        v = jm_verdict(sched)
+        v = jm_verdict(sched, bias_mode="eta-1")
         assert v.all_pairs_jm()
         assert v.triple is None
         assert v.pairwise[(1, 2)].threshold == pytest.approx(1 / (1 + np.cos(np.pi / 4)), abs=1e-9)
@@ -262,8 +262,7 @@ class TestVerdict:
             assert 0 <= res.threshold <= 0.8 + 1e-9
 
     def test_fixed_bias_margin_call_count(self, rng, monkeypatch):
-        # one bisection over all three pairs: the margins, one call for both
-        # bracket ends and one per HALVINGS_PER_CALL of the at most 60 halvings
+        # the thresholds are closed forms: the margins are the only call
         calls = []
         inner = jointmeas.general_margin
 
@@ -272,13 +271,15 @@ class TestVerdict:
             return inner(*args)
 
         monkeypatch.setattr(jointmeas, "general_margin", counted)
-        for _ in range(20):
-            eta = rng.uniform(0.05, 0.8)
-            sched = Schedule(measured=(1, 2, 3), tau=rng.uniform(0.05, np.pi - 0.05),
-                             axis=random_axis(rng), x=0.2, eta=eta)
-            calls.clear()
-            jm_verdict(sched)
-            assert 1 < len(calls) <= 2 + 60 // jointmeas.HALVINGS_PER_CALL <= 62
+        for mode in ("zero", "eta-1", "fixed"):
+            for _ in range(20):
+                eta = rng.uniform(0.05, 0.8)
+                x = {"zero": 0.0, "eta-1": eta - 1.0, "fixed": 0.2}[mode]
+                sched = Schedule(measured=(1, 2, 3), tau=rng.uniform(0.05, np.pi - 0.05),
+                                 axis=random_axis(rng), x=x, eta=eta)
+                calls.clear()
+                jm_verdict(sched, bias_mode=mode)
+                assert len(calls) == 1
 
     def test_thresholds_consistent_with_margins(self, rng):
         for tau in rng.uniform(0.2, np.pi / 2 - 0.1, 10):
@@ -293,30 +294,35 @@ class TestVerdict:
 
 
 class TestNumericPairThresholds:
+    """`fixed_bias_pair_threshold`: the fixed-bias pair thresholds, the
+    smaller root of the margin quadratic in eta^2."""
+
+    @pytest.mark.parametrize("mode", ["zero", "eta-1", "fixed"])
+    def test_margin_is_the_quadratic(self, rng, mode):
+        for _ in range(300):
+            eta = rng.uniform(0.0, 1.0)
+            x = {"zero": 0.0, "eta-1": eta - 1.0,
+                 "fixed": rng.uniform(-1.0, 1.0) * (1.0 - eta)}[mode]
+            da, db = pair_rows(rng.uniform(0, np.pi), random_axis(rng))
+            c, u = np.sum(da * db, axis=-1), eta * eta
+            quadratic = c * c * u * u - 2.0 * (1.0 + c * x * x) * u + (1.0 - x * x) ** 2
+            got = general_margin(x, eta * da, x, eta * db)
+            assert np.max(np.abs(got - quadratic)) <= 1e-14
+
     def test_matches_scalar_bisection(self, rng):
-        ulp = np.spacing(1.0)
         for _ in range(200):
             x = rng.uniform(-0.9, 0.9)
             da, db = pair_rows(rng.uniform(0, np.pi), random_axis(rng))
-            got = _numeric_pair_thresholds(x, da, db)
+            got = fixed_bias_pair_threshold(x, np.sum(da * db, axis=-1))
             want = [scalar_pair_threshold(x, d1, d2) for d1, d2 in zip(da, db)]
-            assert np.max(np.abs(got - want)) <= 2 * ulp
-
-    @pytest.mark.parametrize("per_call", [1, 2, 4])
-    def test_same_as_one_halving_per_call(self, rng, monkeypatch, per_call):
-        cases = [(rng.uniform(-0.9, 0.9), *pair_rows(rng.uniform(0, np.pi), random_axis(rng)))
-                 for _ in range(50)]
-        want = [_numeric_pair_thresholds(*case) for case in cases]
-        monkeypatch.setattr(jointmeas, "HALVINGS_PER_CALL", per_call)
-        for case, thr in zip(cases, want):
-            assert np.array_equal(_numeric_pair_thresholds(*case), thr)
+            assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_brackets_the_margin_sign_change(self, rng):
         for _ in range(400):
             x = rng.uniform(-0.9, 0.9)
             cap = 1.0 - abs(x)
             da, db = pair_rows(rng.uniform(0, np.pi), random_axis(rng))
-            for d1, d2, thr in zip(da, db, _numeric_pair_thresholds(x, da, db)):
+            for d1, d2, thr in zip(da, db, fixed_bias_pair_threshold(x, np.sum(da * db, axis=-1))):
                 below = max(thr - 1e-6, 0.0)
                 assert general_margin(x, below * d1, x, below * d2) >= -MARGIN_TOL
                 above = thr + 1e-6
@@ -326,7 +332,7 @@ class TestNumericPairThresholds:
     def test_zero_bias_matches_closed_form(self, rng):
         for _ in range(100):
             da, db = pair_rows(rng.uniform(0, np.pi), random_axis(rng))
-            got = _numeric_pair_thresholds(0.0, da, db)
+            got = fixed_bias_pair_threshold(0.0, np.sum(da * db, axis=-1))
             for d1, d2, thr in zip(da, db, got):
                 assert thr == pytest.approx(min(1.0, unbiased_pair_threshold(_separation(d1, d2))),
                                             abs=1e-8)

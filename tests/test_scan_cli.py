@@ -21,13 +21,13 @@ from lgscan.config import (
     parse_grid,
 )
 from lgscan.errors import ConfigError, NoBracket
-from lgscan.jointmeas import HALVINGS_PER_CALL
 from lgscan.scan import (
     BRACKET_SAMPLES,
     CSV_COLUMNS,
     ETA_HI,
     ETA_LO,
     EXACT_TAUS,
+    HALVINGS_PER_CALL,
     ScanConfig,
     ScanTable,
     _circle_max,
@@ -890,6 +890,25 @@ class TestCli:
         at_zero = thresholds("0")
         assert len(at_zero) == (4 if bias == "zero" else 3)
         assert at_zero == thresholds("1e-9")
+
+    def test_eval_thresholds_follow_the_bias_mode_not_the_numbers(self, capsys):
+        # x = -0.3 at eta = 0.7 lies on x = eta - 1, but a fixed bias keeps
+        # the fixed-bias thresholds, capped at 1 - |x| = 0.7; and eta-1 at
+        # eta = 1 (x = 0) keeps the eta-1 family's thresholds
+        def jm_lines(eta, bias):
+            assert cli.main(["eval", "--theta", "pi/3", "--phi", "pi/2", "--tau", "pi/4",
+                             "--eta", eta, "--bias", bias]) == 0
+            return [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("jm (")]
+
+        def thresholds(lines):
+            return [ln.rsplit(" threshold ", 1)[1] for ln in lines]
+
+        fixed = jm_lines("0.7", "x=-0.3")
+        assert fixed[2] == "jm (1, 3): compatible (margin +0.1764) threshold 0.7"
+        assert thresholds(fixed) == thresholds(jm_lines("0.69", "x=-0.3"))
+        assert thresholds(fixed) == ["0.643467", "0.643467", "0.7"]
+        assert thresholds(jm_lines("0.7", "eta-1")) == ["0.585786", "0.585786", "1"]
+        assert thresholds(jm_lines("1", "eta-1")) == ["0.585786", "0.585786", "1"]
 
     def test_eval_reports_lowest_tied_spec(self, capsys):
         # WLGI specs 7, 12 and 18 tie here in exact arithmetic; rounding
