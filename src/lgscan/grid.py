@@ -60,6 +60,7 @@ Z_HAT = np.array([0.0, 0.0, 1.0])
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
 SUBSETS = ((1,), (2,), (3,)) + PAIRS + ((1, 2, 3),)
+BIAS_MODES = ("zero", "eta-1", "fixed")  # how the effect bias x follows eta (scan.bias_x)
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidEffect
-from .grid import Z_HAT, rotate_bloch
+from .errors import ConfigError, InvalidEffect
+from .grid import BIAS_MODES, Z_HAT, rotate_bloch
 
 MARGIN_TOL = 1e-12
 BIAS_ZERO = 1e-15
@@ -228,13 +228,15 @@ def jm_verdict(schedule, bias_mode: str = "fixed") -> JmVerdict:
     and `eta` of a `measurement.Schedule`.
 
     Margins are those of `lg_margins`, computed on the directions that the
-    thresholds also read.  `bias_mode` is how x follows eta, in the mode
-    strings of `scan.bias_x`; the schedule's numbers cannot tell it.  The
+    thresholds also read.  `bias_mode` is how x follows eta, one of
+    `grid.BIAS_MODES`; the schedule's numbers cannot tell it.  The
     thresholds are `biased_pair_threshold` for "eta-1" and
     `fixed_bias_pair_threshold` at the schedule's x otherwise (x = 0 for
     "zero").  They depend on the directions d_k and the mode only, so at
-    eta = 0 they are the eta -> 0+ limit.
+    eta = 0 they are the eta -> 0+ limit.  Any other mode is a ConfigError.
     """
+    if bias_mode not in BIAS_MODES:
+        raise ConfigError(f"unknown bias mode {bias_mode!r}", "bias_mode")
     x, eta = schedule.x, schedule.eta
     dirs = lg_directions(schedule.tau, schedule.axis)
     pair_margins, triple_margin = _margins(dirs, eta, x)

@@ -53,16 +53,43 @@ CHUNK = 2**14
 DEFAULT_TAU_STEP = math.pi / 360  # threshold-resolution grid
 
 ETA_LO, ETA_HI, BRACKET_SAMPLES = 1e-6, 1.0, 9  # threshold_eta's bracket and sign samples
-HALVINGS_PER_CALL = 3  # threshold_eta's halvings decided per call, where g reads few taus
+HALVINGS_PER_CALL = 3  # threshold_eta's halvings decided per kernel call
 
-# A linear family's values are trigonometric polynomials of degree 2 in
-# u = 2 tau (gridmod.Family.linear), fixed by these 5 equispaced samples
+# Every probability of gridmod.lg_distributions, so every linear family value, is
+# a trigonometric polynomial of degree 2 in u = 2 tau, fixed by these 5 samples
 EXACT_TAUS = (np.arange(5) + 0.5) * (math.pi / 5)
 # (a0, a1, b1, a2, b2) of f(u) = a0 + a1 cos u + b1 sin u + a2 cos 2u
 # + b2 sin 2u are _FOURIER @ f(u), u = 2 EXACT_TAUS
 _U = 2 * EXACT_TAUS
 _FOURIER = 0.4 * np.stack([np.full(5, 0.5), np.cos(_U), np.sin(_U), np.cos(2 * _U),
                            np.sin(2 * _U)])
+ZOOM_ROUNDS, _ZOOM = 7, np.linspace(-1.0, 1.0, 21)  # `_zoom_tau_max` rounds, taus per round
+
+
+def _interpolate(dists: dict, tau) -> dict:
+    """Distributions at `tau`, (T,) or (..., T), from those at EXACT_TAUS on axis
+    -2, clipped to [0, 1] as the kernel clips: (..., 5, k) -> (..., T, k)."""
+    u = 2 * np.asarray(tau, dtype=float)[..., None]
+    weights = np.concatenate([np.ones_like(u), np.cos(u), np.sin(u), np.cos(2 * u),
+                              np.sin(2 * u)], axis=-1) @ _FOURIER
+    return {key: np.clip(weights @ p, 0.0, 1.0) for key, p in dists.items()}
+
+
+def _zoom_tau_max(value_fn) -> np.ndarray:
+    """Maximum over tau of value_fn(taus (T,) or (..., T)) -> (..., T): over
+    `default_tau_grid()`, then ZOOM_ROUNDS rounds of 21 taus centred on the
+    best tau so far, each a tenth as wide as the last (the first spans one
+    grid step either side).  A round replaces only a value it beats."""
+    taus, best, tau, width = default_tau_grid(), -np.inf, 0.0, 10 * DEFAULT_TAU_STEP
+    for _ in range(ZOOM_ROUNDS + 1):
+        vals = value_fn(taus)
+        k = vals.argmax(axis=-1)[..., None]
+        new = np.take_along_axis(vals, k, -1)
+        at = np.take_along_axis(np.broadcast_to(taus, vals.shape), k, -1)
+        tau = np.where(new > best, at, tau)
+        best, width = np.maximum(best, new), width / 10
+        taus = tau + width * _ZOOM
+    return best[..., 0]
 
 
 def axis_from_angles(alpha: float, beta: float) -> np.ndarray:
@@ -74,13 +101,15 @@ def axis_from_angles(alpha: float, beta: float) -> np.ndarray:
 
 def bias_x(bias_mode: str, eta, x_fixed: float = 0.0) -> np.ndarray:
     """Effect bias x at sharpness eta: 0 ("zero"), eta - 1 ("eta-1"), or
-    x_fixed ("fixed"); same shape as eta."""
+    x_fixed ("fixed"); same shape as eta.  Any other mode is a ConfigError."""
     eta = np.asarray(eta, dtype=float)
     if bias_mode == "zero":
         return np.zeros_like(eta)
     if bias_mode == "eta-1":
         return eta - 1.0
-    return np.full_like(eta, x_fixed)
+    if bias_mode == "fixed":
+        return np.full_like(eta, x_fixed)
+    raise ConfigError(f"unknown bias mode {bias_mode!r}", "bias_mode")
 
 
 def valid_effect(eta, x):
@@ -101,7 +130,7 @@ class ScanConfig:
     phi: np.ndarray
     tau: np.ndarray
     eta: np.ndarray
-    bias_mode: str = "zero"  # "zero" | "eta-1" | "fixed"
+    bias_mode: str = "zero"  # one of gridmod.BIAS_MODES
     x_fixed: float = 0.0
     axis_alpha: float = 0.0
     axis_beta: float = math.pi / 2
@@ -127,7 +156,7 @@ class ScanConfig:
             raise ConfigError(f"nsit_tol must be >= 0, got {self.nsit_tol!r}", "nsit_tol")
         if np.any(self.eta < 0) or np.any(self.eta > 1):
             raise ConfigError("eta must lie in [0, 1]", "eta")
-        if self.bias_mode not in ("zero", "eta-1", "fixed"):
+        if self.bias_mode not in gridmod.BIAS_MODES:
             raise ConfigError(f"unknown bias mode {self.bias_mode!r}", "bias_mode")
         if not self.families:
             raise ConfigError("families must be nonempty", "families")
@@ -306,30 +335,6 @@ def scan(config: ScanConfig) -> ScanTable:
 # --- threshold search ---------------------------------------------------------
 
 
-def _polish_tau(value_fn, tau_grid: np.ndarray, etas: Sequence[float]) -> np.ndarray:
-    """Per eta, the grid maximum of value_fn(tau, eta) plus one parabolic
-    refinement step.  value_fn takes broadcasting tau and eta arrays: every
-    grid point goes in one call and every refinement point in one more."""
-    etas = np.asarray(etas, dtype=float)[:, None]
-    vals = value_fn(tau_grid, etas)
-    rows = np.arange(len(etas))
-    k = np.argmax(vals, axis=-1)
-    best = vals[rows, k]
-    if tau_grid.size < 3:
-        return best
-    mid = np.clip(k, 1, tau_grid.size - 2)
-    t0, t1, t2 = tau_grid[mid - 1], tau_grid[mid], tau_grid[mid + 1]
-    v0, v1, v2 = vals[rows, mid - 1], vals[rows, mid], vals[rows, mid + 1]
-    denom = v0 - 2 * v1 + v2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_star = t1 + 0.5 * (t1 - t0) * (v0 - v2) / denom
-    polish = (mid == k) & (denom < -1e-300) & (t0 < t_star) & (t_star < t2)
-    if polish.any():
-        refined = value_fn(t_star[polish], etas[polish, 0])
-        best[polish] = np.where(refined > best[polish], refined, best[polish])
-    return best
-
-
 def _nonzero(a: np.ndarray) -> np.ndarray:
     return np.where(a != 0.0, a, 1.0)
 
@@ -436,24 +441,19 @@ def threshold_eta(
     that reads g only at valid effects, eta <= cap: cap = 1 - |x| at a
     fixed bias and ETA_HI otherwise.  Exactly one of `tau` and maximize_tau
     is required.  With maximize_tau, value is the supremum over the open
-    interval 0 < tau < pi, which equals the maximum over the period.  For
-    the linear families SLGI and WLGI it is exact (`exact_tau_max` on the 5
-    samples EXACT_TAUS); for ELGI it is the maximum over
-    `default_tau_grid()` with one parabolic polish.  Raises NoBracket when
-    g has no sign change on [ETA_LO, cap] or its samples (the
-    BRACKET_SAMPLES points of [ETA_LO, ETA_HI] below cap, and cap) are not
-    monotone-crossing.
+    interval 0 < tau < pi (the maximum over the period), from the
+    distributions at EXACT_TAUS: `exact_tau_max` for the linear families,
+    `_zoom_tau_max` on `_interpolate`d distributions for ELGI.  Raises
+    NoBracket when g has no sign change on [ETA_LO, cap] or its samples
+    (the BRACKET_SAMPLES points of [ETA_LO, ETA_HI] below cap, and cap) are
+    not monotone-crossing.
 
     The midpoints are those of halving [ETA_LO, ETA_HI]; one past cap (by
     `valid_effect`) lies above the crossing, since g(cap) > 0, and the
-    result is at most cap.  The bracket samples are one kernel call (their
-    taus side by side), plus one for their polish points on the grid; g is
-    memoized, so a midpoint that equals a sample costs nothing.  Where g
-    reads few taus (a fixed tau, or the exact maximum) one call decides
-    HALVINGS_PER_CALL halvings by testing every midpoint they can reach
-    (`halving_tree`); on the grid, whose calls cost in proportion to their
-    etas, one call decides one halving.  Either way the decisions are those
-    of halving one step at a time.
+    result is at most cap.  g takes one kernel call for all its etas: one
+    for the bracket samples, then one per HALVINGS_PER_CALL halvings, at
+    every midpoint they can reach (`halving_tree`), deciding as halving one
+    step at a time would.  g is memoized: a repeated eta costs nothing.
     """
     if family not in gridmod.FAMILY_TABLE:
         raise ConfigError(f"unknown family {family!r}")
@@ -466,29 +466,26 @@ def threshold_eta(
         specs = specs[spec_index:spec_index + 1]
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tolerance must be a finite number > 0, got {tol!r}")
-    if axis is None:
-        axis = axis_from_angles(0.0, math.pi / 2)
+    axis = axis_from_angles(0.0, math.pi / 2) if axis is None else axis
     if maximize_tau == (tau is not None):
         raise ConfigError("exactly one of tau and maximize_tau is required")
-    grid_values = default_tau_grid() if maximize_tau else np.array([float(tau)])
+    taus = EXACT_TAUS if maximize_tau else np.array([float(tau)])
     if not valid_effect(ETA_LO, bias_x(bias_mode, ETA_LO, x_fixed)):
         raise ConfigError(f"bias x = {x_fixed:g} leaves no valid eta >= {ETA_LO:g}")
     cap = 1.0 - abs(x_fixed) if bias_mode == "fixed" else ETA_HI
-    exact = maximize_tau and fam.linear  # the tau maximum is `exact_tau_max`
     bloch = gridmod.pure_bloch(theta, phi)
 
     def valid(eta: float) -> bool:
         return bool(valid_effect(eta, bias_x(bias_mode, eta, x_fixed)))
 
-    def spec_values(taus, etas):
-        dists = gridmod.lg_distributions(bloch, taus, axis, etas,
-                                         bias_x(bias_mode, etas, x_fixed))
-        return fam.values(dists, specs)
-
     def value_max(etas: np.ndarray) -> np.ndarray:
-        if exact:
-            return exact_tau_max(spec_values(EXACT_TAUS, etas[:, None]))
-        return _polish_tau(lambda t, e: spec_values(t, e).max(axis=-1), grid_values, etas)
+        etas = etas[:, None]
+        dists = gridmod.lg_distributions(bloch, taus, axis, etas, bias_x(bias_mode, etas, x_fixed))
+        if not maximize_tau:
+            return fam.values(dists, specs).max(axis=(-2, -1))
+        if fam.linear:
+            return exact_tau_max(fam.values(dists, specs))
+        return _zoom_tau_max(lambda t: fam.values(_interpolate(dists, t), specs).max(axis=-1))
 
     memo: dict[float, float] = {}  # g is deterministic; the bisection revisits bracket samples
 
@@ -514,9 +511,8 @@ def threshold_eta(
         if not lo < mid < hi:  # no float left between lo and hi
             break
         above = not valid(mid)
-        if not above and mid not in memo:  # one call for the midpoints of `depth` halvings
-            depth = HALVINGS_PER_CALL if exact or not maximize_tau else 1
-            tree = halving_tree(lo, hi, depth)
+        if not above and mid not in memo:  # one call for the midpoints of the next halvings
+            tree = halving_tree(lo, hi, HALVINGS_PER_CALL)
             g(*(m for a, b, m in tree if b - a > tol and a < m < b and valid(m)))
         if above or memo[mid] > 0:
             hi = mid

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lgscan import jointmeas
-from lgscan.errors import InvalidEffect
-from lgscan.grid import Z_HAT, rotate_bloch
+from lgscan.errors import ConfigError, InvalidEffect
+from lgscan.grid import BIAS_MODES, Z_HAT, rotate_bloch
 from lgscan.jointmeas import (
     MARGIN_TOL,
     PAIR_ORDER,
@@ -260,6 +260,15 @@ class TestVerdict:
             assert res.threshold is not None
             # thresholds bounded by validity
             assert 0 <= res.threshold <= 0.8 + 1e-9
+
+    @pytest.mark.parametrize("mode", ["eta1", "eta - 1", "x=0.2", "ETA-1"])
+    def test_unknown_bias_mode_is_config_error(self, mode):
+        # used to take the fixed-bias thresholds for any mode but "eta-1"
+        sched = Schedule(measured=(1, 2, 3), tau=np.pi / 4, x=-0.45, eta=0.55)
+        with pytest.raises(ConfigError, match="unknown bias mode"):
+            jm_verdict(sched, bias_mode=mode)
+        for known in BIAS_MODES:
+            jm_verdict(sched, bias_mode=known)
 
     def test_fixed_bias_margin_call_count(self, rng, monkeypatch):
         # the thresholds are closed forms: the margins are the only call

@@ -31,7 +31,8 @@ from lgscan.scan import (
     ScanConfig,
     ScanTable,
     _circle_max,
-    _polish_tau,
+    _interpolate,
+    _zoom_tau_max,
     axis_from_angles,
     bias_x,
     default_tau_grid,
@@ -303,6 +304,14 @@ class TestBias:
         with pytest.raises(ConfigError, match=r"^line 4 \(run\.bias\): cannot parse"):
             parse_bias("x=1+", "line 4", "run.bias")
 
+    @pytest.mark.parametrize("mode", ["eta - 1", "eta1", "x=0.2", "ETA-1"])
+    def test_bias_x_rejects_unknown_modes(self, mode):
+        # used to return x_fixed for any mode but "zero" and "eta-1"
+        with pytest.raises(ConfigError, match=f"^unknown bias mode {mode!r}$"):
+            bias_x(mode, np.array([0.25, 0.5]), 0.2)
+        with pytest.raises(ConfigError, match="unknown bias mode"):
+            small_config(bias_mode=mode)
+
     def test_bias_x_rule(self):
         eta = np.array([0.25, 0.5])
         assert np.array_equal(bias_x("zero", eta), [0.0, 0.0])
@@ -401,45 +410,30 @@ def _threshold_one_sample_at_a_time(family, *, theta=0.0, phi=0.0, tau=None,
                                     maximize_tau=False, bias_mode="zero", x_fixed=0.0,
                                     spec_index=None, tol=1e-4):
     """The eta bisection with one g evaluation per eta, each bracket sample
-    on its own: with maximize_tau, one `exact_tau_max` call on the 5
-    EXACT_TAUS for a linear family, else one grid call and one polish call.
-    g is read only at valid effects: the bracket is [ETA_LO, cap], cap =
-    1 - |x| at a fixed bias, the samples are those below cap plus cap, a
-    midpoint past cap counts as above the crossing, and the result is at
-    most cap.  Returns the threshold and the number of distinct etas the
-    bisection evaluated past the samples."""
+    on its own: with maximize_tau, one kernel call at the 5 EXACT_TAUS,
+    then `exact_tau_max` for a linear family, else `_zoom_tau_max` on the
+    `_interpolate`d distributions.  g is read only at valid effects: the
+    bracket is [ETA_LO, cap], cap = 1 - |x| at a fixed bias, the samples
+    are those below cap plus cap, a midpoint past cap counts as above the
+    crossing, and the result is at most cap.  Returns the threshold and the
+    number of distinct etas the bisection evaluated past the samples."""
     fam = gridmod.FAMILY_TABLE[family]
     specs = fam.specs if spec_index is None else fam.specs[spec_index:spec_index + 1]
     axis = axis_from_angles(0.0, math.pi / 2)
-    taus = default_tau_grid() if maximize_tau else np.array([float(tau)])
     bloch = gridmod.pure_bloch(theta, phi)
 
     @functools.cache
     def g(eta):
         x = bias_x(bias_mode, eta, x_fixed)
-
-        def spec_values(t):
-            return fam.values(gridmod.lg_distributions(bloch, t, axis, eta, x), specs)
-
         assert valid_effect(eta, x)
-        if maximize_tau and fam.linear:
-            return float(exact_tau_max(spec_values(EXACT_TAUS))) - fam.bound
-
-        def value_fn(t):
-            return spec_values(t).max(axis=-1)
-
-        vals = value_fn(taus)
-        k = int(np.argmax(vals))
-        best = float(vals[k])
-        if 0 < k < taus.size - 1:
-            t0, t1, t2 = taus[k - 1:k + 2]
-            v0, v1, v2 = vals[k - 1:k + 2]
-            denom = v0 - 2 * v1 + v2
-            if denom < -1e-300:
-                t_star = t1 + 0.5 * (t1 - t0) * (v0 - v2) / denom
-                if t0 < t_star < t2:
-                    best = max(best, float(value_fn(np.array([t_star]))[0]))
-        return best - fam.bound
+        if not maximize_tau:
+            dists = gridmod.lg_distributions(bloch, np.array([float(tau)]), axis, eta, x)
+            return float(fam.values(dists, specs).max()) - fam.bound
+        dists = gridmod.lg_distributions(bloch, EXACT_TAUS, axis, eta, x)
+        if fam.linear:
+            return float(exact_tau_max(fam.values(dists, specs))) - fam.bound
+        value = _zoom_tau_max(lambda t: fam.values(_interpolate(dists, t), specs).max(axis=-1))
+        return float(value) - fam.bound
 
     cap = 1.0 - abs(x_fixed) if bias_mode == "fixed" else ETA_HI
     g_lo, g_hi = g(ETA_LO), g(cap)
@@ -519,15 +513,10 @@ class TestThresholdEta:
 
     @pytest.mark.parametrize("family", ["slgi", "wlgi", "elgi"])
     def test_bracket_samples_take_one_kernel_call(self, family, monkeypatch):
-        # one call for the nine samples, plus one for their polish points on
-        # the ELGI tau grid, where each later halving takes a grid and a
-        # polish call.  The exact SLGI/WLGI maximum reads 5 taus, and one
-        # call decides HALVINGS_PER_CALL halvings
+        # one call for the nine samples; every family's maximum reads 5
+        # taus per eta, and one call decides HALVINGS_PER_CALL halvings
         for calls, halvings in self._kernel_calls(family, monkeypatch, maximize_tau=True):
-            if family == "elgi":
-                assert calls <= 2 + 2 * halvings
-            else:
-                assert calls <= 1 + math.ceil(halvings / HALVINGS_PER_CALL)
+            assert calls <= 1 + math.ceil(halvings / HALVINGS_PER_CALL)
 
     @pytest.mark.parametrize("family", ["slgi", "wlgi", "elgi"])
     def test_fixed_tau_decides_halvings_per_call(self, family, monkeypatch):
@@ -550,6 +539,13 @@ class TestThresholdEta:
         # the family max would, via a relabeled member
         with pytest.raises(NoBracket):
             threshold_eta("slgi", tau=1.3, spec_index=0)
+
+    def test_unknown_bias_mode_is_config_error(self):
+        # "eta - 1" used to give the zero-bias threshold 0.883148, where
+        # "eta-1" gives 0.800873
+        with pytest.raises(ConfigError, match="unknown bias mode 'eta - 1'"):
+            threshold_eta("slgi", tau=0.7, bias_mode="eta - 1")
+        assert abs(threshold_eta("slgi", tau=0.7, bias_mode="eta-1") - 0.800873) < 1e-6
 
     def test_requires_tau(self):
         with pytest.raises(ConfigError):
@@ -636,21 +632,23 @@ _AXES = [axis_from_angles(0.0, math.pi / 2), axis_from_angles(math.pi / 4, math.
 
 
 def _tau_cases(n_states):
-    """(eta, values) over seeded states x bias zero / eta-1 / x = 0.1 x the
-    two _AXES, at seeded valid etas; values(taus, family, eta=eta) gives the
-    family's (..., specs) values."""
+    """(dists, values) over seeded states x bias zero / eta-1 / x = 0.1 x the
+    two _AXES, at seeded valid etas: dists(taus) gives the distributions and
+    values(taus, family) the family's (..., specs) values."""
     rng = np.random.default_rng(77)
     for _ in range(n_states):
         bloch = gridmod.pure_bloch(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         for bias, axis in zip(_BIASES * 2, np.repeat(_AXES, len(_BIASES), axis=0)):
             eta = rng.uniform(0.05, 0.9)  # x = 0.1 is valid up to eta = 0.9
 
-            def values(taus, family, eta=eta, bias=bias, bloch=bloch, axis=axis):
+            def dists(taus, eta=eta, bias=bias, bloch=bloch, axis=axis):
                 x = bias_x(bias["bias_mode"], eta, bias.get("x_fixed", 0.0))
-                dists = gridmod.lg_distributions(bloch, taus, axis, eta, x)
-                return gridmod.FAMILY_TABLE[family].values(dists)
+                return gridmod.lg_distributions(bloch, taus, axis, eta, x)
 
-            yield eta, values
+            def values(taus, family, dists=dists):
+                return gridmod.FAMILY_TABLE[family].values(dists(taus))
+
+            yield dists, values
 
 
 def _harmonics_above_2(values):
@@ -666,22 +664,19 @@ class TestExactTauMax:
             assert _harmonics_above_2(lambda t: values(t, family)) <= 1e-14
 
     def test_elgi_is_not_band_limited(self):
-        # entropies are not linear in the probabilities: 5 samples do not fix
-        # ELGI, which must stay on the tau grid
+        # entropies are not linear in the probabilities: 5 samples of ELGI
+        # do not fix it, so its maximum is searched on rebuilt distributions
         assert not gridmod.FAMILY_TABLE["elgi"].linear
         worst = max(_harmonics_above_2(lambda t: values(t, "elgi")) for _, values in _tau_cases(2))
         assert worst > 1e-3
 
     @pytest.mark.parametrize("family", ["slgi", "wlgi"])
-    def test_at_least_dense_grid_and_grid_polish(self, family):
+    def test_at_least_dense_grid(self, family):
         dense = np.linspace(0.0, math.pi, 20001)
-        for eta, values in _tau_cases(4):
+        for _, values in _tau_cases(4):
             exact = float(exact_tau_max(values(EXACT_TAUS, family)))
             dense_max = values(dense, family).max()
-            grid_max = _polish_tau(lambda t, e: values(t, family, e).max(axis=-1),
-                                   default_tau_grid(), [eta])[0]
             assert exact >= dense_max - 1e-12
-            assert exact >= grid_max - 1e-12
             # and it is a value f attains: the dense grid misses the peak by
             # O(step^2) only
             assert exact <= dense_max + 1e-7
@@ -740,6 +735,61 @@ class TestExactTauMax:
         f = a0 + a1 * np.cos(u) + b1 * np.sin(u) + a2 * np.cos(2 * u) + b2 * np.sin(2 * u)
         got = _circle_max(*(np.array([c]) for c in (a0, a1, b1, a2, b2)))[0]
         assert f.max() - 1e-15 <= got <= f.max() + 1e-9
+
+
+class TestInterpolatedTauMax:
+    @pytest.mark.parametrize("bias", _BIASES, ids=["zero", "eta-1", "x=0.1"])
+    def test_interpolate_equals_kernel(self, bias):
+        # every probability is a trigonometric polynomial of degree 2 in
+        # 2 tau, so the 5 EXACT_TAUS fix all of them at any tau: also at
+        # eta = 0 and on rank-one effects (eta = 1 - |x|, every eta at eta-1)
+        rng = np.random.default_rng(31)
+        cap = 1.0 - abs(bias.get("x_fixed", 0.0))
+        taus = np.concatenate([default_tau_grid(), rng.uniform(-1.0, 4.0, 40)])
+        etas = np.array([0.0, cap, rng.uniform(0.05, cap)])
+        xs = bias_x(bias["bias_mode"], etas, bias.get("x_fixed", 0.0))
+        for axis in _AXES:
+            for theta, phi in _STATES + [(0.0, 0.0)]:
+                bloch = gridmod.pure_bloch(theta, phi)
+                for eta, x in zip(etas, xs):
+                    got = _interpolate(gridmod.lg_distributions(bloch, EXACT_TAUS, axis, eta, x),
+                                       taus)
+                    want = gridmod.lg_distributions(bloch, taus, axis, eta, x)
+                    for key in gridmod.SUBSETS:
+                        assert np.abs(got[key] - want[key]).max() <= 1e-14
+                # per-eta taus over a batch of etas, as the threshold search reads them
+                rows = taus.reshape(3, -1)
+                got = _interpolate(gridmod.lg_distributions(bloch, EXACT_TAUS, axis,
+                                                            etas[:, None], xs[:, None]), rows)
+                want = gridmod.lg_distributions(bloch, rows, axis, etas[:, None], xs[:, None])
+                for key in gridmod.SUBSETS:
+                    assert got[key].shape == want[key].shape
+                    assert np.abs(got[key] - want[key]).max() <= 1e-14
+
+    def test_elgi_tau_max_at_least_dense_kernel_max(self):
+        # the grid start and the zoom rounds never miss the peak that a
+        # 200,001-tau direct kernel scan finds, and stop within that scan's
+        # own miss of it
+        elgi = gridmod.FAMILY_TABLE["elgi"]
+        dense = np.linspace(0.0, math.pi, 200_001)
+        for dists, values in _tau_cases(1):  # both axes, all three bias modes
+            samples = dists(EXACT_TAUS)
+            got = float(_zoom_tau_max(lambda t: elgi.values(_interpolate(samples, t))
+                                      .max(axis=-1)))
+            dense_max = max(values(part, "elgi").max() for part in np.array_split(dense, 8))
+            assert dense_max - 1e-12 <= got <= dense_max + 1e-9
+
+    def test_zoom_never_drops(self):
+        # a round replaces only a value it beats: rounds that read lower
+        # everywhere, even at the grid's best tau, keep the grid's value
+        grid = default_tau_grid()
+
+        def value_fn(t):
+            if t.size != grid.size:
+                return np.zeros(t.shape)
+            return np.where(t == grid[100], 1.0, 0.0)
+
+        assert _zoom_tau_max(value_fn) == 1.0
 
 
 class TestReport:
