@@ -7,12 +7,14 @@ reports, the five NSIT condition booleans, and the joint-measurability
 summary.  Output order is the grid order, and two runs of the same
 configuration produce byte-identical files.
 
-Records are held as a `ScanTable`, one numpy array per report column.  The
-scan evaluates the grid in blocks of `CHUNK` points, and one fill step
-(`_fill`, which the canned figures share) writes each block's report cells
-straight into the preallocated columns; `report` formats whole columns and
-writes `CHUNK` rows at a time, and `parse_report` reads a CSV report back
-into a table.  `ScanRecord` is the row view.
+Records are held as a `ScanTable`, one numpy array per report column.  A
+scan and the canned figures walk their grid in blocks of `CHUNK` points
+(`_grid_table`): one kernel call per block, and one fill step (`_fill`)
+writes the block's report cells straight into the preallocated columns.
+`report` formats each column of a `CHUNK`-row block once per distinct value,
+places the cells row-major in one object array and joins `WRITE_ROWS` rows
+of it at a time; `parse_report` reads a CSV report back into a table.
+`ScanRecord` is the row view.
 
 Bias modes (`bias_x`, the one rule every command uses): "zero" (x = 0),
 "eta-1" (x = eta - 1, always a valid effect), or a fixed explicit x; in
@@ -47,8 +49,10 @@ FLAG_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("violated"):]
 # flag cells are int8 codes into FLAG_VALUES; jm_triple is None for biased effects
 FLAG_VALUES = (False, True, None)
 
-# grid points per kernel call in `scan`, and rows per block written by `report`
+# grid points per kernel call in `scan` and `figure_records`, and rows per
+# block formatted by `report`
 CHUNK = 2**14
+WRITE_ROWS = 2**10  # rows per string that `report` joins and writes
 
 DEFAULT_TAU_STEP = math.pi / 360  # threshold-resolution grid
 
@@ -310,26 +314,43 @@ def _fill(table: ScanTable, row: int, theta, phi, tau, eta, x, dists: dict,
     return row + n * k
 
 
+def _grid_table(config: ScanConfig, order: tuple[str, ...], n_picks: int,
+                picks_of) -> ScanTable:
+    """The report rows of the grid config.theta x phi x tau x eta_kept, its
+    axes nested as `order` names them (outermost first), `n_picks` rows per
+    point.
+
+    The flat point list is evaluated in blocks of CHUNK points, each one
+    kernel call with per-point arrays; picks_of(dists) gives a block's picks
+    for `_fill`.
+    """
+    axes = {"theta": config.theta, "phi": config.phi, "tau": config.tau,
+            "eta": config.eta_kept}
+    shape = tuple(axes[name].size for name in order)
+    n_points = math.prod(shape)
+    table = ScanTable.empty(n_points * n_picks)
+    row = 0
+    for start in range(0, n_points, CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + CHUNK, n_points)), shape)
+        p = {name: axes[name][i] for name, i in zip(order, index)}
+        theta, phi, tau, eta = p["theta"], p["phi"], p["tau"], p["eta"]
+        x = config.x_of(eta)
+        dists = gridmod.lg_distributions(gridmod.pure_bloch(theta, phi), tau, config.axis, eta, x)
+        row = _fill(table, row, theta, phi, tau, eta, x, dists, config, picks_of(dists))
+    return table
+
+
 def scan(config: ScanConfig) -> ScanTable:
     """Evaluate the whole grid; records ordered by grid index, then family.
 
     The grid is evaluated in blocks of CHUNK points.  `config.jobs` is
     accepted for compatibility and has no effect.
     """
-    eta_kept = config.eta_kept
-    shape = (config.theta.size, config.phi.size, config.tau.size, eta_kept.size)
-    n_points = math.prod(shape)
-    table = ScanTable.empty(n_points * len(config.families))
-    row = 0
-    for start in range(0, n_points, CHUNK):
-        i, j, k, m = np.unravel_index(np.arange(start, min(start + CHUNK, n_points)), shape)
-        theta, phi, tau, eta = config.theta[i], config.phi[j], config.tau[k], eta_kept[m]
-        x = config.x_of(eta)
-        dists = gridmod.lg_distributions(gridmod.pure_bloch(theta, phi), tau, config.axis, eta, x)
-        picks = [(fam, *gridmod.pick(gridmod.FAMILY_TABLE[fam].values(dists)))
-                 for fam in config.families]
-        row = _fill(table, row, theta, phi, tau, eta, x, dists, config, picks)
-    return table
+    def picks_of(dists):
+        return [(fam, *gridmod.pick(gridmod.FAMILY_TABLE[fam].values(dists)))
+                for fam in config.families]
+
+    return _grid_table(config, ("theta", "phi", "tau", "eta"), len(config.families), picks_of)
 
 
 # --- threshold search ---------------------------------------------------------
@@ -523,22 +544,33 @@ def threshold_eta(
 
 # --- reporting ------------------------------------------------------------------
 
-# json.dump(rows, indent=1) puts each cell on its own line after its key, and
-# opens and closes each row's object around the first and last cell
+# Each cell carries the separator that follows it.  CSV: "," or, in the last
+# column, "\n".  JSON: json.dump(rows, indent=1) puts each cell on its own
+# line after its key, opens and closes each row's object around the first
+# and last cell, and follows every cell with ",\n" but the file's last one.
+_CSV_AFFIXES = {col: ("", "\n" if col == CSV_COLUMNS[-1] else ",") for col in CSV_COLUMNS}
 _JSON_AFFIXES = {
-    col: (" {\n" * (i == 0) + f'  "{col}": ', "\n }" * (i == len(CSV_COLUMNS) - 1))
+    col: (" {\n" * (i == 0) + f'  "{col}": ', "\n }" * (i == len(CSV_COLUMNS) - 1) + ",\n")
     for i, col in enumerate(CSV_COLUMNS)
 }
 _FAMILY_CELLS = {False: list(FAMILIES), True: [json.dumps(f) for f in FAMILIES]}
 _FLAG_CELLS = {False: ["false", "true", ""], True: ["false", "true", "null"]}
 
 
-def _cells(column: np.ndarray, col: str, as_json: bool) -> list[str]:
-    """The report cells of one column block.
+def _json_float(text: str) -> str:
+    """json's spelling of the float `text` reads as: its repr when finite."""
+    value = float(text)
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _cells(column: np.ndarray, col: str, as_json: bool) -> np.ndarray:
+    """The report cells of one column block, each followed by its separator,
+    as an object array that shares one string per distinct value.
 
     Each distinct value is formatted once.  Floats are f"{v:.12g}" (CSV) or
-    json's rendering of that number, deduplicated on their bit pattern, not
-    on ==, so -0.0 ("-0") stays apart from 0.0.
+    the repr of the float that text reads as (JSON; non-finite floats keep
+    json's NaN and Infinity), deduplicated on their bit pattern, not on ==,
+    so -0.0 ("-0") stays apart from 0.0.
     """
     if col == "family":
         distinct, inverse = _FAMILY_CELLS[as_json], column
@@ -551,56 +583,64 @@ def _cells(column: np.ndarray, col: str, as_json: bool) -> list[str]:
         bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
         distinct = [f"{v:.12g}" for v in bits.view(np.float64).tolist()]
         if as_json:
-            distinct = [json.dumps(float(c)) for c in distinct]
-    if as_json:
-        pre, post = _JSON_AFFIXES[col]
-        distinct = [pre + c + post for c in distinct]
-    return np.array(distinct, dtype=object)[inverse].tolist()
+            distinct = [_json_float(c) for c in distinct]
+    pre, post = (_JSON_AFFIXES if as_json else _CSV_AFFIXES)[col]
+    return np.array([pre + c + post for c in distinct], dtype=object)[inverse]
 
 
 def report(table: ScanTable, path: str, fmt: str = "csv") -> None:
     """Write a table; floats carry 12 significant digits in either format.
 
     JSON is what json.dump(rows, indent=1) writes for the rows as dicts, with
-    each float rounded through f"{v:.12g}".
+    each float rounded through f"{v:.12g}".  Each block of CHUNK rows is
+    formatted column by column (`_cells`) into one row-major object array of
+    cells, which is written WRITE_ROWS rows to a string.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
-    as_json = fmt == "json"
+    as_json, n = fmt == "json", len(table)
     try:
         with open(path, "w", newline=None if as_json else "") as fh:
-            if not as_json:
-                fh.write(",".join(CSV_COLUMNS) + "\n")
-            elif len(table) == 0:
+            if as_json and n == 0:
                 fh.write("[]\n")
                 return
-            for start in range(0, len(table), CHUNK):
-                cols = [_cells(table.columns[c][start:start + CHUNK], c, as_json)
-                        for c in CSV_COLUMNS]
-                if as_json:
-                    rows = map(",\n".join, zip(*cols))
-                    fh.write(("[\n" if start == 0 else ",\n") + ",\n".join(rows))
-                else:
-                    fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+            fh.write("[\n" if as_json else ",".join(CSV_COLUMNS) + "\n")
+            for start in range(0, n, CHUNK):
+                cells = np.empty((min(CHUNK, n - start), len(CSV_COLUMNS)), dtype=object)
+                for j, col in enumerate(CSV_COLUMNS):
+                    cells[:, j] = _cells(table.columns[col][start:start + CHUNK], col, as_json)
+                if as_json and start + CHUNK >= n:
+                    cells[-1, -1] = cells[-1, -1][:-2]  # no ",\n" after the last row
+                for i in range(0, len(cells), WRITE_ROWS):
+                    fh.write("".join(cells[i:i + WRITE_ROWS].ravel().tolist()))
             if as_json:
                 fh.write("\n]\n")
     except OSError as exc:
         raise ConfigError(f"cannot write report {path!r}: {exc.strerror or exc}") from exc
 
 
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite cell {cell!r}")
+    return value
+
+
 def _decoder(col: str):
     """CSV cell text -> the column's stored code, through the writer's cell
-    tables; raises ValueError for a cell the writer does not write."""
+    tables; raises ValueError for a cell the writer does not write, or a
+    float cell that is not finite."""
     if col == "family":
         return _FAMILY_CELLS[False].index
     if col in FLAG_COLUMNS:
         return _FLAG_CELLS[False].index
-    return int if col == "spec_index" else float
+    return int if col == "spec_index" else _finite
 
 
 def parse_report(path: str) -> ScanTable:
     """Read a CSV report back into a table (inverse of `report`); a missing
-    or wrong header, row length or cell raises ConfigError naming the line."""
+    or wrong header, row length or cell (a nan or inf float among them)
+    raises ConfigError naming the line."""
     with open(path) as fh:
         lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
     n, header = lines[0] if lines else (1, "")
@@ -631,7 +671,9 @@ def figure_records(which: int) -> ScanTable:
     3: all 24 WLGI curves vs tau for the sharp x_hat scenario, state |+>.
     4: all 24 WLGI curves vs tau, axis angles alpha = beta = pi/4, state |0>.
 
-    The tau range is the open interval (0, pi) in every case.
+    The tau range is the open interval (0, pi) in every case.  The points
+    run eta outermost, tau innermost, and are evaluated in blocks of CHUNK
+    points (`_grid_table`), one kernel call each.
     """
     tau_grid = default_tau_grid()
     if which in (1, 2):
@@ -648,13 +690,9 @@ def figure_records(which: int) -> ScanTable:
         family, specs = "wlgi", range(len(gridmod.WLGI_SPECS))
     else:
         raise ConfigError(f"unknown figure {which}; pick 1, 2, 3 or 4")
-    theta, phi = float(cfg.theta[0]), float(cfg.phi[0])
-    bloch = gridmod.pure_bloch(theta, phi)
-    table = ScanTable.empty(cfg.eta.size * tau_grid.size * len(specs))
-    row = 0
-    for eta, x in zip(cfg.eta, cfg.x_of(cfg.eta).tolist()):
-        dists = gridmod.lg_distributions(bloch, tau_grid, cfg.axis, eta, x)
+
+    def picks_of(dists):
         values = gridmod.FAMILY_TABLE[family].values(dists)
-        picks = [(family, values[:, k], np.full(tau_grid.size, k)) for k in specs]
-        row = _fill(table, row, theta, phi, tau_grid, eta, x, dists, cfg, picks)
-    return table
+        return [(family, values[:, k], np.full(len(values), k)) for k in specs]
+
+    return _grid_table(cfg, ("theta", "phi", "eta", "tau"), len(specs), picks_of)

@@ -5,8 +5,9 @@ columnar `ScanTable` path replaced: one `ScanRecord` per (grid point,
 family) with the reported spec chosen per row by its own loop (the lowest
 index within 1e-12 of the maximum), cells formatted one by one with
 f"{v:.12g}", and JSON written by `json.dump(payload, indent=1)`.  Scans in
-every bias mode, multi-chunk scans, figures 3 and 4 and the empty report
-must match it byte for byte.
+every bias mode, multi-chunk scans, all four figures (1 and 2 against their
+earlier one-kernel-call-per-eta loop), non-finite and extreme floats, block
+edges and the empty report must match it byte for byte.
 """
 
 import importlib
@@ -114,8 +115,26 @@ def reference_scan(cfg: ScanConfig) -> list[ScanRecord]:
 
 
 def reference_figure(which: int) -> list[ScanRecord]:
-    """Figures 3 and 4: all 24 WLGI members per tau of the open tau grid."""
+    """Figures 1 and 2: ELGI spec 1 (middle = 2) per tau of the open tau grid,
+    one kernel call per eta, eta outermost.  Figures 3 and 4: all 24 WLGI
+    members per tau."""
     tau_grid = default_tau_grid()
+    if which in (1, 2):
+        theta, phi = 1.7, math.pi / 2
+        start, step, bias = (0.90, 0.002, "zero") if which == 1 else (0.05, 0.05, "eta-1")
+        cfg = ScanConfig(theta=[theta], phi=[phi], tau=tau_grid,
+                         eta=np.round(np.arange(start, 1.0001, step), 6), bias_mode=bias)
+        records = []
+        for eta in cfg.eta.tolist():
+            x = float(cfg.x_of(eta))
+            dists = gridmod.lg_distributions(gridmod.pure_bloch(theta, phi), tau_grid, cfg.axis,
+                                             eta, x)
+            vals = gridmod.elgi_values(dists)[:, 1]
+            flags = reference_flags(dists, tau_grid, eta, x, cfg)
+            records += [reference_record(theta, phi, float(tau), eta, x, cfg, "elgi", 1,
+                                         float(vals[j]), flags[j])
+                        for j, tau in enumerate(tau_grid)]
+        return records
     if which == 3:
         theta, phi = math.pi / 4, 0.0
         cfg = ScanConfig(theta=[theta], phi=[phi], tau=tau_grid, eta=[1.0])
@@ -225,11 +244,19 @@ def test_multi_chunk_scan_matches_one_chunk(tmp_path, monkeypatch):
     assert_same_bytes(chunked, records, tmp_path)  # written 7 rows at a time
 
 
-@pytest.mark.parametrize("which", [3, 4])
+@pytest.mark.parametrize("which", [1, 2, 3, 4])
 def test_figures_match_row_wise_reference(tmp_path, which):
     table, records = figure_records(which), reference_figure(which)
     assert list(table) == records
     assert_same_bytes(table, records, tmp_path)
+
+
+def test_multi_block_figure_matches_one_block(tmp_path, monkeypatch):
+    whole = figure_records(2)  # 20 etas x 359 taus: block edges fall inside eta rows
+    monkeypatch.setattr(scan_mod, "CHUNK", 7)
+    blocks = figure_records(2)
+    assert blocks == whole
+    assert_same_bytes(blocks, reference_figure(2), tmp_path)  # written 7 rows at a time
 
 
 def test_empty_report(tmp_path):
@@ -237,6 +264,33 @@ def test_empty_report(tmp_path):
     table = scan(config(bias_mode="fixed", x_fixed=0.9, eta=[0.5]))  # every point skipped
     assert len(table) == 0 and list(table) == []
     assert_same_bytes(table, [], tmp_path, "skipped")
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]
+
+
+def test_non_finite_and_extreme_floats(tmp_path):
+    # CSV cells are f"{v:.12g}"; JSON cells are json's spelling (NaN, Infinity)
+    table = scan(CONFIGS["zero"])
+    k = len(SPECIAL_FLOATS)
+    for shift, col in enumerate(("theta", "tau", "x", "value", "bound")):
+        table.columns[col][:k] = np.roll(SPECIAL_FLOATS, shift)
+    assert_same_bytes(table, list(table), tmp_path)
+    rows = (tmp_path / "r.csv").read_text().splitlines()[1:1 + k]
+    assert [r.split(",")[CSV_COLUMNS.index("value")] for r in rows] == [
+        "4.94065645841e-324", "1e+16", "1e-05", "nan", "inf", "-inf", "-0"]
+    json_rows = json.loads((tmp_path / "r.json").read_text())[:k]
+    assert [repr(r["value"]) for r in json_rows] == [
+        "5e-324", "1e+16", "1e-05", "nan", "inf", "-inf", "-0.0"]
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_tables_of_whole_blocks(tmp_path, blocks):
+    # the last row of the last block loses its JSON separator, and only it
+    base = scan(CONFIGS["tolerance"])
+    n = blocks * scan_mod.CHUNK
+    table = ScanTable({c: np.resize(a, n) for c, a in base.columns.items()})
+    assert_same_bytes(table, list(table), tmp_path)
 
 
 def test_table_row_view():

@@ -282,6 +282,17 @@ class TestInputValidation:
         with pytest.raises(ConfigError, match=rf"^line 3: cannot parse {col} cell '{cell}'$"):
             parse_report(str(path))
 
+    @pytest.mark.parametrize("col, cell", [("value", "nan"), ("theta", "inf"),
+                                           ("eta", "-inf"), ("x", "NaN")])
+    def test_parse_report_non_finite_cell_names_line(self, tmp_path, col, cell):
+        # a nan or inf float cell used to be read into the table without complaint
+        path, lines = self._report_lines(tmp_path)
+        cells = lines[2].split(",")
+        cells[CSV_COLUMNS.index(col)] = cell
+        path.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+        with pytest.raises(ConfigError, match=rf"^line 3: cannot parse {col} cell '{cell}'$"):
+            parse_report(str(path))
+
     def test_parse_report_empty_file(self, tmp_path):
         # used to end in an IndexError
         path = tmp_path / "empty.csv"
