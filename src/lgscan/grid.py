@@ -12,10 +12,14 @@ vectors so that whole parameter grids evaluate as numpy array operations:
 
 `lg_distributions` runs the seven stand-alone experiments (the nonempty
 subsets of t1 < t2 < t3) as one walk over the measurement tree, so shared
-prefixes are computed once: 14 Lueders outcome probabilities and 6
-rotations per call.  Only the 6 updates at t1 and t2 compute post-states;
-the 8 leaf steps at t3 compute probabilities only, since nothing reads the
-states after the last measurement.  The update is written once, as
+prefixes are computed once: 14 Lueders outcome probabilities, 6
+post-updates and 6 rotations per call.  Only the 6 updates at t1 and t2
+compute post-states; the 8 leaf steps at t3 compute probabilities only,
+since nothing reads the states after the last measurement.  A caller that
+reads fewer experiments names them, and the walk skips every node,
+post-state and rotation none of them reaches: the three pairs take 10
+probabilities, 4 post-updates and 4 rotations, the pairs and singles (ELGI)
+12, 4 and 5.  The update is written once, as
 `luders_coefficients`, `luders_probability` and `luders_post`, which
 `luders_step` composes; a call computes the coefficients of each outcome
 and the cosine and sine of 2 tau once, not at every node.
@@ -184,35 +188,57 @@ def luders_step(r: np.ndarray, m_hat: np.ndarray, eta, x, sign: int):
     return np.clip(prob, 0.0, 1.0), luders_post(r, m_hat, coefficients, mdotr, prob)
 
 
-def _expand(done, t, weights, r, axis, turn, coefficients, out) -> list:
-    """Measure node (done, t, weights, r) of the `lg_distributions` walk at
-    time t, store its distribution as out[done + (t,)] and return its
-    children at t + 1: the post-states (t measured) and r (t skipped), each
-    rotated by 2 tau, whose cosine and sine are `turn`.  At t = 3 only the
-    probabilities are computed: nothing reads a leaf's post-states.
-    `coefficients` holds the `luders_coefficients` of outcomes + and -.  A
-    function, not a loop body, so that its temporaries are freed before the
-    next node is measured."""
-    steps = [luders_probability(r, Z_HAT, cf) for cf in coefficients]
-    # earliest time slowest: each branch b splits into (2b, 2b+1)
-    batch = weights.shape[:-1]
-    probs = np.stack([weights * np.clip(prob, 0.0, 1.0) for _, prob in steps],
-                     axis=-1).reshape(batch + (-1,))
-    out[done + (t,)] = probs
-    if t == 3:
-        return []
-    post = np.stack([luders_post(r, Z_HAT, cf, *step) for cf, step in zip(coefficients, steps)],
-                    axis=-2).reshape(batch + (-1, 3))
-    return [(done + (t,), t + 1, probs, _rotate(post, axis, *turn)),
-            (done, t + 1, weights, _rotate(r, axis, *turn))]
+@cache
+def _reaches(prefixes: frozenset, done: tuple, t: int) -> bool:
+    """Whether the `lg_distributions` walk still needs node (done, t): some
+    requested experiment (or prefix of one) measures exactly `done` before t
+    and a time at or after t."""
+    return any(p[:len(done)] == done and len(p) > len(done) and p[len(done)] >= t
+               for p in prefixes)
 
 
-def lg_distributions(bloch0, tau, axis, eta, x) -> dict[tuple[int, ...], np.ndarray]:
-    """All seven stand-alone experiments (singles, pairs, triple) from one
-    walk over the measurement tree, keyed in SUBSETS order; entry s has shape
-    (..., 2**len(s)).  bloch0 has shape (..., 3); tau, eta, x broadcast
-    against its batch shape.  A node of the walk is an experiment that has
-    measured `done` and reaches time t with branch weights and states r."""
+def _expand(done, t, weights, r, axis, turn, coefficients, prefixes, out) -> list:
+    """Visit node (done, t, weights, r) of the `lg_distributions` walk at
+    time t and return the children at t + 1 that `_reaches` keeps: the
+    post-states (t measured) and r (t skipped), each rotated by 2 tau, whose
+    cosine and sine are `turn`.  The node is measured, and its distribution
+    stored as out[done + (t,)], only if that experiment is in `prefixes`;
+    its post-states only if the measured child is kept, so a leaf (t = 3)
+    computes probabilities only.  `coefficients` holds the
+    `luders_coefficients` of outcomes + and -.  A function, not a loop body,
+    so that its temporaries are freed before the next node is visited."""
+    children = []
+    if done + (t,) in prefixes:
+        steps = [luders_probability(r, Z_HAT, cf) for cf in coefficients]
+        # earliest time slowest: each branch b splits into (2b, 2b+1)
+        batch = weights.shape[:-1]
+        probs = np.stack([weights * np.clip(prob, 0.0, 1.0) for _, prob in steps],
+                         axis=-1).reshape(batch + (-1,))
+        out[done + (t,)] = probs
+        if _reaches(prefixes, done + (t,), t + 1):
+            post = np.stack([luders_post(r, Z_HAT, cf, *step)
+                             for cf, step in zip(coefficients, steps)],
+                            axis=-2).reshape(batch + (-1, 3))
+            children.append((done + (t,), t + 1, probs, _rotate(post, axis, *turn)))
+    if _reaches(prefixes, done, t + 1):
+        children.append((done, t + 1, weights, _rotate(r, axis, *turn)))
+    return children
+
+
+def lg_distributions(bloch0, tau, axis, eta, x,
+                     experiments=SUBSETS) -> dict[tuple[int, ...], np.ndarray]:
+    """The stand-alone experiments (keys of SUBSETS) that `experiments` names,
+    and (1,), from one walk over the measurement tree, keyed in SUBSETS
+    order; entry s has shape (..., 2**len(s)).  By default all seven.  The
+    walk skips every node, post-state and rotation that no requested
+    experiment reaches, and returns every experiment it measured: each
+    requested one, its prefixes, and always (1,) at the root.  A returned
+    entry is bit-identical to the same entry of the full walk.
+
+    bloch0 has shape (..., 3); tau, eta, x broadcast against its batch
+    shape.  A node of the walk is an experiment that has measured `done` and
+    reaches time t with branch weights and states r."""
+    prefixes = frozenset(s[:k] for s in (*experiments, (1,)) for k in range(1, len(s) + 1))
     bloch0 = np.asarray(bloch0, dtype=float)
     batch = np.broadcast_shapes(bloch0.shape[:-1], np.shape(tau), np.shape(eta), np.shape(x))
     r = np.broadcast_to(bloch0, batch + (3,)).reshape(batch + (1, 3))
@@ -223,8 +249,8 @@ def lg_distributions(bloch0, tau, axis, eta, x) -> dict[tuple[int, ...], np.ndar
     out = {}
     todo = [((), 1, np.ones(batch + (1,)), r)]
     while todo:
-        todo += _expand(*todo.pop(), axis, turn, coefficients, out)
-    return {s: out[s] for s in SUBSETS}
+        todo += _expand(*todo.pop(), axis, turn, coefficients, prefixes, out)
+    return {s: out[s] for s in SUBSETS if s in out}
 
 
 def locate(outcomes) -> tuple[tuple[int, ...], int]:
@@ -282,18 +308,20 @@ def entropy(probs: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1)
 
 
+def _elgi_terms(middle: int) -> tuple:
+    """Keys of H(a,c), H(a,b), H(b,c) and H(b) for middle b = `middle`."""
+    a, c = sorted({1, 2, 3} - {middle})
+    return (a, c), tuple(sorted((a, middle))), tuple(sorted((middle, c))), (middle,)
+
+
 def elgi_values(dists: dict, specs=ELGI_SPECS) -> np.ndarray:
-    """(..., len(specs)) ELGI values; the default specs order the middle
-    index 1, 2, 3.  Reads the three pairs and the single at each middle."""
-    cols = []
-    for spec in specs:
-        b = spec.middle
-        a, c = sorted({1, 2, 3} - {b})
-        h_ac = entropy(dists[(a, c)])
-        h_ab = entropy(dists[tuple(sorted((a, b)))])
-        h_bc = entropy(dists[tuple(sorted((b, c)))])
-        h_b = entropy(dists[(b,)])
-        cols.append(h_ac - h_ab - h_bc + h_b)
+    """(..., len(specs)) ELGI values H(a,c) - H(a,b) - H(b,c) + H(b); the
+    default specs order the middle index b 1, 2, 3.  Reads the three pairs
+    and the single at each middle, and takes each distinct entropy once: 6
+    for the default specs, 4 for one spec."""
+    terms = [_elgi_terms(spec.middle) for spec in specs]
+    h = {key: entropy(dists[key]) for key in dict.fromkeys(k for t in terms for k in t)}
+    cols = [h[ac] - h[ab] - h[bc] + h[b] for ac, ab, bc, b in terms]
     return np.stack(cols, axis=-1)
 
 

@@ -492,7 +492,7 @@ def threshold_eta(
         raise ConfigError("exactly one of tau and maximize_tau is required")
     taus = EXACT_TAUS if maximize_tau else np.array([float(tau)])
     if not valid_effect(ETA_LO, bias_x(bias_mode, ETA_LO, x_fixed)):
-        raise ConfigError(f"bias x = {x_fixed:g} leaves no valid eta >= {ETA_LO:g}")
+        raise ConfigError(f"bias x = {x_fixed:.12g} leaves no valid eta >= {ETA_LO:g}")
     cap = 1.0 - abs(x_fixed) if bias_mode == "fixed" else ETA_HI
     bloch = gridmod.pure_bloch(theta, phi)
 
@@ -501,7 +501,8 @@ def threshold_eta(
 
     def value_max(etas: np.ndarray) -> np.ndarray:
         etas = etas[:, None]
-        dists = gridmod.lg_distributions(bloch, taus, axis, etas, bias_x(bias_mode, etas, x_fixed))
+        dists = gridmod.lg_distributions(bloch, taus, axis, etas, bias_x(bias_mode, etas, x_fixed),
+                                         experiments=fam.reads)
         if not maximize_tau:
             return fam.values(dists, specs).max(axis=(-2, -1))
         if fam.linear:
@@ -522,7 +523,7 @@ def threshold_eta(
     g_lo, g_hi = g(ETA_LO, cap)
     if not (g_lo < 0.0 < g_hi):
         raise NoBracket(
-            f"no violation bracket on [{ETA_LO:g}, {cap:g}]: g={g_lo:.3g}..{g_hi:.3g}"
+            f"no violation bracket on [{ETA_LO:g}, {cap:.12g}]: g={g_lo:.3g}..{g_hi:.3g}"
         )
     if sum(1 for a, b in zip(signs, signs[1:]) if a != b) != 1:
         raise NoBracket("g(eta) is not monotone-crossing on the bracket")

@@ -10,6 +10,7 @@ from lgscan.inequalities import elgi_all, slgi_all, wlgi_all
 from lgscan.linalg import X_HAT
 from lgscan.measurement import Schedule, make_pure_state, run_schedule
 from lgscan.nsit import disturbance_report
+from lgscan.scan import EXACT_TAUS
 
 from conftest import random_axis, random_point
 
@@ -143,6 +144,37 @@ class TestLgDistributions:
             point = gridmod.lg_distributions(bloch[0], tau[k], axis, eta[5 + i], x[5 + i])
             assert all(np.array_equal(grid[s][i, k], point[s]) for s in gridmod.SUBSETS)
 
+    @pytest.mark.parametrize("experiments, keys", [
+        (gridmod.PAIRS, ((1,), (2,)) + gridmod.PAIRS),
+        (gridmod.FAMILY_TABLE["elgi"].reads, gridmod.SUBSETS[:-1]),
+        (gridmod.SUBSETS, gridmod.SUBSETS),
+    ], ids=["pairs", "elgi", "subsets"])
+    @pytest.mark.parametrize("mode", gridmod.BIAS_MODES)
+    def test_pruned_walk_equals_full_walk(self, rng, mode, experiments, keys):
+        # every requested experiment, its prefixes and (1,), each bit-equal
+        # to the full walk: eta in {0, 1} and the rank-one cap 1 - |x| on a
+        # tilted axis, as a per-point batch, threshold_eta's (eta, 1) x (5,)
+        # batch and a shape-() point
+        n = 12
+        bloch = gridmod.pure_bloch(rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))
+        tau = rng.uniform(0, np.pi, n)
+        x = rng.uniform(-0.6, 0.6, n) if mode == "fixed" else np.zeros(n)
+        eta = rng.uniform(0, 1, n) * (1.0 - np.abs(x))
+        eta[:2] = (0.0, 1.0 - abs(x[1]))
+        if mode == "eta-1":
+            x = eta - 1.0
+        axis = random_axis(rng)
+        calls = [(bloch, tau, axis, eta, x),
+                 (bloch[0], EXACT_TAUS, axis, eta[:, None], x[:, None]),
+                 (bloch[1], tau[1], axis, eta[1], x[1])]
+        for args in calls:
+            full = gridmod.lg_distributions(*args)
+            pruned = gridmod.lg_distributions(*args, experiments)
+            assert tuple(pruned) == keys
+            assert set(experiments) | {(1,)} <= set(pruned)
+            for key, probs in pruned.items():
+                assert np.array_equal(probs, full[key]), key
+
     def test_result_freed_without_cycle_collector(self):
         # a reference cycle in the walk would keep its arrays until gc runs
         gc.disable()
@@ -201,6 +233,32 @@ class TestFamilyEvaluators:
         x = rng.uniform(-1, 1, 200) * (1 - eta)
         dists = gridmod.lg_distributions(gridmod.pure_bloch(theta, phi), tau, X_HAT, eta, x)
         assert float(np.max(gridmod.aot_residual(dists))) < 1e-12
+
+    def test_elgi_takes_each_entropy_once(self, rng, monkeypatch):
+        n = 30
+        dists = gridmod.lg_distributions(
+            gridmod.pure_bloch(rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n)),
+            rng.uniform(0, np.pi, n), random_axis(rng), rng.uniform(0, 1, n), 0.0)
+        entropy, calls = gridmod.entropy, []
+
+        def counting(probs):
+            calls.append(probs.shape)
+            return entropy(probs)
+
+        monkeypatch.setattr(gridmod, "entropy", counting)
+        values = gridmod.elgi_values(dists)
+        assert len(calls) == 6
+        calls.clear()
+        one = gridmod.elgi_values(dists, gridmod.ELGI_SPECS[1:2])
+        assert len(calls) == 4
+        monkeypatch.undo()
+        for j, spec in enumerate(gridmod.ELGI_SPECS):
+            b = spec.middle
+            a, c = sorted({1, 2, 3} - {b})
+            want = (entropy(dists[(a, c)]) - entropy(dists[tuple(sorted((a, b)))])
+                    - entropy(dists[tuple(sorted((b, c)))]) + entropy(dists[(b,)]))
+            assert np.array_equal(values[:, j], want)
+        assert np.array_equal(one[:, 0], values[:, 1])
 
     def test_entropy_matches_scipy(self, rng):
         import scipy.stats

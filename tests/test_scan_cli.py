@@ -507,9 +507,9 @@ class TestThresholdEta:
         calls, counts = [], []
         kernel = gridmod.lg_distributions
 
-        def counting(bloch0, tau, axis, eta, x):
+        def counting(bloch0, tau, axis, eta, x, experiments=gridmod.SUBSETS):
             calls.append(np.ravel(eta))
-            return kernel(bloch0, tau, axis, eta, x)
+            return kernel(bloch0, tau, axis, eta, x, experiments)
 
         for theta, phi in _STATES:
             kw = dict(theta=theta, phi=phi, **taus)
@@ -575,9 +575,9 @@ class TestThresholdEta:
         kernel = gridmod.lg_distributions
         seen = []
 
-        def checking(bloch0, tau, axis, eta, x):
+        def checking(bloch0, tau, axis, eta, x, experiments=gridmod.SUBSETS):
             seen.append(bool(np.all(valid_effect(eta, x))))
-            return kernel(bloch0, tau, axis, eta, x)
+            return kernel(bloch0, tau, axis, eta, x, experiments)
 
         monkeypatch.setattr(gridmod, "lg_distributions", checking)
         biases = _BIASES + [dict(bias_mode="fixed", x_fixed=-0.3),
@@ -623,6 +623,38 @@ class TestThresholdEta:
             threshold_eta("slgi", maximize_tau=True, bias_mode="fixed", x_fixed=2.0)
         assert cli.main(["threshold", "--family", "slgi", "--maximize-tau", "--bias", "x=2"]) == 2
         assert "bias x = 2 leaves no valid eta" in capsys.readouterr().err
+
+    def test_fixed_bias_without_valid_eta_prints_twelve_digits(self, capsys):
+        # used to print "bias x = 1" for x = 0.99999999
+        msg = "bias x = 0.99999999 leaves no valid eta >= 1e-06"
+        with pytest.raises(ConfigError) as exc:
+            threshold_eta("slgi", maximize_tau=True, bias_mode="fixed", x_fixed=0.99999999)
+        assert str(exc.value) == msg
+        assert cli.main(["threshold", "--family", "slgi", "--maximize-tau",
+                         "--bias", "x=0.99999999"]) == 2
+        assert msg in capsys.readouterr().err
+
+    def test_no_bracket_prints_cap_to_twelve_digits(self, capsys):
+        # the cap 1 - 0.1234567 used to print as 0.876543
+        assert cli.main(["threshold", "--family", "elgi", "--bias", "x=0.1234567", "--theta",
+                         "1.1", "--phi", "0.4", "--maximize-tau"]) == 2
+        assert "no violation bracket on [1e-06, 0.8765433]: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["slgi", "wlgi", "elgi"])
+    def test_kernel_calls_walk_the_family_reads(self, family, monkeypatch):
+        # SLGI and WLGI read only the pairs: no call measures (1, 2, 3)
+        kernel, keys = gridmod.lg_distributions, []
+
+        def recording(*args, **kwargs):
+            dists = kernel(*args, **kwargs)
+            keys.append(tuple(dists))
+            return dists
+
+        monkeypatch.setattr(gridmod, "lg_distributions", recording)
+        threshold_eta(family, maximize_tau=True)
+        want = ((1,), (2,)) + gridmod.PAIRS if family != "elgi" else gridmod.SUBSETS[:-1]
+        assert keys and all(k == want for k in keys)
+        assert all((1, 2, 3) not in k for k in keys)
 
     def test_fixed_bias_valid_threshold_unchanged(self, capsys):
         code = cli.main(["threshold", "--family", "wlgi", "--maximize-tau", "--bias", "x=0.1"])
