@@ -5,10 +5,16 @@ vectors so that whole parameter grids evaluate as numpy array operations:
 
 * a state rho = (I + r.sigma)/2 evolving under qubit_unitary(axis, tau) has
   its Bloch vector rotated by +2*tau about the axis (right-handed);
-* a Lueders update by the effect E = c I + d (mhat.sigma), c = (1 + s x)/2,
-  d = s eta / 2, has probability c + d (mhat.r) and post-measurement Bloch
-  vector ((p^2 - q^2) r + (2 p q + 2 q^2 (mhat.r)) mhat) / prob with
+* every measurement is along z_hat: a Lueders update by the effect
+  E = c I + d sigma_z, c = (1 + s x)/2, d = s eta / 2, has probability
+  c + d r_z and post-measurement Bloch vector
+  ((p^2 - q^2) r + (2 p q + 2 q^2 r_z) z_hat) / prob with
   p = (sqrt(c+d) + sqrt(c-d))/2 and q = (sqrt(c+d) - sqrt(c-d))/2.
+  It reads r_z and adds the z_hat term to the z component only; its
+  probabilities are bit-identical to those of the general form along any
+  unit mhat (mhat.r by np.sum, the mhat term on every component) taken at
+  mhat = z_hat, which differs from it only in the sign of exact zeros of
+  the state, and no probability reads those.
 
 `lg_distributions` runs the seven stand-alone experiments (the nonempty
 subsets of t1 < t2 < t3) as one walk over the measurement tree, so shared
@@ -22,7 +28,9 @@ probabilities, 4 post-updates and 4 rotations, the pairs and singles (ELGI)
 12, 4 and 5.  The update is written once, as
 `luders_coefficients`, `luders_probability` and `luders_post`, which
 `luders_step` composes; a call computes the coefficients of each outcome
-and the cosine and sine of 2 tau once, not at every node.
+and the cosine and sine of 2 tau once, not at every node.  The rotation
+(`_rotate`) and the update work component by component on basic slices of
+the states, with no length-3 reductions and no index copies.
 The singles are measured, not marginals, so the AoT residual stays a real
 check.
 
@@ -118,38 +126,51 @@ WLGI_SPECS: tuple[WlgiSpec, ...] = tuple(
 ELGI_SPECS: tuple[ElgiSpec, ...] = tuple(ElgiSpec(m) for m in (1, 2, 3))
 
 
-# cyclic shifts of the components: a x r = a[_NEXT] r[_PREV] - a[_PREV] r[_NEXT]
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
 def rotate_bloch(r: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
-    """Rodrigues rotation of Bloch vectors; r (..., 3), angle broadcastable."""
+    """Rodrigues rotation of Bloch vectors; r (..., 3), axis one unit
+    vector, angle broadcastable."""
     angle = np.asarray(angle, dtype=float)[..., None]
     return _rotate(r, axis, np.cos(angle), np.sin(angle))
 
 
 def _rotate(r, axis, cos, sin) -> np.ndarray:
-    """`rotate_bloch` by the angle whose cosine and sine are given."""
+    """`rotate_bloch` by the angle whose cosine and sine are given:
+    r cos + (axis x r) sin + axis (axis.r) (1 - cos), summed in that order
+    in place and bit-identical to that expression with np.cross and np.sum.
+    The cross product and axis.r are built from basic slices of r, so no
+    index copy is taken, and the sine and (1 - cos) terms go through one
+    buffer of the output's shape: the cross product's own, unless cos has
+    a larger batch shape than r."""
     r = np.asarray(r, dtype=float)
     axis = np.asarray(axis, dtype=float)
-    cross = axis[..., _NEXT] * r[..., _PREV] - axis[..., _PREV] * r[..., _NEXT]
-    dot = np.sum(axis * r, axis=-1, keepdims=True)
-    # r cos + cross sin + axis dot (1 - cos), summed in that order in place.
-    # r cos and cross sin have the full shape (axis is one vector); cross
-    # and dot need not have the batch shape of cos, so they are not scaled
-    # in place
+    a = axis.tolist()
     out = r * cos
-    term = cross * sin
+    # axis x r, a component at a time from basic slices of r
+    vec, part = np.empty(r.shape), np.empty(r.shape[:-1])
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        column = np.multiply(a[j], r[..., k], out=vec[..., i])
+        np.multiply(a[k], r[..., j], out=part)
+        column -= part
+    del part
+    term = vec if vec.shape == out.shape else np.empty(out.shape)
+    np.multiply(vec, sin, out=term)
     out += term
-    np.multiply(axis, dot, out=term)
+    # axis.r in np.sum's order, from its +0 start: a sum of three -0 is +0
+    prod = np.multiply(r, axis, out=vec)
+    dot = np.add(prod[..., 0], prod[..., 1])
+    dot += prod[..., 2]
+    dot += 0.0
+    for i in range(3):
+        np.multiply(a[i], dot, out=term[..., i])
+    del dot
     term *= 1.0 - cos
     out += term
     return out
 
 
 def luders_coefficients(eta, x, sign: int) -> tuple:
-    """(c, d, p, q) of outcome `sign`: its effect is c I + d (mhat.sigma) and
-    the effect's square root p I + q (mhat.sigma)."""
+    """(c, d, p, q) of outcome `sign`: its effect is c I + d sigma_z and the
+    effect's square root p I + q sigma_z."""
     eta = np.asarray(eta, dtype=float)
     x = np.asarray(x, dtype=float)
     c = 0.5 * (1.0 + sign * x)
@@ -161,31 +182,35 @@ def luders_coefficients(eta, x, sign: int) -> tuple:
     return c, d, p, q
 
 
-def luders_probability(r: np.ndarray, m_hat: np.ndarray, coefficients) -> tuple:
-    """(mhat.r, unclipped outcome probability c + d mhat.r) of one Lueders
-    update with `luders_coefficients`."""
+def luders_probability(r: np.ndarray, coefficients) -> tuple:
+    """(r_z, unclipped outcome probability c + d r_z) of one Lueders update
+    along z_hat with `luders_coefficients`."""
     c, d, _, _ = coefficients
-    mdotr = np.sum(m_hat * r, axis=-1)
-    return mdotr, c + d * mdotr
+    r_z = r[..., 2]
+    return r_z, c + d * r_z
 
 
-def luders_post(r: np.ndarray, m_hat: np.ndarray, coefficients, mdotr, prob) -> np.ndarray:
+def luders_post(r: np.ndarray, coefficients, r_z, prob) -> np.ndarray:
     """Post-measurement Bloch vector of the update that `luders_probability`
-    gave (mdotr, prob); 0 where the outcome has probability <= 1e-15."""
+    gave (r_z, prob): (p^2 - q^2) r, plus 2 p q + 2 q^2 r_z on the z
+    component, over prob; 0 where the outcome has probability <= 1e-15."""
     _, _, p, q = coefficients
-    safe = np.where(prob > 1e-15, prob, 1.0)[..., None]
-    post = ((p**2 - q**2)[..., None] * r
-            + (2 * p * q + 2 * q**2 * mdotr)[..., None] * np.broadcast_to(m_hat, r.shape))
-    return np.where(prob[..., None] > 1e-15, post / safe, 0.0)
+    post = (p**2 - q**2)[..., None] * r
+    z = post[..., 2]
+    z += 2 * p * q + 2 * q**2 * r_z
+    kept = prob > 1e-15
+    post /= np.where(kept, prob, 1.0)[..., None]
+    np.copyto(post, 0.0, where=~kept[..., None])
+    return post
 
 
-def luders_step(r: np.ndarray, m_hat: np.ndarray, eta, x, sign: int):
-    """Probability and post-measurement Bloch vector of one Lueders update."""
+def luders_step(r: np.ndarray, eta, x, sign: int):
+    """Probability and post-measurement Bloch vector of one Lueders update
+    along z_hat."""
     r = np.asarray(r, dtype=float)
-    m_hat = np.asarray(m_hat, dtype=float)
     coefficients = luders_coefficients(eta, x, sign)
-    mdotr, prob = luders_probability(r, m_hat, coefficients)
-    return np.clip(prob, 0.0, 1.0), luders_post(r, m_hat, coefficients, mdotr, prob)
+    r_z, prob = luders_probability(r, coefficients)
+    return np.clip(prob, 0.0, 1.0), luders_post(r, coefficients, r_z, prob)
 
 
 @cache
@@ -209,14 +234,14 @@ def _expand(done, t, weights, r, axis, turn, coefficients, prefixes, out) -> lis
     so that its temporaries are freed before the next node is visited."""
     children = []
     if done + (t,) in prefixes:
-        steps = [luders_probability(r, Z_HAT, cf) for cf in coefficients]
+        steps = [luders_probability(r, cf) for cf in coefficients]
         # earliest time slowest: each branch b splits into (2b, 2b+1)
         batch = weights.shape[:-1]
         probs = np.stack([weights * np.clip(prob, 0.0, 1.0) for _, prob in steps],
                          axis=-1).reshape(batch + (-1,))
         out[done + (t,)] = probs
         if _reaches(prefixes, done + (t,), t + 1):
-            post = np.stack([luders_post(r, Z_HAT, cf, *step)
+            post = np.stack([luders_post(r, cf, *step)
                              for cf, step in zip(coefficients, steps)],
                             axis=-2).reshape(batch + (-1, 3))
             children.append((done + (t,), t + 1, probs, _rotate(post, axis, *turn)))
@@ -303,8 +328,8 @@ def wlgi_values(dists: dict, specs=WLGI_SPECS) -> np.ndarray:
 def entropy(probs: np.ndarray) -> np.ndarray:
     """Shannon entropy (nats) along the last axis with 0 ln 0 = 0."""
     p = np.asarray(probs, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    terms = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    terms *= p
     return -terms.sum(axis=-1)
 
 

@@ -96,20 +96,32 @@ def _f_factor(x, m_norm_sq):
     return 0.5 * (np.sqrt(a) + np.sqrt(b))
 
 
+def _dot(a, b):
+    """a.b over the last axis, as the component sum (a0 b0 + a1 b1) + a2 b2:
+    np.sum's order, which differs from it only in giving -0 for a sum of
+    three -0 products, and no caller reads the sign of a zero dot."""
+    prod = a * b
+    return prod[..., 0] + prod[..., 1] + prod[..., 2]
+
+
+def _norm(v):
+    """np.linalg.norm(v, axis=-1), bit-identical: sqrt of the component sum
+    of squares (no square is -0)."""
+    return np.sqrt(_dot(v, v))
+
+
 def general_margin(x, m, y, n):
     """Margin (RHS - LHS) of the general pairwise criterion; broadcasts."""
     m = np.asarray(m, dtype=float)
     n = np.asarray(n, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    m_sq = np.sum(m * m, axis=-1)
-    n_sq = np.sum(n * n, axis=-1)
-    fx = _f_factor(x, m_sq)
-    fy = _f_factor(y, n_sq)
+    fx = _f_factor(x, _dot(m, m))
+    fy = _f_factor(y, _dot(n, n))
     bias_x = np.where(np.abs(x) < BIAS_ZERO, 0.0, x**2 / np.where(fx > 0, fx, 1.0) ** 2)
     bias_y = np.where(np.abs(y) < BIAS_ZERO, 0.0, y**2 / np.where(fy > 0, fy, 1.0) ** 2)
     lhs = (1.0 - fx**2 - fy**2) * (1.0 - bias_x - bias_y)
-    rhs = (np.sum(m * n, axis=-1) - x * y) ** 2
+    rhs = (_dot(m, n) - x * y) ** 2
     return rhs - lhs
 
 
@@ -117,18 +129,14 @@ def unbiased_margin(m, n):
     """Margin 2 - ||m + n|| - ||m - n||; broadcasts."""
     m = np.asarray(m, dtype=float)
     n = np.asarray(n, dtype=float)
-    return 2.0 - np.linalg.norm(m + n, axis=-1) - np.linalg.norm(m - n, axis=-1)
+    return 2.0 - _norm(m + n) - _norm(m - n)
 
 
 def triple_sum(m1, m2, m3):
     """The four-norm sum of the triple-wise criterion; broadcasts."""
     m1, m2, m3 = (np.asarray(v, dtype=float) for v in (m1, m2, m3))
-    return (
-        np.linalg.norm(m1 + m2 + m3, axis=-1)
-        + np.linalg.norm(m1 + m2 - m3, axis=-1)
-        + np.linalg.norm(m1 - m2 - m3, axis=-1)
-        + np.linalg.norm(m1 - m2 + m3, axis=-1)
-    )
+    plus, minus = m1 + m2, m1 - m2
+    return _norm(plus + m3) + _norm(plus - m3) + _norm(minus - m3) + _norm(minus + m3)
 
 
 def pairwise_jm_general(x: float, m: np.ndarray, y: float, n: np.ndarray) -> tuple[bool, float]:

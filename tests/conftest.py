@@ -20,3 +20,9 @@ def random_point(rng, biased=True):
 def random_axis(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def bits(a) -> np.ndarray:
+    """The float64 array `a` as int64, so that equality also compares the
+    sign of zeros."""
+    return np.asarray(a, dtype=float).view(np.int64)

@@ -442,7 +442,7 @@ def test_criterion_11_property_suites():
     m2 = gridmod.rotate_bloch(m1, X_HAT, -2.0 * tau)
     hs_dev = 0.0
     for k, l in product(SIGNS, SIGNS):
-        p1, post = gridmod.luders_step(bloch, m1, eta, x, k)
+        p1, post = gridmod.luders_step(bloch, eta, x, k)
         c2 = 0.5 * (1.0 + l * x)
         d2 = 0.5 * l * eta
         heis = p1 * (c2 + d2 * np.sum(m2 * post, axis=-1))

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from itertools import product
 
@@ -12,7 +13,7 @@ from lgscan.measurement import Schedule, make_pure_state, run_schedule
 from lgscan.nsit import disturbance_report
 from lgscan.scan import EXACT_TAUS
 
-from conftest import random_axis, random_point
+from conftest import bits, random_axis, random_point
 
 
 class TestRotate:
@@ -41,14 +42,40 @@ class TestRotate:
         # batch (as jointmeas.lg_directions rotates z_hat) must broadcast
         r = rng.normal(size=r_shape)
         axis = random_axis(rng)
-        angle = np.asarray(rng.uniform(-7, 7, size=angle_shape))[..., None]
-        cos, sin = np.cos(angle), np.sin(angle)
-        cross = np.cross(axis, r)
-        dot = np.sum(axis * r, axis=-1, keepdims=True)
-        want = r * cos + cross * sin + axis * dot * (1.0 - cos)
-        got = gridmod.rotate_bloch(r, axis, angle[..., 0])
+        angle = np.asarray(rng.uniform(-7, 7, size=angle_shape))
+        want = _rotate_reference(r, axis, angle)
+        got = gridmod.rotate_bloch(r, axis, angle)
         assert got.shape == want.shape
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("angle_shape", [(5, 1), (64,)])
+    def test_signed_zeros_equal_rodrigues_expression(self, angle_shape):
+        # vectors and axes with exact zeros of either sign, at angles with
+        # cos or sin of either sign: the component sums keep np.sum's and
+        # np.cross's signs of zero
+        r = np.array(list(product((-0.0, 0.0, 1.0, -1.0), repeat=3)))
+        angle = np.resize([0.0, np.pi / 2, np.pi, -np.pi / 2, 2.5, -2.5, -0.0], angle_shape)
+        for axis in (X_HAT, -X_HAT, np.array([-0.0, -0.6, -0.8]),
+                     -np.ones(3) / np.sqrt(3), np.array([0.0, 0.6, -0.8])):
+            got = gridmod.rotate_bloch(r, axis, angle)
+            want = _rotate_reference(r, axis, angle)
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_peak_memory(self, rng):
+        # the kernel's (n, branches, 3) states: the output, one buffer of the
+        # input's shape and one of a third of it
+        r = rng.normal(size=(4096, 4, 3))
+        angle = rng.uniform(-3, 3, (4096, 1, 1))
+        cos, sin = np.cos(angle), np.sin(angle)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = gridmod._rotate(r, X_HAT, cos, sin)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == r.shape
+        assert peak <= 2.5 * r.nbytes
 
 
 class TestPureBloch:
@@ -92,18 +119,39 @@ class TestSequentialProbabilities:
         assert np.allclose(probs, 0.125, atol=1e-14)
 
 
+def _rotate_reference(r, axis, angle):
+    """Rodrigues rotation by `angle`, written with np.cross and np.sum."""
+    angle = np.asarray(angle, dtype=float)[..., None]
+    cos, sin = np.cos(angle), np.sin(angle)
+    dot = np.sum(axis * r, axis=-1, keepdims=True)
+    return r * cos + np.cross(axis, r) * sin + axis * dot * (1.0 - cos)
+
+
+def _luders_step_reference(r, m_hat, eta, x, sign):
+    """One Lueders update along any unit vector m_hat in the general form:
+    m_hat.r by np.sum, and the m_hat term added to every component."""
+    c, d, p, q = gridmod.luders_coefficients(eta, x, sign)
+    mdotr = np.sum(m_hat * r, axis=-1)
+    prob = c + d * mdotr
+    safe = np.where(prob > 1e-15, prob, 1.0)[..., None]
+    post = ((p**2 - q**2)[..., None] * r
+            + (2 * p * q + 2 * q**2 * mdotr)[..., None] * np.broadcast_to(m_hat, r.shape))
+    return np.clip(prob, 0.0, 1.0), np.where(prob[..., None] > 1e-15, post / safe, 0.0)
+
+
 def _experiment(bloch0, measured, tau, axis, eta, x):
     """One stand-alone experiment walked step by step, one outcome sequence at
-    a time in product((1, -1)) order: a Lueders update along z at each
-    measured time and a rotation by 2 tau from each time to the next."""
+    a time in product((1, -1)) order: a general-form Lueders update along z
+    at each measured time and a rotation by 2 tau from each time to the
+    next, neither of them the kernel's code."""
     columns = []
     for signs in product((1, -1), repeat=len(measured)):
-        r, weight, outcome = bloch0, np.ones(len(tau)), iter(signs)
+        r, weight, outcome = np.asarray(bloch0, dtype=float), 1.0, iter(signs)
         for t in range(1, measured[-1] + 1):
             if t > 1:
-                r = gridmod.rotate_bloch(r, axis, 2.0 * tau)
+                r = _rotate_reference(r, axis, 2.0 * tau)
             if t in measured:
-                prob, r = gridmod.luders_step(r, gridmod.Z_HAT, eta, x, next(outcome))
+                prob, r = _luders_step_reference(r, gridmod.Z_HAT, eta, x, next(outcome))
                 weight = weight * prob
         columns.append(weight)
     return np.stack(columns, axis=-1)
@@ -112,17 +160,36 @@ def _experiment(bloch0, measured, tau, axis, eta, x):
 class TestLgDistributions:
     @pytest.mark.parametrize("mode", ["zero", "eta-1", "fixed"])
     def test_equals_step_by_step_walk(self, rng, mode):
-        for _ in range(10):
-            n = int(rng.integers(1, 200))
-            bloch = gridmod.pure_bloch(rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))
-            tau, eta = rng.uniform(0, np.pi, n), rng.uniform(0, 1, n)
-            x = {"zero": np.zeros(n), "eta-1": eta - 1.0,
-                 "fixed": rng.uniform(-1, 1, n) * (1 - eta)}[mode]
-            axis = random_axis(rng)
-            dists = gridmod.lg_distributions(bloch, tau, axis, eta, x)
-            assert tuple(dists) == gridmod.SUBSETS
-            for subset, probs in dists.items():
-                assert np.array_equal(probs, _experiment(bloch, subset, tau, axis, eta, x))
+        # bit for bit, signs of zeros included: phi = 0 states (r_y = +-0),
+        # states on or next to z (an outcome of probability 0 or <= 1e-15,
+        # whose post-state is 0, at eta = 1), eta in {0, 1},
+        # the rank-one cap 1 - |x| (x = eta - 1 in "eta-1"), axes with
+        # exact zeros or all components negative, the full walk, the pairs
+        # and ELGI's reads, and a shape-() point
+        axes = [X_HAT, -X_HAT, -np.abs(random_axis(rng))] + [random_axis(rng) for _ in range(5)]
+        for trial, axis in enumerate(axes):
+            n = int(rng.integers(8, 200))
+            theta, phi = rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n)
+            phi[:n // 2] = 0.0
+            theta[:4] = (0.0, np.pi / 2, np.pi, 1e-8)
+            tau = rng.uniform(0, np.pi, n)
+            x = rng.uniform(-1, 1, n) if mode == "fixed" else np.zeros(n)
+            eta = rng.uniform(0, 1, n) * (1 - np.abs(x))
+            eta[:6] = (1.0, 1.0, 1.0, 1.0, 1.0 - abs(x[4]), 0.0)
+            x[:4] = 0.0
+            if mode == "eta-1":
+                x = eta - 1.0
+            bloch = gridmod.pure_bloch(theta, phi)
+            experiments = (gridmod.SUBSETS, gridmod.PAIRS,
+                           gridmod.FAMILY_TABLE["elgi"].reads)[trial % 3]
+            for args in ((bloch, tau, axis, eta, x), (bloch[n - 1], tau[0], axis, eta[4], x[4])):
+                dists = gridmod.lg_distributions(*args, experiments)
+                if experiments == gridmod.SUBSETS:
+                    assert tuple(dists) == gridmod.SUBSETS
+                for subset, probs in dists.items():
+                    want = _experiment(args[0], subset, *args[1:])
+                    assert probs.shape == want.shape
+                    assert np.array_equal(bits(probs), bits(want)), (subset, trial)
 
     @pytest.mark.parametrize("mode", ["zero", "eta-1", "fixed"])
     def test_batch_equals_per_point_calls(self, rng, mode):
@@ -259,6 +326,18 @@ class TestFamilyEvaluators:
                     - entropy(dists[tuple(sorted((b, c)))]) + entropy(dists[(b,)]))
             assert np.array_equal(values[:, j], want)
         assert np.array_equal(one[:, 0], values[:, 1])
+
+    def test_entropy_equals_masked_form(self, rng):
+        # 0 ln 0 = 0 through log's where=, bit-equal to masking the
+        # argument and the terms
+        p = rng.dirichlet(np.ones(4), size=200)
+        p[::3, 1] = 0.0
+        p[::5] = (1.0, 0.0, 0.0, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = -np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0).sum(axis=-1)
+        got = gridmod.entropy(p)
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(gridmod.entropy(p[7])), bits(want[7]))
 
     def test_entropy_matches_scipy(self, rng):
         import scipy.stats

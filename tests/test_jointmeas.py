@@ -5,6 +5,7 @@ from lgscan import jointmeas
 from lgscan.errors import ConfigError, InvalidEffect
 from lgscan.grid import BIAS_MODES, Z_HAT, rotate_bloch
 from lgscan.jointmeas import (
+    BIAS_ZERO,
     MARGIN_TOL,
     PAIR_ORDER,
     _separation,
@@ -23,8 +24,9 @@ from lgscan.jointmeas import (
     unbiased_pair_threshold,
 )
 from lgscan.measurement import Schedule, effect_at_time
+from lgscan.scan import bias_x
 
-from conftest import random_axis
+from conftest import bits, random_axis
 
 
 def scalar_pair_threshold(x, d1, d2):
@@ -375,6 +377,67 @@ class TestLgMargins:
             pairs, triple = lg_margins(tau, eta, 0.0, axis)
             assert [v.pairwise[p].margin for p in PAIR_ORDER] == pairs.tolist()
             assert v.triple.margin == float(triple)
+
+
+def _general_margin_reference(x, m, y, n):
+    """general_margin with its dot products taken by np.sum."""
+    m_sq, n_sq = np.sum(m * m, axis=-1), np.sum(n * n, axis=-1)
+    fx, fy = jointmeas._f_factor(x, m_sq), jointmeas._f_factor(y, n_sq)
+    bias_x = np.where(np.abs(x) < BIAS_ZERO, 0.0, x**2 / np.where(fx > 0, fx, 1.0) ** 2)
+    bias_y = np.where(np.abs(y) < BIAS_ZERO, 0.0, y**2 / np.where(fy > 0, fy, 1.0) ** 2)
+    lhs = (1.0 - fx**2 - fy**2) * (1.0 - bias_x - bias_y)
+    return (np.sum(m * n, axis=-1) - x * y) ** 2 - lhs
+
+
+def _triple_sum_reference(m1, m2, m3):
+    """triple_sum with its norms taken by np.linalg.norm."""
+    return (np.linalg.norm(m1 + m2 + m3, axis=-1) + np.linalg.norm(m1 + m2 - m3, axis=-1)
+            + np.linalg.norm(m1 - m2 - m3, axis=-1) + np.linalg.norm(m1 - m2 + m3, axis=-1))
+
+
+class TestComponentSums:
+    @pytest.mark.parametrize("mode", BIAS_MODES)
+    def test_lg_margins_equal_norm_and_sum(self, rng, mode):
+        # bit for bit against np.sum / np.linalg.norm: eta in {0, 1 - |x|},
+        # coincident (tau = 0, pi) and orthogonal effects, a z axis (exact
+        # zeros in every direction) and a tilted one
+        for axis in (Z_HAT, random_axis(rng)):
+            n = 200
+            tau = rng.uniform(0, np.pi, n)
+            tau[:4] = (0.0, np.pi / 4, np.pi / 2, np.pi)
+            x = bias_x(mode, np.zeros(n), 0.3)
+            eta = rng.uniform(0, 1, n) * (1.0 - np.abs(x))
+            eta[:2] = (0.0, 1.0 - abs(x[1]))
+            if mode == "eta-1":
+                x = eta - 1.0
+            pairs, triple = lg_margins(tau, eta, x, axis)
+            m = {k: eta[:, None] * d for k, d in lg_directions(tau, axis).items()}
+            want = np.stack([_general_margin_reference(x, m[a], x, m[b]) for a, b in PAIR_ORDER],
+                            axis=-1)
+            assert np.array_equal(bits(pairs), bits(want))
+            assert np.array_equal(bits(triple), bits(4.0 - _triple_sum_reference(m[1], m[2], m[3])))
+
+    def test_criteria_equal_norm_and_sum(self, rng):
+        # random effects with exact zeros of either sign and biases at or
+        # below BIAS_ZERO, as a batch and as single vectors
+        n = 300
+        m, w, v = (rng.uniform(-0.6, 0.6, (n, 3)) for _ in range(3))
+        for vec in (m, w, v):
+            vec[rng.random((n, 3)) < 0.3] = 0.0
+            vec[rng.random((n, 3)) < 0.3] = -0.0
+        x, y = rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n)
+        x[::4], y[::5] = 0.0, 1e-16
+        assert np.array_equal(bits(general_margin(x, m, y, w)),
+                              bits(_general_margin_reference(x, m, y, w)))
+        assert np.array_equal(bits(jointmeas.triple_sum(m, w, v)),
+                              bits(_triple_sum_reference(m, w, v)))
+        want = 2.0 - np.linalg.norm(m + w, axis=-1) - np.linalg.norm(m - w, axis=-1)
+        assert np.array_equal(bits(jointmeas.unbiased_margin(m, w)), bits(want))
+        for i in range(0, n, 37):
+            assert np.array_equal(bits(general_margin(x[i], m[i], y[i], w[i])),
+                                  bits(_general_margin_reference(x[i], m[i], y[i], w[i])))
+            assert np.array_equal(bits(jointmeas.triple_sum(m[i], w[i], v[i])),
+                                  bits(_triple_sum_reference(m[i], w[i], v[i])))
 
 
 class TestGapChain:
