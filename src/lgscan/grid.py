@@ -175,8 +175,9 @@ def luders_coefficients(eta, x, sign: int) -> tuple:
     x = np.asarray(x, dtype=float)
     c = 0.5 * (1.0 + sign * x)
     d = 0.5 * sign * eta
-    lam_p = np.clip(c + d, 0.0, None)
-    lam_m = np.clip(c - d, 0.0, None)
+    # np.clip(a, 0.0, None) is np.maximum(a, 0.0) inside numpy, without its wrapper
+    lam_p = np.maximum(c + d, 0.0)
+    lam_m = np.maximum(c - d, 0.0)
     p = 0.5 * (np.sqrt(lam_p) + np.sqrt(lam_m))
     q = 0.5 * (np.sqrt(lam_p) - np.sqrt(lam_m))
     return c, d, p, q

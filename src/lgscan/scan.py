@@ -10,10 +10,13 @@ configuration produce byte-identical files.
 Records are held as a `ScanTable`, one numpy array per report column.  A
 scan and the canned figures walk their grid in blocks of `CHUNK` points
 (`_grid_table`): one kernel call per block, and one fill step (`_fill`)
-writes the block's report cells straight into the preallocated columns.
-`report` formats each column of a `CHUNK`-row block once per distinct value,
-places the cells row-major in one object array and joins `WRITE_ROWS` rows
-of it at a time; `parse_report` reads a CSV report back into a table.
+writes the block's report cells straight into the preallocated columns;
+a block that holds every (tau, eta) pair evaluates the JM flags once per
+pair.
+`report` splits the columns into four runs and formats each run of a
+`CHUNK`-row block once per distinct combination of its cells, places the
+four cells of each row row-major in one object array and joins `WRITE_ROWS`
+rows of it at a time; `parse_report` reads a CSV report back into a table.
 `ScanRecord` is the row view.
 
 Bias modes (`bias_x`, the one rule every command uses): "zero" (x = 0),
@@ -279,14 +282,27 @@ def skipped_points(config: ScanConfig) -> int:
     return per_eta * config.theta.size * config.phi.size * config.tau.size
 
 
-def _fill(table: ScanTable, row: int, theta, phi, tau, eta, x, dists: dict,
+def _jm_flags(tau, eta, x, axis) -> dict[str, np.ndarray]:
+    """The jm_* cells of points (tau, eta, x), from `jointmeas.lg_margins`:
+    each pair's verdict, and the triple's where x is 0 (None otherwise)."""
+    pairs, triple = jointmeas.lg_margins(tau, eta, x, axis)
+    jm_tol = jointmeas.MARGIN_TOL
+    flags = {f"jm_{a}{b}": pairs[..., i] >= -jm_tol
+             for i, (a, b) in enumerate(jointmeas.PAIR_ORDER)}
+    flags["jm_triple"] = np.where(np.abs(x) < jointmeas.BIAS_ZERO, triple >= -jm_tol,
+                                  FLAG_VALUES.index(None))
+    return flags
+
+
+def _fill(table: ScanTable, row: int, theta, phi, tau, eta, x, dists: dict, jm: dict,
           config: ScanConfig, picks: Sequence[tuple[str, np.ndarray, np.ndarray]]) -> int:
     """Write the report rows of a flat batch of points evaluated into `dists`
     into `table` from `row` on; returns the row after them.
 
     Each pick (family, value, spec_index) gives one row per point, with
     per-point value and spec_index arrays; rows run points outermost, picks
-    innermost.  theta .. x broadcast to the batch.
+    innermost.  theta .. x broadcast to the batch, and `jm` holds the
+    batch's `_jm_flags`.
     """
     n, k = picks[0][1].size, len(picks)
     # (point, pick) views of the rows: a per-point cell fills its point's
@@ -296,13 +312,7 @@ def _fill(table: ScanTable, row: int, theta, phi, tau, eta, x, dists: dict,
                  "axis_alpha": config.axis_alpha, "axis_beta": config.axis_beta}
     per_point.update(gridmod.nsit_flags(gridmod.disturbances(dists),
                                         gridmod.aot_residual(dists), config.nsit_tol))
-    # JM depends only on (tau, eta, x)
-    pairs, triple = jointmeas.lg_margins(tau, eta, x, config.axis)
-    jm_tol = jointmeas.MARGIN_TOL
-    for i, (a, b) in enumerate(jointmeas.PAIR_ORDER):
-        per_point[f"jm_{a}{b}"] = pairs[..., i] >= -jm_tol
-    per_point["jm_triple"] = np.where(np.abs(x) < jointmeas.BIAS_ZERO, triple >= -jm_tol,
-                                      FLAG_VALUES.index(None))
+    per_point.update(jm)
     for name, v in per_point.items():
         cols[name][...] = np.reshape(v, (-1, 1))
     for j, (family, value, spec) in enumerate(picks):
@@ -322,21 +332,31 @@ def _grid_table(config: ScanConfig, order: tuple[str, ...], n_picks: int,
 
     The flat point list is evaluated in blocks of CHUNK points, each one
     kernel call with per-point arrays; picks_of(dists) gives a block's picks
-    for `_fill`.
+    for `_fill`.  tau and eta must be the two innermost axes: the JM flags
+    depend on (tau, eta) only, so a block longer than their `inner` pairs,
+    which holds every pair, evaluates them once per pair and gathers them
+    per point.
     """
     axes = {"theta": config.theta, "phi": config.phi, "tau": config.tau,
             "eta": config.eta_kept}
     shape = tuple(axes[name].size for name in order)
-    n_points = math.prod(shape)
+    n_points, inner = math.prod(shape), math.prod(shape[-2:])
     table = ScanTable.empty(n_points * n_picks)
     row = 0
     for start in range(0, n_points, CHUNK):
-        index = np.unravel_index(np.arange(start, min(start + CHUNK, n_points)), shape)
-        p = {name: axes[name][i] for name, i in zip(order, index)}
+        flat = np.arange(start, min(start + CHUNK, n_points))
+        p = {name: axes[name][i] for name, i in zip(order, np.unravel_index(flat, shape))}
         theta, phi, tau, eta = p["theta"], p["phi"], p["tau"], p["eta"]
         x = config.x_of(eta)
         dists = gridmod.lg_distributions(gridmod.pure_bloch(theta, phi), tau, config.axis, eta, x)
-        row = _fill(table, row, theta, phi, tau, eta, x, dists, config, picks_of(dists))
+        if flat.size > inner:
+            q = {name: axes[name][i]
+                 for name, i in zip(order[-2:], np.unravel_index(np.arange(inner), shape[-2:]))}
+            jm = _jm_flags(q["tau"], q["eta"], config.x_of(q["eta"]), config.axis)
+            jm = {name: flags[flat % inner] for name, flags in jm.items()}
+        else:
+            jm = _jm_flags(tau, eta, x, config.axis)
+        row = _fill(table, row, theta, phi, tau, eta, x, dists, jm, config, picks_of(dists))
     return table
 
 
@@ -557,6 +577,17 @@ _JSON_AFFIXES = {
 _FAMILY_CELLS = {False: list(FAMILIES), True: [json.dumps(f) for f in FAMILIES]}
 _FLAG_CELLS = {False: ["false", "true", ""], True: ["false", "true", "null"]}
 
+# The column runs `report` writes as one cell per row: a run's cell is its
+# columns' cells with their separators, formatted once per distinct
+# combination in a block.  `value` runs alone: nearly every row has its own.
+_RUNS = (
+    ("theta", "phi", "tau"),
+    ("eta", "x", "axis_alpha", "axis_beta", "family", "spec_index"),
+    ("value",),
+    ("bound",) + FLAG_COLUMNS,
+)
+_KEY_LIMIT = 2**62  # combination keys stay below this: int64 never overflows
+
 
 def _json_float(text: str) -> str:
     """json's spelling of the float `text` reads as: its repr when finite."""
@@ -564,29 +595,76 @@ def _json_float(text: str) -> str:
     return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
-def _cells(column: np.ndarray, col: str, as_json: bool) -> np.ndarray:
-    """The report cells of one column block, each followed by its separator,
-    as an object array that shares one string per distinct value.
+def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_inverse=True), without the sort when every
+    value is the first (a block-constant column)."""
+    if (values == values[0]).all():
+        return values[:1], np.zeros(len(values), dtype=np.intp)
+    return np.unique(values, return_inverse=True)
 
-    Each distinct value is formatted once.  Floats are f"{v:.12g}" (CSV) or
-    the repr of the float that text reads as (JSON; non-finite floats keep
-    json's NaN and Infinity), deduplicated on their bit pattern, not on ==,
-    so -0.0 ("-0") stays apart from 0.0.
+
+def _distinct(column: np.ndarray, col: str, as_json: bool) -> tuple[list[str], np.ndarray]:
+    """(cells, codes) of one column block: its distinct cells, each between
+    the column's affixes, and each row's index into them.
+
+    Floats are f"{v:.12g}" (CSV) or the repr of the float that text reads as
+    (JSON; non-finite floats keep json's NaN and Infinity), deduplicated on
+    their bit pattern, not on ==, so -0.0 ("-0") stays apart from 0.0.
+    Family and flag codes index their cell tables as they are.
     """
+    pre, post = (_JSON_AFFIXES if as_json else _CSV_AFFIXES)[col]
     if col == "family":
-        distinct, inverse = _FAMILY_CELLS[as_json], column
+        distinct, codes = _FAMILY_CELLS[as_json], column
     elif col in FLAG_COLUMNS:
-        distinct, inverse = _FLAG_CELLS[as_json], column
+        distinct, codes = _FLAG_CELLS[as_json], column
     elif col == "spec_index":
-        values, inverse = np.unique(column, return_inverse=True)
+        values, codes = _unique(column)
         distinct = [str(v) for v in values.tolist()]
     else:
-        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        distinct = [f"{v:.12g}" for v in bits.view(np.float64).tolist()]
-        if as_json:
-            distinct = [_json_float(c) for c in distinct]
-    pre, post = (_JSON_AFFIXES if as_json else _CSV_AFFIXES)[col]
-    return np.array([pre + c + post for c in distinct], dtype=object)[inverse]
+        bits, codes = _unique(column.view(np.int64))
+        floats = bits.view(np.float64).tolist()
+        if not as_json:
+            return [f"{v:.12g}{post}" for v in floats], codes
+        distinct = [_json_float(f"{v:.12g}") for v in floats]
+    return [pre + c + post for c in distinct], codes
+
+
+def _combinations(parts: list[tuple[list[str], np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, inverse) of the distinct combinations of per-column codes:
+    one row holding each combination, and each row's combination.
+
+    The codes fold into one int64 key per row, mixed-radix by the columns'
+    distinct counts (a column of one cell adds nothing); before the count
+    of possible keys would pass _KEY_LIMIT, the key is renumbered by its
+    distinct values.
+    """
+    key, size = np.zeros(len(parts[0][1]), dtype=np.int64), 1
+    for cells, codes in parts:
+        if len(cells) == 1:
+            continue
+        if size * len(cells) > _KEY_LIMIT:
+            distinct, key = np.unique(key, return_inverse=True)
+            size = len(distinct)
+        key = key * len(cells) + codes
+        size *= len(cells)
+    distinct, inverse = np.unique(key, return_inverse=True)
+    rows = np.empty(len(distinct), dtype=np.intp)
+    rows[inverse] = np.arange(len(key))
+    return rows, inverse
+
+
+def _cells(columns: dict[str, np.ndarray], run: tuple[str, ...], as_json: bool) -> np.ndarray:
+    """The report cells of one run of columns in a block, each its columns'
+    cells with their separators, as an object array that shares one string
+    per distinct combination of the run's cells."""
+    parts = [_distinct(columns[col], col, as_json) for col in run]
+    if len(parts) == 1:
+        cells, inverse = parts[0]
+    else:
+        rows, inverse = _combinations(parts)
+        picked = [[cells[k] for k in codes[rows].tolist()] for cells, codes in parts]
+        cells = ["".join(combination) for combination in zip(*picked)]
+    return np.array(cells, dtype=object)[inverse]
 
 
 def report(table: ScanTable, path: str, fmt: str = "csv") -> None:
@@ -594,8 +672,8 @@ def report(table: ScanTable, path: str, fmt: str = "csv") -> None:
 
     JSON is what json.dump(rows, indent=1) writes for the rows as dicts, with
     each float rounded through f"{v:.12g}".  Each block of CHUNK rows is
-    formatted column by column (`_cells`) into one row-major object array of
-    cells, which is written WRITE_ROWS rows to a string.
+    formatted run by run (`_cells`, `_RUNS`) into one row-major object array of
+    len(_RUNS) cells per row, which is written WRITE_ROWS rows to a string.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
@@ -607,9 +685,10 @@ def report(table: ScanTable, path: str, fmt: str = "csv") -> None:
                 return
             fh.write("[\n" if as_json else ",".join(CSV_COLUMNS) + "\n")
             for start in range(0, n, CHUNK):
-                cells = np.empty((min(CHUNK, n - start), len(CSV_COLUMNS)), dtype=object)
-                for j, col in enumerate(CSV_COLUMNS):
-                    cells[:, j] = _cells(table.columns[col][start:start + CHUNK], col, as_json)
+                block = {col: a[start:start + CHUNK] for col, a in table.columns.items()}
+                cells = np.empty((len(block["theta"]), len(_RUNS)), dtype=object)
+                for j, run in enumerate(_RUNS):
+                    cells[:, j] = _cells(block, run, as_json)
                 if as_json and start + CHUNK >= n:
                     cells[-1, -1] = cells[-1, -1][:-2]  # no ",\n" after the last row
                 for i in range(0, len(cells), WRITE_ROWS):

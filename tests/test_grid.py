@@ -118,6 +118,22 @@ class TestSequentialProbabilities:
         probs = gridmod.lg_distributions(np.zeros(3), np.pi / 4, X_HAT, 1.0, 0.0)[(1, 2, 3)]
         assert np.allclose(probs, 0.125, atol=1e-14)
 
+    def test_lueders_eigenvalue_floor_is_np_clip(self):
+        # the eigenvalues c +- d are floored with np.maximum, which is what
+        # np.clip(a, 0.0, None) runs, bit for bit, on negatives and signed zeros
+        a = np.array([-0.0, 0.0, -1.0, -5e-324, 5e-324, -np.inf, np.inf, np.nan, 0.25])
+        assert np.array_equal(bits(np.maximum(a, 0.0)), bits(np.clip(a, 0.0, None)))
+        # invalid effects (c - d < 0), the eta-1 family's c - d = 0, valid ones
+        eta = np.array([1.0, 0.9, 0.5, 0.3, 0.7, 1.0, 0.0])
+        x = np.array([0.5, -0.1, -0.5, 0.9, 0.0, -0.0, -1.0])
+        for sign in (1, -1):
+            c, d = 0.5 * (1.0 + sign * x), 0.5 * sign * eta
+            lam_p, lam_m = np.clip(c + d, 0.0, None), np.clip(c - d, 0.0, None)
+            want = (c, d, 0.5 * (np.sqrt(lam_p) + np.sqrt(lam_m)),
+                    0.5 * (np.sqrt(lam_p) - np.sqrt(lam_m)))
+            for got, ref in zip(gridmod.luders_coefficients(eta, x, sign), want):
+                assert np.array_equal(bits(got), bits(ref))
+
 
 def _rotate_reference(r, axis, angle):
     """Rodrigues rotation by `angle`, written with np.cross and np.sum."""

@@ -7,7 +7,8 @@ index within 1e-12 of the maximum), cells formatted one by one with
 f"{v:.12g}", and JSON written by `json.dump(payload, indent=1)`.  Scans in
 every bias mode, multi-chunk scans, all four figures (1 and 2 against their
 earlier one-kernel-call-per-eta loop), non-finite and extreme floats, block
-edges and the empty report must match it byte for byte.
+edges, the empty report and random tables (hypothesis) must match it byte
+for byte.
 """
 
 import importlib
@@ -16,11 +17,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgscan import grid as gridmod
 from lgscan import jointmeas
 from lgscan.scan import (
     CSV_COLUMNS,
+    FLAG_COLUMNS,
+    FLOAT_COLUMNS,
     ScanConfig,
     ScanRecord,
     ScanTable,
@@ -301,3 +306,92 @@ def test_table_row_view():
     with pytest.raises(IndexError):
         table[len(table)]
     assert table != scan(CONFIGS["zero"])
+
+
+# --- random tables ---------------------------------------------------------------
+
+# where f"{v:.12g}" and repr switch notation, and pairs that tie after 12 digits
+EDGE_FLOATS = SPECIAL_FLOATS + [
+    0.0, 1e12, 999999999999.5, 1e15, 1.2345678901234e13, 1e-4, 9.99999999999e-5,
+    0.1234567890123, 0.1234567890124, 1.0000000000001, 1.0000000000002,
+    123456789012.3, 123456789012.4,
+]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(1e12, 1e16),
+                   st.floats(allow_nan=True, allow_infinity=True))
+SPEC_INDICES = st.one_of(st.integers(0, 23), st.integers(-(2**63), 2**63 - 1))
+CODES = {"family": range(3), **{col: range(3) for col in FLAG_COLUMNS}}
+
+
+def _key(value):
+    """Distinct floats by bit pattern (-0.0 apart from 0.0, one key per nan)."""
+    return np.float64(value).view(np.int64).item() if isinstance(value, float) else value
+
+
+@st.composite
+def tables(draw) -> ScanTable:
+    """A table whose columns are each constant, a few values, or all distinct."""
+    n = draw(st.integers(1, 40))
+    columns = {}
+    for col in CSV_COLUMNS:
+        if col in CODES:
+            values = draw(st.permutations(CODES[col]))
+        else:
+            values = draw(st.lists(FLOATS if col in FLOAT_COLUMNS else SPEC_INDICES,
+                                   min_size=1, max_size=n, unique_by=_key))
+        kind = draw(st.sampled_from(["constant", "few", "distinct"]))
+        if kind == "constant" or len(values) == 1:
+            cells = values[:1] * n
+        elif kind == "few" or len(values) < n:
+            cells = draw(st.lists(st.sampled_from(values[:4]), min_size=n, max_size=n))
+        else:
+            cells = values[:n]
+        columns[col] = np.array(cells, dtype=ScanTable.empty(0).columns[col].dtype)
+    return ScanTable(columns)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tables())
+def test_random_tables_match_row_wise_writer(tmp_path_factory, table):
+    # blocks of 7 rows, written 3 rows at a time
+    tmp_path = tmp_path_factory.mktemp("random")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan_mod, "CHUNK", 7)
+        mp.setattr(scan_mod, "WRITE_ROWS", 3)
+        assert_same_bytes(table, list(table), tmp_path)
+
+
+def test_all_distinct_table_renumbers_its_keys(tmp_path):
+    # one block whose columns are all distinct: the second column run has
+    # 3 n^5 > 2^63 combinations, more than an int64 key can count
+    n = 2**13
+    rng = np.random.default_rng(11)
+    table = ScanTable.empty(n)
+    for col, column in table.columns.items():
+        if col in FLOAT_COLUMNS:
+            column[...] = rng.uniform(-1e3, 1e3, n) * 10.0 ** rng.integers(-20, 20, n)
+            column[:4] = [0.0, -0.0, 1e16, 5e-324]
+            assert np.unique(column.view(np.int64)).size == n
+        elif col == "spec_index":
+            column[...] = rng.permutation(n)
+        else:
+            column[...] = np.arange(n) % 3
+    assert 3 * n**5 > 2**63
+    assert_same_bytes(table, list(table), tmp_path)
+
+
+def test_wrapped_keys_would_merge_combinations(tmp_path):
+    # one block of n = 2^14 rows: eta is distinct per row and x, axis_alpha,
+    # axis_beta and spec_index repeat with period n / 2, so their run has
+    # n (n / 2)^4 = 2^66 combination keys; rows r and r + n / 2 differ in eta
+    # only, and a key wrapped modulo 2^64 would give them the same key
+    n = scan_mod.CHUNK
+    r = np.arange(n)
+    table = ScanTable.empty(n)
+    for col, column in table.columns.items():
+        column[...] = 0
+    table.columns["eta"][...] = 1.0 + 1e-3 * r
+    for col in ("x", "axis_alpha", "axis_beta"):
+        table.columns[col][...] = -1.0 - 1e-3 * (r % (n // 2))
+    table.columns["spec_index"][...] = r % (n // 2)
+    assert n * (n // 2) ** 4 >= 2**66
+    assert_same_bytes(table, list(table), tmp_path)
