@@ -9,10 +9,11 @@ configuration produce byte-identical files.
 
 Records are held as a `ScanTable`, one numpy array per report column.  A
 scan and the canned figures walk their grid in blocks of `CHUNK` points
-(`_grid_table`): one kernel call per block, and one fill step (`_fill`)
-writes the block's report cells straight into the preallocated columns;
-a block that holds every (tau, eta) pair evaluates the JM flags once per
-pair.
+(`_grid_table`): one kernel call per block, whose loop computes every
+per-point cell, the NSIT and JM flags among them, in one place; the JM
+flags are evaluated on the block's first (tau, eta) cycle and tiled over
+the block.  `_fill` only writes a block's cells and picks straight into
+the preallocated columns.
 `report` splits the columns into four runs and formats each run of a
 `CHUNK`-row block once per distinct combination of its cells, places the
 four cells of each row row-major in one object array and joins `WRITE_ROWS`
@@ -282,38 +283,21 @@ def skipped_points(config: ScanConfig) -> int:
     return per_eta * config.theta.size * config.phi.size * config.tau.size
 
 
-def _jm_flags(tau, eta, x, axis) -> dict[str, np.ndarray]:
-    """The jm_* cells of points (tau, eta, x), from `jointmeas.lg_margins`:
-    each pair's verdict, and the triple's where x is 0 (None otherwise)."""
-    pairs, triple = jointmeas.lg_margins(tau, eta, x, axis)
-    jm_tol = jointmeas.MARGIN_TOL
-    flags = {f"jm_{a}{b}": pairs[..., i] >= -jm_tol
-             for i, (a, b) in enumerate(jointmeas.PAIR_ORDER)}
-    flags["jm_triple"] = np.where(np.abs(x) < jointmeas.BIAS_ZERO, triple >= -jm_tol,
-                                  FLAG_VALUES.index(None))
-    return flags
+def _fill(table: ScanTable, row: int, cells: dict,
+          picks: Sequence[tuple[str, np.ndarray, np.ndarray]]) -> int:
+    """Write the report rows of a flat batch of points into `table` from
+    `row` on; returns the row after them.
 
-
-def _fill(table: ScanTable, row: int, theta, phi, tau, eta, x, dists: dict, jm: dict,
-          config: ScanConfig, picks: Sequence[tuple[str, np.ndarray, np.ndarray]]) -> int:
-    """Write the report rows of a flat batch of points evaluated into `dists`
-    into `table` from `row` on; returns the row after them.
-
-    Each pick (family, value, spec_index) gives one row per point, with
-    per-point value and spec_index arrays; rows run points outermost, picks
-    innermost.  theta .. x broadcast to the batch, and `jm` holds the
-    batch's `_jm_flags`.
+    `cells` holds the per-point columns, each one cell per point or one for
+    the batch.  Each pick (family, value, spec_index) gives one row per
+    point, with per-point value and spec_index arrays; rows run points
+    outermost, picks innermost.
     """
     n, k = picks[0][1].size, len(picks)
     # (point, pick) views of the rows: a per-point cell fills its point's
     # row, a per-pick cell its pick's column
     cols = {c: a[row:row + n * k].reshape(n, k) for c, a in table.columns.items()}
-    per_point = {"theta": theta, "phi": phi, "tau": tau, "eta": eta, "x": x,
-                 "axis_alpha": config.axis_alpha, "axis_beta": config.axis_beta}
-    per_point.update(gridmod.nsit_flags(gridmod.disturbances(dists),
-                                        gridmod.aot_residual(dists), config.nsit_tol))
-    per_point.update(jm)
-    for name, v in per_point.items():
+    for name, v in cells.items():
         cols[name][...] = np.reshape(v, (-1, 1))
     for j, (family, value, spec) in enumerate(picks):
         cols["family"][:, j] = FAMILIES.index(family)
@@ -331,32 +315,42 @@ def _grid_table(config: ScanConfig, order: tuple[str, ...], n_picks: int,
     point.
 
     The flat point list is evaluated in blocks of CHUNK points, each one
-    kernel call with per-point arrays; picks_of(dists) gives a block's picks
-    for `_fill`.  tau and eta must be the two innermost axes: the JM flags
-    depend on (tau, eta) only, so a block longer than their `inner` pairs,
-    which holds every pair, evaluates them once per pair and gathers them
-    per point.
+    kernel call with per-point arrays.  The block loop computes every
+    per-point cell (theta through axis_beta, the NSIT flags and the JM
+    flags), picks_of(dists) gives the block's picks, and `_fill` only
+    writes them; the kernel result is freed before the next block's call.
+    tau and eta must be the two innermost axes: the JM flags depend on
+    (tau, eta) only, and a block's first min(block length, n_tau n_eta)
+    points, consecutive flat indices, hold each of its (tau, eta) pairs
+    once, so every block evaluates the flags there and tiles them.
     """
     axes = {"theta": config.theta, "phi": config.phi, "tau": config.tau,
             "eta": config.eta_kept}
     shape = tuple(axes[name].size for name in order)
-    n_points, inner = math.prod(shape), math.prod(shape[-2:])
+    n_points, cycle = math.prod(shape), math.prod(shape[-2:])
+    jm_tol = jointmeas.MARGIN_TOL
     table = ScanTable.empty(n_points * n_picks)
     row = 0
     for start in range(0, n_points, CHUNK):
         flat = np.arange(start, min(start + CHUNK, n_points))
-        p = {name: axes[name][i] for name, i in zip(order, np.unravel_index(flat, shape))}
-        theta, phi, tau, eta = p["theta"], p["phi"], p["tau"], p["eta"]
-        x = config.x_of(eta)
-        dists = gridmod.lg_distributions(gridmod.pure_bloch(theta, phi), tau, config.axis, eta, x)
-        if flat.size > inner:
-            q = {name: axes[name][i]
-                 for name, i in zip(order[-2:], np.unravel_index(np.arange(inner), shape[-2:]))}
-            jm = _jm_flags(q["tau"], q["eta"], config.x_of(q["eta"]), config.axis)
-            jm = {name: flags[flat % inner] for name, flags in jm.items()}
-        else:
-            jm = _jm_flags(tau, eta, x, config.axis)
-        row = _fill(table, row, theta, phi, tau, eta, x, dists, jm, config, picks_of(dists))
+        cells = {name: axes[name][i] for name, i in zip(order, np.unravel_index(flat, shape))}
+        tau, eta = cells["tau"], cells["eta"]
+        x = cells["x"] = config.x_of(eta)
+        cells["axis_alpha"], cells["axis_beta"] = config.axis_alpha, config.axis_beta
+        dists = gridmod.lg_distributions(gridmod.pure_bloch(cells["theta"], cells["phi"]),
+                                         tau, config.axis, eta, x)
+        cells.update(gridmod.nsit_flags(gridmod.disturbances(dists),
+                                        gridmod.aot_residual(dists), config.nsit_tol))
+        picks = picks_of(dists)
+        del dists
+        m = min(flat.size, cycle)
+        pairs, triple = jointmeas.lg_margins(tau[:m], eta[:m], x[:m], config.axis)
+        jm = {f"jm_{a}{b}": pairs[:, i] >= -jm_tol
+              for i, (a, b) in enumerate(jointmeas.PAIR_ORDER)}
+        jm["jm_triple"] = np.where(np.abs(x[:m]) < jointmeas.BIAS_ZERO, triple >= -jm_tol,
+                                   FLAG_VALUES.index(None))
+        cells.update((name, np.resize(flags, flat.size)) for name, flags in jm.items())
+        row = _fill(table, row, cells, picks)
     return table
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import grid as gridmod
+from .errors import ConfigError
 from .inequalities import (
     WLGI_SPECS,
     pair_distributions,
@@ -241,5 +242,7 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = 20240601) -> list[Check]:
+    if seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return [fn(rng) for fn in ALL_CHECKS]

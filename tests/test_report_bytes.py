@@ -11,9 +11,11 @@ edges, the empty report and random tables (hypothesis) must match it byte
 for byte.
 """
 
+import gc
 import importlib
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -238,15 +240,20 @@ def test_row_kinds_are_covered():
     assert any(math.copysign(1.0, r.x) < 0 and r.x == 0 for r in rows)
 
 
-def test_multi_chunk_scan_matches_one_chunk(tmp_path, monkeypatch):
-    cfg = config(theta=[0.2, 0.9], bias_mode="eta-1", eta=[0.3, 0.6, 1.0])  # 36 points
+@pytest.mark.parametrize("chunk", [7, 25, 40])
+def test_multi_chunk_scan_matches_one_chunk(tmp_path, monkeypatch, chunk):
+    # 108 points, 18 (tau, eta) pairs: blocks of 7 are shorter than the
+    # pair cycle; blocks of 25 and 40 are longer and start mid-cycle (at
+    # pairs 7, 14, 3 and 4, 8), and the last block of 25 is shorter again
+    cfg = config(theta=[0.2, 0.9, 1.4], phi=[0.0, 2.5], bias_mode="eta-1",
+                 eta=[0.3, 0.6, 1.0])
     whole = scan(cfg)
-    monkeypatch.setattr(scan_mod, "CHUNK", 7)
+    monkeypatch.setattr(scan_mod, "CHUNK", chunk)
     chunked = scan(cfg)
     assert chunked == whole
     records = reference_scan(cfg)
     assert list(chunked) == records
-    assert_same_bytes(chunked, records, tmp_path)  # written 7 rows at a time
+    assert_same_bytes(chunked, records, tmp_path)  # written `chunk` rows at a time
 
 
 @pytest.mark.parametrize("which", [1, 2, 3, 4])
@@ -262,6 +269,32 @@ def test_multi_block_figure_matches_one_block(tmp_path, monkeypatch):
     blocks = figure_records(2)
     assert blocks == whole
     assert_same_bytes(blocks, reference_figure(2), tmp_path)  # written 7 rows at a time
+
+
+@pytest.mark.parametrize("run", ["scan", "figure"])
+def test_block_result_freed_before_next_kernel_call(monkeypatch, run):
+    # one block's kernel result (3.25 MiB at 2^14 points) must not stay
+    # alive through the next block's kernel call
+    kernel, previous, calls = gridmod.lg_distributions, [], []
+
+    def tracked(*args, **kwargs):
+        calls.append([ref() is not None for ref in previous])
+        dists = kernel(*args, **kwargs)
+        previous[:] = [weakref.ref(probs) for probs in dists.values()]
+        return dists
+
+    monkeypatch.setattr(gridmod, "lg_distributions", tracked)
+    monkeypatch.setattr(scan_mod, "CHUNK", 100)
+    gc.disable()  # freed by reference counting alone
+    try:
+        if run == "scan":
+            scan(CONFIGS["tolerance"])  # 280 points: 3 blocks
+        else:
+            figure_records(3)  # 359 points: 4 blocks
+    finally:
+        gc.enable()
+    assert len(calls) >= 3
+    assert calls[0] == [] and all(alive == [False] * 7 for alive in calls[1:])
 
 
 def test_empty_report(tmp_path):

@@ -1100,3 +1100,23 @@ class TestCli:
         proc = self.run_cli("selftest")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "all" in proc.stdout and "passed" in proc.stdout
+
+    def test_selftest_negative_seed_exits_2_without_traceback(self):
+        proc = self.run_cli("selftest", "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: seed must be an integer >= 0, got -1\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("content, line, byte", [
+        (b"\xff\xfe[\x00x\x00]\x00", 1, "0xff"),  # UTF-16 with its byte order mark
+        (b"[x]\r\ntau = 1\r# caf\xe9\n", 3, "0xe9"),  # a Latin-1 comment, on line 3
+    ])
+    def test_undecodable_config_exits_2_naming_file_and_line(self, tmp_path, content, line,
+                                                             byte):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(content)
+        proc = self.run_cli("scan", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: cannot read config '{cfg}': line {line}: "
+                               f"byte {byte} is not valid utf-8\n")
+        assert not (tmp_path / "out").exists()
