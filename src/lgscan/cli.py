@@ -23,14 +23,13 @@ import sys
 
 from .config import eval_expr, load_configs, parse_bias
 from .errors import ConfigError, InvariantError, LgscanError, NoBracket
-from .grid import FAMILY_TABLE, NSIT_TOL, pick, violated
+from .grid import FAMILY_TABLE, NSIT_TOL, bias_x, pick, violated
 from .inequalities import elgi_all, slgi_all, wlgi_all
 from .measurement import QubitState, Schedule
 from .jointmeas import jm_verdict
 from .nsit import disturbance_report, nsit_satisfied
 from .scan import (
     axis_from_angles,
-    bias_x,
     figure_records,
     report,
     scan,

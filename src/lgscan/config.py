@@ -21,15 +21,13 @@ diagnostics carry file line numbers.
 from __future__ import annotations
 
 import ast
-import io
-import locale
 import math
 import operator
 
 import numpy as np
 
 from .errors import ConfigError
-from .scan import ScanConfig
+from .scan import ScanConfig, read_lines
 
 _KEYS = {
     "theta", "phi", "tau", "eta", "bias", "axis_alpha", "axis_beta",
@@ -123,21 +121,7 @@ def parse_grid(text: str, where: str = "") -> np.ndarray:
 def _read_sections(path: str) -> dict[str, dict[str, tuple[int, str]]]:
     sections: dict[str, dict[str, tuple[int, str]]] = {}
     current: str | None = None
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    # decoded and split as open(path).readlines() would, with universal newlines
-    encoding = locale.getpreferredencoding(False)
-    try:
-        lines = io.StringIO(data.decode(encoding), newline=None).readlines()
-    except UnicodeDecodeError as exc:
-        before = io.StringIO(data[:exc.start].decode(encoding, "replace"), newline=None)
-        line = before.read().count("\n") + 1
-        raise ConfigError(f"cannot read config {path!r}: line {line}: "
-                          f"byte 0x{data[exc.start]:02x} is not valid {exc.encoding}") from exc
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path, "config"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -49,6 +49,11 @@ family is a row of `DISTURBANCES` and each AoT identity a row of
 Every caller reads a family's bound, specs and reduction from
 `FAMILY_TABLE`, and chooses the reported member by `pick`.
 
+The bias rule is written here once: `BIAS_MODES` names how the effect bias
+x follows eta, `bias_x` applies a mode and is the one place an unknown mode
+raises ConfigError, and `valid_effect` is the engine's one test of
+|x| + eta <= 1 (lgscan.measurement keeps its own, as the reference).
+
 The distributions agree with the operator pipeline (lgscan.measurement),
 which tests hold as the independent reference: to ~1e-15 when
 |x| + eta < 1, and to ~1e-9 on rank-one effects (|x| + eta = 1, e.g.
@@ -68,11 +73,31 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError
+
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
 SUBSETS = ((1,), (2,), (3,)) + PAIRS + ((1, 2, 3),)
-BIAS_MODES = ("zero", "eta-1", "fixed")  # how the effect bias x follows eta (scan.bias_x)
+BIAS_MODES = ("zero", "eta-1", "fixed")  # how the effect bias x follows eta (`bias_x`)
+
+
+def bias_x(bias_mode: str, eta, x_fixed: float = 0.0) -> np.ndarray:
+    """Effect bias x at sharpness eta: 0 ("zero"), eta - 1 ("eta-1"), or
+    x_fixed ("fixed"); same shape as eta.  Any other mode is a ConfigError."""
+    eta = np.asarray(eta, dtype=float)
+    if bias_mode == "zero":
+        return np.zeros_like(eta)
+    if bias_mode == "eta-1":
+        return eta - 1.0
+    if bias_mode == "fixed":
+        return np.full_like(eta, x_fixed)
+    raise ConfigError(f"unknown bias mode {bias_mode!r}", "bias_mode")
+
+
+def valid_effect(eta, x):
+    """|x| + eta <= 1 (to 1e-12; a NaN fails): M(x, eta) is a valid effect; broadcasts."""
+    return np.abs(x) + eta <= 1.0 + 1e-12
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ import numpy as np
 from . import grid
 from .grid import (
     ELGI_SPECS,
-    PAIRS,
     SLGI_SPECS,
     WLGI_SPECS,
     ElgiSpec,
@@ -67,11 +66,6 @@ class InequalityResult:
 def _result(value: float, bound: float, spec: object) -> InequalityResult:
     return InequalityResult(value=float(value), bound=float(bound),
                             violated=bool(grid.violated(value, bound)), spec=spec)
-
-
-def pair_distributions(state: QubitState, schedule: Schedule) -> dict[tuple[int, int], JointDistribution]:
-    """The three stand-alone two-time experiments for this parameter point."""
-    return {pair: run_schedule(state, schedule.with_measured(pair)) for pair in PAIRS}
 
 
 def experiment_probabilities(
@@ -133,12 +127,6 @@ def slgi_closed_form_biased(theta: float, phi: float, tau: float, eta: float) ->
 
 
 # --- WLGI -------------------------------------------------------------------
-
-
-def wlgi_from_pairs(dists: dict[tuple[int, int], JointDistribution], spec: WlgiSpec) -> float:
-    """WLGI left-hand side from the three stand-alone pair distributions."""
-    probs = {pair: dist.probabilities() for pair, dist in dists.items()}
-    return float(grid.wlgi_values(probs, (spec,))[0])
 
 
 def wlgi_value(state: QubitState, schedule: Schedule, spec: WlgiSpec) -> InequalityResult:

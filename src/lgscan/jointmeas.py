@@ -28,7 +28,8 @@ Closed-form eta thresholds for the time-evolved LG effects (separation
 angle 2*tau between consecutive Bloch directions):
 
 * unbiased pair:  eta <= 1/(|cos(d/2)| + |sin(d/2)|), d the separation;
-* bias family x = eta - 1:  eta <= 1/(1 + |cos(d/2)|);
+* bias family x = eta - 1:  eta <= 1/(1 + |cos(d/2)|), and
+  |cos(d/2)| = sqrt((1 + cos d)/2);
 * fixed bias x:  for two effects of the same x and eta, with c = cos d and
   u = eta^2, the left side above is exactly
   (1 - 2F^2)(1 - 2x^2/F^2) = 2u + 2x^2 - 1, so the margin (right side
@@ -45,6 +46,9 @@ The biased threshold is discontinuous at coincidence (d -> 0 gives 1/2,
 yet two identical POVMs are trivially compatible and the criterion itself
 returns margin 0 there); threshold curves therefore exclude coincidence
 points, and verdicts at such points come from the margin, not the curve.
+
+An effect that fails `grid.valid_effect` (|x| + |m| > 1, or a NaN) raises
+InvalidEffect; an unknown bias mode raises ConfigError in `grid.bias_x`.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidEffect
-from .grid import BIAS_MODES, Z_HAT, rotate_bloch
+from .errors import InvalidEffect
+from .grid import Z_HAT, bias_x, rotate_bloch, valid_effect
 
 MARGIN_TOL = 1e-12
 BIAS_ZERO = 1e-15
@@ -85,7 +89,7 @@ class JmVerdict:
 
 def _check_effect(x: float, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if np.any(np.abs(x) + np.linalg.norm(m, axis=-1) > 1.0 + 1e-12):
+    if not np.all(valid_effect(np.linalg.norm(m, axis=-1), x)):
         raise InvalidEffect("effect violates |x| + |m| <= 1")
     return m
 
@@ -149,13 +153,13 @@ def pairwise_jm_general(x: float, m: np.ndarray, y: float, n: np.ndarray) -> tup
 
 def pairwise_jm_unbiased(m: np.ndarray, n: np.ndarray) -> tuple[bool, float]:
     """Unbiased criterion ||m + n|| + ||m - n|| <= 2."""
-    margin = float(unbiased_margin(m, n))
+    margin = float(unbiased_margin(_check_effect(0.0, m), _check_effect(0.0, n)))
     return margin >= -MARGIN_TOL, margin
 
 
 def triplewise_jm_unbiased(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray) -> tuple[bool, float]:
     """Triple-wise four-norm criterion; margin = 4 - sum."""
-    margin = float(4.0 - triple_sum(m1, m2, m3))
+    margin = float(4.0 - triple_sum(*(_check_effect(0.0, m) for m in (m1, m2, m3))))
     return margin >= -MARGIN_TOL, margin
 
 
@@ -192,11 +196,6 @@ def triple_threshold(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> float:
     the true triple-wise threshold.
     """
     return float(4.0 / triple_sum(d1, d2, d3))
-
-
-def _separation(a: np.ndarray, b: np.ndarray) -> float:
-    cosang = np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0)
-    return float(np.arccos(cosang))
 
 
 def lg_directions(tau, axis) -> dict[int, np.ndarray]:
@@ -238,20 +237,20 @@ def jm_verdict(schedule, bias_mode: str = "fixed") -> JmVerdict:
     Margins are those of `lg_margins`, computed on the directions that the
     thresholds also read.  `bias_mode` is how x follows eta, one of
     `grid.BIAS_MODES`; the schedule's numbers cannot tell it.  The
-    thresholds are `biased_pair_threshold` for "eta-1" and
-    `fixed_bias_pair_threshold` at the schedule's x otherwise (x = 0 for
-    "zero").  They depend on the directions d_k and the mode only, so at
-    eta = 0 they are the eta -> 0+ limit.  Any other mode is a ConfigError.
+    thresholds read each pair's cosine c once: `biased_pair_threshold` as
+    1/(1 + sqrt((1 + c)/2)) for "eta-1", `fixed_bias_pair_threshold` at the
+    schedule's x otherwise (x = 0 for "zero").  They depend on the directions d_k and the mode
+    only, so at eta = 0 they are the eta -> 0+ limit.
     """
-    if bias_mode not in BIAS_MODES:
-        raise ConfigError(f"unknown bias mode {bias_mode!r}", "bias_mode")
     x, eta = schedule.x, schedule.eta
+    bias_x(bias_mode, eta, x)  # ConfigError for an unknown mode
     dirs = lg_directions(schedule.tau, schedule.axis)
     pair_margins, triple_margin = _margins(dirs, eta, x)
+    cos_sep = np.array([dirs[a] @ dirs[b] for a, b in PAIR_ORDER])
     if bias_mode == "eta-1":
-        thresholds = [biased_pair_threshold(_separation(dirs[a], dirs[b])) for a, b in PAIR_ORDER]
+        thresholds = 1.0 / (1.0 + np.sqrt(np.maximum(0.5 * (1.0 + cos_sep), 0.0)))
     else:
-        thresholds = fixed_bias_pair_threshold(x, [dirs[a] @ dirs[b] for a, b in PAIR_ORDER])
+        thresholds = fixed_bias_pair_threshold(x, cos_sep)
     pairwise = {pair: JmCheck(margin >= -MARGIN_TOL, margin, float(threshold))
                 for pair, margin, threshold in zip(PAIR_ORDER, pair_margins.tolist(), thresholds)}
 

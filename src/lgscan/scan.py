@@ -20,14 +20,16 @@ four cells of each row row-major in one object array and joins `WRITE_ROWS`
 rows of it at a time; `parse_report` reads a CSV report back into a table.
 `ScanRecord` is the row view.
 
-Bias modes (`bias_x`, the one rule every command uses): "zero" (x = 0),
-"eta-1" (x = eta - 1, always a valid effect), or a fixed explicit x; in
-fixed mode grid points with |x| + eta > 1 are skipped and counted.
+Bias modes (`grid.bias_x`, the one rule every command uses): "zero", "eta-1"
+or a fixed explicit x; in fixed mode grid points that fail
+`grid.valid_effect` (|x| + eta > 1) are skipped and counted.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import locale
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -37,6 +39,7 @@ import numpy as np
 from . import grid as gridmod
 from . import jointmeas
 from .errors import ConfigError, NoBracket
+from .grid import bias_x, valid_effect
 
 FAMILIES = tuple(gridmod.FAMILY_TABLE)
 
@@ -107,24 +110,6 @@ def axis_from_angles(alpha: float, beta: float) -> np.ndarray:
     )
 
 
-def bias_x(bias_mode: str, eta, x_fixed: float = 0.0) -> np.ndarray:
-    """Effect bias x at sharpness eta: 0 ("zero"), eta - 1 ("eta-1"), or
-    x_fixed ("fixed"); same shape as eta.  Any other mode is a ConfigError."""
-    eta = np.asarray(eta, dtype=float)
-    if bias_mode == "zero":
-        return np.zeros_like(eta)
-    if bias_mode == "eta-1":
-        return eta - 1.0
-    if bias_mode == "fixed":
-        return np.full_like(eta, x_fixed)
-    raise ConfigError(f"unknown bias mode {bias_mode!r}", "bias_mode")
-
-
-def valid_effect(eta, x):
-    """|x| + eta <= 1 (to 1e-12): M(x, eta) is a valid effect; broadcasts."""
-    return np.abs(x) + eta <= 1.0 + 1e-12
-
-
 def default_tau_grid() -> np.ndarray:
     """Open grid on (0, pi) in DEFAULT_TAU_STEP steps; endpoints are
     degenerate (coinciding effects)."""
@@ -164,8 +149,7 @@ class ScanConfig:
             raise ConfigError(f"nsit_tol must be >= 0, got {self.nsit_tol!r}", "nsit_tol")
         if np.any(self.eta < 0) or np.any(self.eta > 1):
             raise ConfigError("eta must lie in [0, 1]", "eta")
-        if self.bias_mode not in gridmod.BIAS_MODES:
-            raise ConfigError(f"unknown bias mode {self.bias_mode!r}", "bias_mode")
+        self.x_of(self.eta)  # ConfigError for an unknown bias mode
         if not self.families:
             raise ConfigError("families must be nonempty", "families")
         bad = [f for f in self.families if f not in FAMILIES]
@@ -405,13 +389,16 @@ def _circle_max(a0, a1, b1, a2, b2) -> np.ndarray:
     g1 = 0.5 * (a1 * cos_h + b1 * sin_h)
     g2 = 0.5 * (b1 * cos_h - a1 * sin_h)
     mu = np.abs(g1)
+    moving = np.ones(mu.shape, dtype=bool)
     for _ in range(60):  # converges in <= 8 steps on 20,000 random curves
         x, y = g1 / _nonzero(mu), g2 / _nonzero(mu + 2 * r)
         norm2 = x * x + y * y
         slope = x * x / _nonzero(mu) + y * y / _nonzero(mu + 2 * r)
         step = np.where(slope > 0, norm2 * (np.sqrt(norm2) - 1.0) / _nonzero(slope), 0.0)
-        mu, last = np.maximum(mu + step, 0.0), mu
-        if not np.any(mu - last > 1e-15 * mu):
+        # each curve stops on its own test, so its mu does not depend on the batch
+        new = np.maximum(mu + step, 0.0)
+        mu, moving = np.where(moving, new, mu), moving & (new - mu > 1e-15 * new)
+        if not moving.any():
             break
     y0 = np.clip(g2 / _nonzero(2 * r), -1.0, 1.0)  # the mu = 0 points (+-x0, y0)
     x0 = np.sqrt(1.0 - y0 * y0)
@@ -429,16 +416,11 @@ def exact_tau_max(samples: np.ndarray) -> np.ndarray:
     at EXACT_TAUS on axis -2: shape (..., 5, specs) -> (...).
 
     The samples fix each curve's coefficients, and `_circle_max` gives its
-    maximum; the result is never below the samples.  Curves whose bound
-    a0 + |(a1, b1)| + |(a2, b2)| is below the best sample are not solved.
+    maximum, the same for a curve however it is batched; the result is
+    never below the samples.
     """
     a0, a1, b1, a2, b2 = ((row[:, None] * samples).sum(axis=-2) for row in _FOURIER)
-    best = samples.max(axis=(-2, -1))
-    solve = (a0 + np.sqrt(a1 * a1 + b1 * b1) + np.sqrt(a2 * a2 + b2 * b2)
-             >= best[..., None])
-    peak = np.full(solve.shape, -np.inf)
-    peak[solve] = _circle_max(*(c[solve] for c in (a0, a1, b1, a2, b2)))
-    return np.maximum(best, peak.max(axis=-1))
+    return np.maximum(samples.max(axis=(-2, -1)), _circle_max(a0, a1, b1, a2, b2).max(axis=-1))
 
 
 def halving_tree(lo: float, hi: float, depth: int) -> list[tuple[float, float, float]]:
@@ -711,12 +693,31 @@ def _decoder(col: str):
     return int if col == "spec_index" else _finite
 
 
+def read_lines(path: str, what: str) -> list[str]:
+    """open(path).readlines(), with universal newlines; a file that cannot be
+    read or decoded raises ConfigError 'cannot read <what> <path>: ...',
+    naming the line of the first undecodable byte."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+    encoding = locale.getpreferredencoding(False)  # what open() decodes with
+    try:
+        return io.StringIO(data.decode(encoding), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        before = io.StringIO(data[:exc.start].decode(encoding, "replace"), newline=None)
+        line = before.read().count("\n") + 1
+        raise ConfigError(f"cannot read {what} {path!r}: line {line}: "
+                          f"byte 0x{data[exc.start]:02x} is not valid {exc.encoding}") from exc
+
+
 def parse_report(path: str) -> ScanTable:
-    """Read a CSV report back into a table (inverse of `report`); a missing
-    or wrong header, row length or cell (a nan or inf float among them)
-    raises ConfigError naming the line."""
-    with open(path) as fh:
-        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
+    """Read a CSV report back into a table (inverse of `report`); an
+    unreadable file (`read_lines`), or a missing or wrong header, row length
+    or cell (a nan or inf float among them) raises ConfigError."""
+    lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(read_lines(path, "report"), 1)
+             if ln.strip()]
     n, header = lines[0] if lines else (1, "")
     if tuple(header.split(",")) != CSV_COLUMNS:
         raise ConfigError(f"line {n}: expected the report header, got {header!r}")

@@ -34,10 +34,8 @@ from lgscan import grid as gridmod
 from lgscan.inequalities import (
     SLGI_SPECS,
     WLGI_SPECS,
-    pair_distributions,
     slgi_all,
     wlgi_all,
-    wlgi_from_pairs,
 )
 from lgscan.jointmeas import (
     lg_combined_pair_threshold,
@@ -157,9 +155,8 @@ def _wlgi_matches_quadratic(phi: float, axis: np.ndarray = X_HAT) -> float:
     for eta in etas:
         sched = Schedule(measured=(1, 2, 3), tau=5 * np.pi / 6, axis=axis,
                          x=eta - 1.0, eta=eta)
-        dists = pair_distributions(state, sched)
-        for i, spec in enumerate(WLGI_SPECS):
-            per_spec[i] = max(per_spec[i], abs(wlgi_from_pairs(dists, spec) - eta**2 / 8))
+        for i, r in enumerate(wlgi_all(state, sched)):
+            per_spec[i] = max(per_spec[i], abs(r.value - eta**2 / 8))
     return min(per_spec)
 
 
@@ -186,8 +183,7 @@ def test_criterion_05_companion_verified_at_phi_half_pi():
     worst = 0.0
     for eta in np.linspace(0.05, 1.0, 20):
         sched = Schedule(measured=(1, 2, 3), tau=5 * np.pi / 6, x=eta - 1.0, eta=eta)
-        dists = pair_distributions(state, sched)
-        val = wlgi_from_pairs(dists, WLGI_SPECS[11])  # positive pair (1,3), (+,-), split -
+        val = wlgi_all(state, sched, WLGI_SPECS[11:12])[0].value  # positive pair (1,3), (+,-), split -
         worst = max(worst, abs(val - eta**2 / 8))
         assert val > 1e-12  # any-eta violation
     ok = worst <= 1e-8

@@ -8,7 +8,6 @@ from lgscan.jointmeas import (
     BIAS_ZERO,
     MARGIN_TOL,
     PAIR_ORDER,
-    _separation,
     biased_pair_threshold,
     fixed_bias_pair_threshold,
     general_margin,
@@ -153,6 +152,25 @@ class TestGeneralPairwise:
     def test_invalid_effect(self):
         with pytest.raises(InvalidEffect):
             pairwise_jm_general(0.5, np.array([0, 0, 0.6]), 0.0, np.array([0, 0, 0.1]))
+
+    @pytest.mark.parametrize("check", [
+        lambda m: pairwise_jm_unbiased(m, 0.5 * Z_HAT),
+        lambda m: pairwise_jm_unbiased(0.5 * Z_HAT, m),
+        lambda m: triplewise_jm_unbiased(0.5 * Z_HAT, 0.5 * Z_HAT, m),
+        lambda m: pairwise_jm_general(0.0, m, 0.0, 0.5 * Z_HAT),
+    ], ids=["unbiased-first", "unbiased-second", "triple", "general"])
+    @pytest.mark.parametrize("m", [[1.2, 0.0, 0.0], [np.nan, 0.0, 0.0]], ids=["long", "nan"])
+    def test_invalid_vector_rejected(self, check, m):
+        # |m| > 1 used to return a margin from the unbiased criteria, and
+        # a NaN passed every check (a comparison with NaN is false)
+        with pytest.raises(InvalidEffect):
+            check(np.array(m))
+
+    @pytest.mark.parametrize("x, y", [(np.nan, 0.0), (0.0, np.nan), (1.2, 0.0)])
+    def test_invalid_bias_rejected(self, x, y):
+        # x = NaN used to give (False, nan)
+        with pytest.raises(InvalidEffect):
+            pairwise_jm_general(x, 0.5 * Z_HAT, y, 0.5 * Z_HAT)
 
 
 class TestTriplewise:
@@ -345,7 +363,7 @@ class TestNumericPairThresholds:
             da, db = pair_rows(rng.uniform(0, np.pi), random_axis(rng))
             got = fixed_bias_pair_threshold(0.0, np.sum(da * db, axis=-1))
             for d1, d2, thr in zip(da, db, got):
-                assert thr == pytest.approx(min(1.0, unbiased_pair_threshold(_separation(d1, d2))),
+                assert thr == pytest.approx(min(1.0, unbiased_pair_threshold(np.arccos(np.clip(d1 @ d2, -1.0, 1.0)))),
                                             abs=1e-8)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from lgscan import inequalities, nsit
 from lgscan.grid import SUBSETS
-from lgscan.inequalities import WLGI_SPECS, pair_distributions, wlgi_from_pairs
+from lgscan.inequalities import WLGI_SPECS, wlgi_all
 from lgscan.measurement import QubitState, Schedule, make_pure_state, run_schedule
 from lgscan.nsit import (
     closed_form_variants,
@@ -224,10 +224,10 @@ class TestWlgiThresholdCheck:
             theta, phi, tau, eta, x = random_point(rng)
             state = make_pure_state(theta, phi)
             sched = Schedule(measured=(1, 2, 3), tau=tau, x=x, eta=eta)
-            dists = pair_distributions(state, sched)
-            for spec in (WLGI_SPECS[int(i)] for i in rng.integers(0, 24, 6)):
-                check = wlgi_threshold_check(state, sched, spec)
-                value = wlgi_from_pairs(dists, spec)
+            values = [r.value for r in wlgi_all(state, sched)]
+            for i in rng.integers(0, 24, 6):
+                check = wlgi_threshold_check(state, sched, WLGI_SPECS[i])
+                value = values[i]
                 worst = max(worst, abs(value - (check.lhs - check.rhs)))
                 assert check.predicted_violation == (value > 1e-12)
         assert worst < 1e-12
@@ -235,10 +235,9 @@ class TestWlgiThresholdCheck:
     def test_decomposition_all_specs_one_point(self):
         state = make_pure_state(1.1, 0.7)
         sched = Schedule(measured=(1, 2, 3), tau=0.9, x=-0.2, eta=0.5)
-        dists = pair_distributions(state, sched)
-        for spec in WLGI_SPECS:
+        for spec, r in zip(WLGI_SPECS, wlgi_all(state, sched)):
             check = wlgi_threshold_check(state, sched, spec)
-            value = wlgi_from_pairs(dists, spec)
+            value = r.value
             assert value == pytest.approx(check.lhs - check.rhs, abs=1e-13)
 
     def test_seven_experiment_runs(self, monkeypatch):

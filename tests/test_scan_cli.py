@@ -300,6 +300,25 @@ class TestInputValidation:
         with pytest.raises(ConfigError, match=r"^line 1: expected the report header"):
             parse_report(str(path))
 
+    @pytest.mark.parametrize("content, line, byte", [
+        (b"\xff\xfe", 1, "0xff"),
+        (",".join(CSV_COLUMNS).encode() + b"\r\n0.5,caf\xe9\n", 2, "0xe9"),
+    ], ids=["ff-fe", "latin-1-line-2"])
+    def test_parse_report_undecodable_names_file_and_line(self, tmp_path, content, line, byte):
+        # used to raise UnicodeDecodeError
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError) as err:
+            parse_report(str(path))
+        assert str(err.value) == (f"cannot read report '{path}': line {line}: "
+                                  f"byte {byte} is not valid utf-8")
+
+    def test_parse_report_missing_file_names_file(self, tmp_path):
+        # used to raise FileNotFoundError
+        path = tmp_path / "missing.csv"
+        with pytest.raises(ConfigError, match=rf"^cannot read report '{path}': .*No such file"):
+            parse_report(str(path))
+
 
 class TestBias:
     def test_parse_bias_modes(self):
@@ -730,6 +749,31 @@ class TestExactTauMax:
         each = [float(exact_tau_max(s)) for s in samples]
         assert exact_tau_max(samples).tolist() == each
 
+    @pytest.mark.parametrize("bias", _BIASES, ids=["zero", "eta-1", "x=0.1"])
+    @pytest.mark.parametrize("family", ["slgi", "wlgi"])
+    def test_curve_maximum_independent_of_batch(self, family, bias):
+        # a curve's maximum is bit for bit the same solved alone, in its
+        # family's call, and in a batch of all the curves: it must not
+        # depend on when the other curves of the call converge
+        rng = np.random.default_rng(4099)
+        fam, x_fixed = gridmod.FAMILY_TABLE[family], bias.get("x_fixed", 0.0)
+        cap = 1.0 - abs(x_fixed)
+        calls = []
+        for _ in range(80):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            bloch = gridmod.pure_bloch(*rng.uniform((0.0, 0.0), (math.pi, 2 * math.pi)))
+            eta = rng.uniform(0.05, cap)
+            x = bias_x(bias["bias_mode"], eta, x_fixed)
+            calls.append(fam.values(gridmod.lg_distributions(bloch, EXACT_TAUS, axis, eta, x)))
+        calls = np.stack(calls)  # (call, 5, curve)
+        curves = calls.transpose(0, 2, 1).reshape(-1, 5)[..., None]  # (curve, 5, 1)
+        alone = np.array([exact_tau_max(c) for c in curves])
+        assert exact_tau_max(curves).tolist() == alone.tolist()
+        per_call = alone.reshape(len(calls), -1).max(axis=-1)
+        assert [float(exact_tau_max(c)) for c in calls] == per_call.tolist()
+        assert exact_tau_max(calls).tolist() == per_call.tolist()
+
     @pytest.mark.parametrize("bloch", [gridmod.pure_bloch(0.3, 1.1), np.array([1.0, 0, 0])],
                              ids=["state", "on-axis"])
     @pytest.mark.parametrize("family", ["slgi", "wlgi"])
@@ -1041,6 +1085,21 @@ class TestCli:
 
         monkeypatch.setattr(selftest, "run_all", lambda seed=0: [("broken", False, "x")])
         assert cli.main(["selftest"]) == 3
+
+    def test_sharp_limit_checks_roots_off_z(self, monkeypatch):
+        # the check drew 50 axes and tested the z_hat effect each time, so a
+        # root that is wrong off z_hat (here with sigma_y's sign flipped,
+        # which is right in the x-z plane) passed it
+        import lgscan.selftest as selftest
+        from lgscan.linalg import Operator
+        from lgscan.measurement import Effect
+
+        assert selftest.check_sharp_limit(np.random.default_rng(5))[1]
+        right = Effect.sqrt_operator
+        monkeypatch.setattr(Effect, "sqrt_operator",
+                            lambda self: Operator(right(self).mat.conj()))
+        name, ok, _ = selftest.check_sharp_limit(np.random.default_rng(5))
+        assert name == "sharp-limit" and not ok
 
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
