@@ -27,7 +27,7 @@ import operator
 import numpy as np
 
 from .errors import ConfigError
-from .scan import ScanConfig, read_lines
+from .scan import ScanConfig, default_tau_grid, read_lines
 
 _KEYS = {
     "theta", "phi", "tau", "eta", "bias", "axis_alpha", "axis_beta",
@@ -158,16 +158,14 @@ def _build(section: str, kv: dict[str, tuple[int, str]]) -> ScanConfig:
     def where(key: str) -> str:
         return f"line {kv[key][0]} ({section}.{key})"
 
-    def grid(key: str, default: str) -> np.ndarray:
-        if key in kv:
-            return parse_grid(kv[key][1], where(key))
-        return parse_grid(default, f"default {key}")
+    def grid(key: str, default: np.ndarray) -> np.ndarray:
+        return parse_grid(kv[key][1], where(key)) if key in kv else default
 
     fields = {
-        "theta": grid("theta", "0"),
-        "phi": grid("phi", "0"),
-        "tau": grid("tau", "pi/360 : pi - pi/360 : pi/360"),
-        "eta": grid("eta", "1"),
+        "theta": grid("theta", np.zeros(1)),
+        "phi": grid("phi", np.zeros(1)),
+        "tau": grid("tau", default_tau_grid()),  # the grid figures and thresholds use
+        "eta": grid("eta", np.ones(1)),
     }
     if "bias" in kv:
         lineno, text = kv["bias"]

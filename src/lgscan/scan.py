@@ -74,16 +74,34 @@ EXACT_TAUS = (np.arange(5) + 0.5) * (math.pi / 5)
 _U = 2 * EXACT_TAUS
 _FOURIER = 0.4 * np.stack([np.full(5, 0.5), np.cos(_U), np.sin(_U), np.cos(2 * _U),
                            np.sin(2 * _U)])
+_HARMONICS = np.array([2.0, 4.0])  # tau -> (u, 2u), u = 2 tau
 ZOOM_ROUNDS, _ZOOM = 7, np.linspace(-1.0, 1.0, 21)  # `_zoom_tau_max` rounds, taus per round
 
 
-def _interpolate(dists: dict, tau) -> dict:
-    """Distributions at `tau`, (T,) or (..., T), from those at EXACT_TAUS on axis
-    -2, clipped to [0, 1] as the kernel clips: (..., 5, k) -> (..., T, k)."""
-    u = 2 * np.asarray(tau, dtype=float)[..., None]
-    weights = np.concatenate([np.ones_like(u), np.cos(u), np.sin(u), np.cos(2 * u),
-                              np.sin(2 * u)], axis=-1) @ _FOURIER
-    return {key: np.clip(weights @ p, 0.0, 1.0) for key, p in dists.items()}
+TAU_BLOCK = 120  # taus per block of `_stacked_tau_curve`, which bounds its temporaries
+
+
+def _stacked_tau_curve(table: np.ndarray, tau, value_fn) -> np.ndarray:
+    """value_fn (..., T, k) -> (..., T) of the distributions at `tau`, (T,) or
+    (..., T), from the stacked table (..., 5, k) of them at EXACT_TAUS, each
+    clipped to [0, 1] as the kernel clips.  The taus go TAU_BLOCK at a
+    time: each block is one weights matmul into an array whose tau axis is
+    the fastest in memory, and one clip in place.  A block of one tau alone
+    would take BLAS's matrix-vector path, whose floats differ; neither the
+    359-tau grid nor a 21-tau zoom round leaves one."""
+    angles = np.asarray(tau, dtype=float)[..., None] * _HARMONICS
+    basis = np.empty(angles.shape[:-1] + (5,))  # (1, cos u, sin u, cos 2u, sin 2u)
+    basis[..., 0] = 1.0
+    basis[..., 1::2] = np.cos(angles)
+    basis[..., 2::2] = np.sin(angles)
+    weights = basis @ _FOURIER
+    table_t, weights_t = np.swapaxes(table, -1, -2), np.swapaxes(weights, -1, -2)
+    vals = []
+    for start in range(0, weights_t.shape[-1], TAU_BLOCK):
+        # table_t @ weights_t is (weights @ table) transposed, bit for bit
+        probs = table_t @ weights_t[..., start:start + TAU_BLOCK]
+        vals.append(value_fn(np.swapaxes(probs.clip(0.0, 1.0, out=probs), -1, -2)))
+    return vals[0] if len(vals) == 1 else np.concatenate(vals, axis=-1)
 
 
 def _zoom_tau_max(value_fn) -> np.ndarray:
@@ -91,15 +109,18 @@ def _zoom_tau_max(value_fn) -> np.ndarray:
     `default_tau_grid()`, then ZOOM_ROUNDS rounds of 21 taus centred on the
     best tau so far, each a tenth as wide as the last (the first spans one
     grid step either side).  A round replaces only a value it beats."""
-    taus, best, tau, width = default_tau_grid(), -np.inf, 0.0, 10 * DEFAULT_TAU_STEP
-    for _ in range(ZOOM_ROUNDS + 1):
+    grid = default_tau_grid()
+    vals = value_fn(grid)
+    k = vals.argmax(axis=-1)[..., None]
+    rows = np.indices(k.shape, sparse=True)[:-1]  # with k, indexes each row's argmax
+    best, tau, width = vals[rows + (k,)], grid[k], DEFAULT_TAU_STEP
+    for _ in range(ZOOM_ROUNDS):
+        taus = tau + width * _ZOOM
         vals = value_fn(taus)
         k = vals.argmax(axis=-1)[..., None]
-        new = np.take_along_axis(vals, k, -1)
-        at = np.take_along_axis(np.broadcast_to(taus, vals.shape), k, -1)
-        tau = np.where(new > best, at, tau)
+        new = vals[rows + (k,)]
+        tau = np.where(new > best, taus[rows + (k,)], tau)
         best, width = np.maximum(best, new), width / 10
-        taus = tau + width * _ZOOM
     return best[..., 0]
 
 
@@ -438,6 +459,22 @@ def halving_tree(lo: float, hi: float, depth: int) -> list[tuple[float, float, f
     return nodes
 
 
+AXIS_TOL = 1e-12  # |axis| = 1 to this, the tolerance of lgscan.linalg.qubit_unitary
+
+
+def _unit_axis(axis) -> np.ndarray:
+    """axis as a float array; ConfigError unless it is a finite 3-vector of
+    length 1 within AXIS_TOL, as every `axis_from_angles` output is."""
+    try:
+        unit = np.asarray(axis, dtype=float)
+    except (TypeError, ValueError):
+        unit = np.full(3, np.nan)
+    if not (unit.shape == (3,) and np.all(np.isfinite(unit))
+            and abs(np.linalg.norm(unit) - 1.0) <= AXIS_TOL):
+        raise ConfigError(f"axis must be a finite unit 3-vector, got {axis!r}")
+    return unit
+
+
 def threshold_eta(
     family: str,
     *,
@@ -459,11 +496,15 @@ def threshold_eta(
     fixed bias and ETA_HI otherwise.  Exactly one of `tau` and maximize_tau
     is required.  With maximize_tau, value is the supremum over the open
     interval 0 < tau < pi (the maximum over the period), from the
-    distributions at EXACT_TAUS: `exact_tau_max` for the linear families,
-    `_zoom_tau_max` on `_interpolate`d distributions for ELGI.  Raises
-    NoBracket when g has no sign change on [ETA_LO, cap] or its samples
-    (the BRACKET_SAMPLES points of [ETA_LO, ETA_HI] below cap, and cap) are
-    not monotone-crossing.
+    distributions at EXACT_TAUS: `exact_tau_max` for the linear families;
+    for ELGI, `_zoom_tau_max` of `_stacked_tau_curve`, which rebuilds the
+    six experiments ELGI reads, stacked once per kernel call into one
+    (..., 5, 18) table (gridmod.ELGI_STACK), at the taus of each round and
+    hands them to gridmod.elgi_values as one table.  Raises ConfigError for
+    an axis that is not a finite unit 3-vector (within AXIS_TOL) and for a
+    non-finite theta, phi, tau or x_fixed.  Raises NoBracket when g has no
+    sign change on [ETA_LO, cap] or its samples (the BRACKET_SAMPLES points
+    of [ETA_LO, ETA_HI] below cap, and cap) are not monotone-crossing.
 
     The midpoints are those of halving [ETA_LO, ETA_HI]; one past cap (by
     `valid_effect`) lies above the crossing, since g(cap) > 0, and the
@@ -483,9 +524,12 @@ def threshold_eta(
         specs = specs[spec_index:spec_index + 1]
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tolerance must be a finite number > 0, got {tol!r}")
-    axis = axis_from_angles(0.0, math.pi / 2) if axis is None else axis
     if maximize_tau == (tau is not None):
         raise ConfigError("exactly one of tau and maximize_tau is required")
+    for name, value in (("theta", theta), ("phi", phi), ("tau", tau), ("x_fixed", x_fixed)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    axis = axis_from_angles(0.0, math.pi / 2) if axis is None else _unit_axis(axis)
     taus = EXACT_TAUS if maximize_tau else np.array([float(tau)])
     if not valid_effect(ETA_LO, bias_x(bias_mode, ETA_LO, x_fixed)):
         raise ConfigError(f"bias x = {x_fixed:.12g} leaves no valid eta >= {ETA_LO:g}")
@@ -503,7 +547,9 @@ def threshold_eta(
             return fam.values(dists, specs).max(axis=(-2, -1))
         if fam.linear:
             return exact_tau_max(fam.values(dists, specs))
-        return _zoom_tau_max(lambda t: fam.values(_interpolate(dists, t), specs).max(axis=-1))
+        table = np.concatenate([dists[key] for key in gridmod.ELGI_STACK], axis=-1)
+        return _zoom_tau_max(lambda t: _stacked_tau_curve(
+            table, t, lambda p: fam.values(p, specs).max(axis=-1)))
 
     memo: dict[float, float] = {}  # g is deterministic; the bisection revisits bracket samples
 

@@ -355,6 +355,48 @@ class TestFamilyEvaluators:
         assert np.array_equal(bits(got), bits(want))
         assert np.array_equal(bits(gridmod.entropy(p[7])), bits(want[7]))
 
+    def test_column_adds_equal_sum_only_below_eight(self, rng):
+        # np.sum adds a row of fewer than COLUMN_ADD_WIDTH entries left to
+        # right from +0, so column adds give its float; wider rows it sums
+        # pairwise, and column adds would differ.  entropy takes each path
+        # where it equals np.sum, at every width, with exact 0 and 1
+        # probabilities, and a row of -0.0 (whose np.sum is +0)
+        assert gridmod.COLUMN_ADD_WIDTH == 8
+        differing = {}
+        for width in range(2, 17):
+            p = rng.dirichlet(np.ones(width), size=3000)
+            p[::3, 0] = 0.0
+            p[::5] = np.eye(width)[1]
+            p[7] = -0.0
+            terms = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+            terms *= p
+            total = terms[:, 0] + terms[:, 1]
+            for i in range(2, width):
+                total += terms[:, i]
+            total += 0.0
+            differing[width] = np.count_nonzero(bits(total) != bits(terms.sum(axis=-1)))
+            assert np.array_equal(bits(gridmod.entropy(p)), bits(-terms.sum(axis=-1)))
+        assert all(differing[w] == 0 for w in range(2, 8))
+        assert all(differing[w] > 0 for w in range(8, 17))
+
+    @pytest.mark.parametrize("tau_major", [False, True])
+    def test_stacked_table_equals_dicts(self, rng, tau_major):
+        # one (..., 18) table of the ELGI_STACK experiments gives the floats
+        # of the dict, for every spec set, with exact 0 and 1 probabilities
+        # and whichever axis is fastest in memory
+        dists = {key: rng.dirichlet(np.ones(2 ** len(key)), size=(3, 40))
+                 for key in gridmod.ELGI_STACK}
+        dists[(1,)][0] = (1.0, 0.0)
+        dists[(1, 3)][1] = (0.0, 0.0, 1.0, 0.0)
+        dists[(2, 3)][:, ::4, 2] = 0.0
+        table = np.concatenate([dists[key] for key in gridmod.ELGI_STACK], axis=-1)
+        if tau_major:
+            table = np.ascontiguousarray(table.swapaxes(-1, -2)).swapaxes(-1, -2)
+        for specs in [gridmod.ELGI_SPECS] + [gridmod.ELGI_SPECS[i:i + 1] for i in range(3)]:
+            got = gridmod.elgi_values(table, specs)
+            assert got.shape == (3, 40, len(specs))
+            assert np.array_equal(bits(got), bits(gridmod.elgi_values(dists, specs)))
+
     def test_entropy_matches_scipy(self, rng):
         import scipy.stats
 

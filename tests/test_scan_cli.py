@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgscan.cli as cli
+from conftest import bits
 from lgscan import grid as gridmod
 from lgscan.config import (
     MAX_RANGE_POINTS,
@@ -30,8 +31,9 @@ from lgscan.scan import (
     HALVINGS_PER_CALL,
     ScanConfig,
     ScanTable,
+    _FOURIER,
     _circle_max,
-    _interpolate,
+    _stacked_tau_curve,
     _zoom_tau_max,
     axis_from_angles,
     bias_x,
@@ -108,6 +110,16 @@ axis_beta = pi/4
         assert np.allclose(a.tau, [0.1, 0.2, 0.3, 0.4, 0.5])
         b = configs["run-b"]
         assert np.allclose(b.axis, axis_from_angles(np.pi / 4, np.pi / 4))
+
+    def test_default_grids(self, tmp_path):
+        # a section without a tau key scans the grid figures and thresholds
+        # use, float for float; the old default string differed by an ulp
+        # in 100 of its 359 values
+        path = tmp_path / "scan.cfg"
+        path.write_text("[x]\nfamilies = slgi\n")
+        cfg = load_configs(str(path))["x"]
+        assert np.array_equal(bits(cfg.tau), bits(default_tau_grid()))
+        assert (cfg.theta.tolist(), cfg.phi.tolist(), cfg.eta.tolist()) == ([0.0], [0.0], [1.0])
 
     def test_unknown_key_diagnostic(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -436,6 +448,17 @@ class TestScan:
                 assert rec.jm_triple == (None if triple is None else triple.jointly_measurable)
 
 
+def _interpolate(dists: dict, tau) -> dict:
+    """Distributions at `tau`, (T,) or (..., T), from those at EXACT_TAUS on
+    axis -2, clipped to [0, 1] as the kernel clips, one experiment at a
+    time: (..., 5, k) -> (..., T, k).  The reference for the stacked table
+    that threshold_eta's ELGI tau maximum reads."""
+    u = 2 * np.asarray(tau, dtype=float)[..., None]
+    weights = np.concatenate([np.ones_like(u), np.cos(u), np.sin(u), np.cos(2 * u),
+                              np.sin(2 * u)], axis=-1) @ _FOURIER
+    return {key: np.clip(weights @ p, 0.0, 1.0) for key, p in dists.items()}
+
+
 def _threshold_one_sample_at_a_time(family, *, theta=0.0, phi=0.0, tau=None,
                                     maximize_tau=False, bias_mode="zero", x_fixed=0.0,
                                     spec_index=None, tol=1e-4):
@@ -675,6 +698,58 @@ class TestThresholdEta:
         assert keys and all(k == want for k in keys)
         assert all((1, 2, 3) not in k for k in keys)
 
+    def test_elgi_tau_max_calls_elgi_values(self, monkeypatch):
+        # the stacked table reaches the one ELGI formula through the module
+        # attribute, so a wrapper installed there sees every call
+        elgi_values, shapes = gridmod.elgi_values, []
+
+        def recording(dists, specs=gridmod.ELGI_SPECS):
+            shapes.append(np.shape(dists))
+            return elgi_values(dists, specs)
+
+        monkeypatch.setattr(gridmod, "elgi_values", recording)
+        eta = threshold_eta("elgi", theta=1.7, phi=math.pi / 2, maximize_tau=True)
+        monkeypatch.undo()
+        assert eta == threshold_eta("elgi", theta=1.7, phi=math.pi / 2, maximize_tau=True)
+        assert shapes and all(shape[-1] == 18 for shape in shapes)
+
+    @pytest.mark.parametrize("args, out", [
+        (["--theta", "0.3", "--phi", "1.1", "--bias", "eta-1"], "0.910919"),
+        (["--theta", "1.7", "--phi", "pi/2", "--bias", "x=-0.3"], "0.688813"),
+        (["--theta", "0.3", "--phi", "1.1", "--bias", "x=0.1", "--axis-alpha", "0.4",
+          "--axis-beta", "1.1"], "0.836395"),
+    ])
+    def test_elgi_crossings_away_from_zero_bias(self, capsys, args, out):
+        # each is a real crossing: g is at least 1.1e-3 from 0 at eta -+ 1e-3
+        assert cli.main(["threshold", "--family", "elgi", "--maximize-tau", *args]) == 0
+        assert capsys.readouterr().out == f"elgi threshold eta = {out}\n"
+
+    @pytest.mark.parametrize("axis", [[0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [math.nan, 0.0, 1.0],
+                                      [0.0, math.inf, 0.0], [0.0, 1.0], [[1.0, 0.0, 0.0]],
+                                      ["x", "y", "z"]])
+    def test_axis_must_be_a_finite_unit_vector(self, axis):
+        # [0, 0, 2] used to give 0.202180 and [0, 0, 0] 0.999969 for SLGI at
+        # (1.1, 0.4)
+        with pytest.raises(ConfigError, match="axis must be a finite unit 3-vector"):
+            threshold_eta("slgi", theta=1.1, phi=0.4, maximize_tau=True, axis=axis)
+
+    @pytest.mark.parametrize("name", ["theta", "phi", "tau", "x_fixed"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_config_error(self, name, value):
+        # a NaN theta used to end in "NoBracket ... g=nan..nan"
+        kw = dict(tau=0.7) if name == "tau" else dict(maximize_tau=True)
+        kw.update({name: value}, bias_mode="fixed" if name == "x_fixed" else "zero")
+        with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+            threshold_eta("slgi", **kw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_accepts_every_axis_from_angles(self, alpha, beta):
+        # a ConfigError would propagate; a threshold or a NoBracket is fine
+        _outcome(threshold_eta, "slgi", theta=1.1, phi=0.4, tau=0.7, tol=0.1,
+                 axis=axis_from_angles(alpha, beta))
+
     def test_fixed_bias_valid_threshold_unchanged(self, capsys):
         code = cli.main(["threshold", "--family", "wlgi", "--maximize-tau", "--bias", "x=0.1"])
         assert code == 0
@@ -853,6 +928,38 @@ class TestInterpolatedTauMax:
                     assert got[key].shape == want[key].shape
                     assert np.abs(got[key] - want[key]).max() <= 1e-14
 
+    @pytest.mark.parametrize("bias", _BIASES, ids=["zero", "eta-1", "x=0.1"])
+    def test_stacked_curve_equals_per_key_reference(self, bias):
+        # one stacked table, one p ln p over it and the entropies as column
+        # adds give, bit for bit, the floats of interpolating each
+        # experiment and taking its entropy on its own: on the grid (in
+        # TAU_BLOCK blocks) and on per-eta zoom taus, for all specs and each
+        # one, at |0> (values exactly 0 on a plateau) and at eta = cap
+        elgi = gridmod.FAMILY_TABLE["elgi"]
+        rng = np.random.default_rng(41)
+        x_fixed = bias.get("x_fixed", 0.0)
+        cap = 1.0 - abs(x_fixed)
+        etas = np.append(rng.uniform(ETA_LO, cap, 6), cap)[:, None]
+        xs = bias_x(bias["bias_mode"], etas, x_fixed)
+        zoom = rng.uniform(0.0, math.pi, (etas.size, 21))
+        for axis in _AXES:
+            for theta, phi in _STATES + [(0.0, 0.0)]:
+                dists = gridmod.lg_distributions(gridmod.pure_bloch(theta, phi), EXACT_TAUS, axis,
+                                                 etas, xs, experiments=elgi.reads)
+                table = np.concatenate([dists[key] for key in gridmod.ELGI_STACK], axis=-1)
+                for specs in [elgi.specs] + [elgi.specs[i:i + 1] for i in range(3)]:
+                    def stacked(t, specs=specs):
+                        return _stacked_tau_curve(table, t,
+                                                  lambda p: elgi.values(p, specs).max(axis=-1))
+
+                    def reference(t, specs=specs):
+                        return elgi.values(_interpolate(dists, t), specs).max(axis=-1)
+
+                    for taus in (default_tau_grid(), zoom):
+                        assert np.array_equal(bits(stacked(taus)), bits(reference(taus)))
+                    assert np.array_equal(bits(_zoom_tau_max(stacked)),
+                                          bits(_zoom_tau_max(reference)))
+
     def test_elgi_tau_max_at_least_dense_kernel_max(self):
         # the grid start and the zoom rounds never miss the peak that a
         # 200,001-tau direct kernel scan finds, and stop within that scan's
@@ -861,8 +968,9 @@ class TestInterpolatedTauMax:
         dense = np.linspace(0.0, math.pi, 200_001)
         for dists, values in _tau_cases(1):  # both axes, all three bias modes
             samples = dists(EXACT_TAUS)
-            got = float(_zoom_tau_max(lambda t: elgi.values(_interpolate(samples, t))
-                                      .max(axis=-1)))
+            table = np.concatenate([samples[key] for key in gridmod.ELGI_STACK], axis=-1)
+            got = float(_zoom_tau_max(lambda t: _stacked_tau_curve(
+                table, t, lambda p: elgi.values(p).max(axis=-1))))
             dense_max = max(values(part, "elgi").max() for part in np.array_split(dense, 8))
             assert dense_max - 1e-12 <= got <= dense_max + 1e-9
 
