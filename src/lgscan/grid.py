@@ -42,9 +42,10 @@ shape-() vectors of one `run_schedule(...)` result, so the scalar
 evaluators in lgscan.inequalities and lgscan.nsit feed them the operator
 pipeline's distributions.  `elgi_values` also takes the six experiments it
 reads stacked as one (..., 18) table (`ELGI_STACK`), which the ELGI
-tau-maximum of lgscan.scan.threshold_eta rebuilds at many taus; `entropy`
-sums rows of fewer than COLUMN_ADD_WIDTH outcomes as column adds, in the
-order np.sum uses there, so both forms give the same floats.
+tau-maximum of lgscan.scan.threshold_eta rebuilds at many taus.  Both
+forms take p ln p (`_plogp`) and its row sums (`_row_sums`, column adds
+for rows of fewer than COLUMN_ADD_WIDTH outcomes, in the order np.sum
+uses there) from the code `entropy` is, so they give the same floats.
 
 SLGI, WLGI, D and AoT find each outcome term by `locate`, once.  Each D
 family is a row of `DISTURBANCES` and each AoT identity a row of
@@ -356,32 +357,40 @@ def wlgi_values(dists: dict, specs=WLGI_SPECS) -> np.ndarray:
 
 
 # np.sum adds a row of fewer than this many entries left to right from +0, as
-# `_row_sum` does; wider rows it sums pairwise, in another order
+# `_row_sums` does; wider rows it sums pairwise, in another order
 COLUMN_ADD_WIDTH = 8
+_LEAST_POSITIVE = np.nextafter(0.0, 1.0)
 
 
-def _row_sum(columns: list, out=None) -> np.ndarray:
-    """Sum of the columns, left to right from +0: the float np.sum gives for
-    each row of fewer than COLUMN_ADD_WIDTH of them, without numpy's
-    per-row reduction.  Starting from +0 matters only to the sign of a sum
-    of -0.0 terms."""
-    total = np.add(columns[0], columns[1], out=out)
-    for column in columns[2:]:
-        total += column
+def _plogp(p: np.ndarray) -> np.ndarray:
+    """p ln p of a float array, 0 where p <= 0.  The log reads p floored at
+    the least positive float, so it needs no where= mask (which takes
+    numpy's slower masked loop), and multiplies p floored at 0: a p > 0
+    gives p ln p, a p <= 0 a zero of either sign."""
+    terms = np.maximum(p, _LEAST_POSITIVE)
+    np.log(terms, out=terms)
+    terms *= np.maximum(p, 0.0)
+    return terms
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """np.sum(terms, axis=-1), float for float.  A row of 2 to
+    COLUMN_ADD_WIDTH - 1 entries goes as column adds, left to right from
+    +0 as np.sum adds it, without numpy's per-row reduction.  Either way a
+    row of zeros sums to +0, whatever their signs."""
+    width = terms.shape[-1]
+    if not 2 <= width < COLUMN_ADD_WIDTH:
+        return terms.sum(axis=-1)
+    total = terms[..., 0] + terms[..., 1]
+    for i in range(2, width):
+        total += terms[..., i]
     total += 0.0
     return total
 
 
 def entropy(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy (nats) along the last axis with 0 ln 0 = 0; rows of
-    2 to COLUMN_ADD_WIDTH - 1 outcomes by column adds, wider ones by np.sum."""
-    p = np.asarray(probs, dtype=float)
-    terms = np.log(p, out=np.zeros_like(p), where=p > 0.0)
-    terms *= p
-    width = p.shape[-1]
-    if not 2 <= width < COLUMN_ADD_WIDTH:
-        return -terms.sum(axis=-1)
-    return -_row_sum([terms[..., i] for i in range(width)])
+    """Shannon entropy (nats) along the last axis with 0 ln 0 = 0."""
+    return -_row_sums(_plogp(np.asarray(probs, dtype=float)))
 
 
 def _elgi_terms(middle: int) -> tuple:
@@ -393,38 +402,6 @@ def _elgi_terms(middle: int) -> tuple:
 # The experiments ELGI reads, in the column order of its stacked (..., 18)
 # table: the singles, 2 columns each, then the pairs, 4 columns each
 ELGI_STACK = ((1,), (2,), (3,)) + PAIRS
-_LEAST_POSITIVE = np.nextafter(0.0, 1.0)
-
-
-@cache
-def _elgi_plan(specs: tuple, stacked: bool) -> tuple:
-    """The experiments whose entropies the specs read, in the order of their
-    table of entropies (ELGI_STACK if `stacked`, else each distinct key once
-    as the specs name it), and for each spec the places in that table of
-    its H(a,c), H(a,b), H(b,c) and H(b)."""
-    terms = [_elgi_terms(spec.middle) for spec in specs]
-    keys = ELGI_STACK if stacked else tuple(dict.fromkeys(k for t in terms for k in t))
-    return keys, tuple(tuple(map(keys.index, t)) for t in terms)
-
-
-def _stacked_entropies(table: np.ndarray) -> np.ndarray:
-    """Entropies (6, ...) of the ELGI_STACK experiments from their stacked
-    table (..., 18) of probabilities in [0, 1]: p ln p of the whole table,
-    then the column adds of `entropy`, for the three singles (columns 0-5)
-    at once and then for the three pairs (columns 6-17).  p is floored at
-    the least positive float, so that the log needs no mask: that changes
-    no p > 0, and turns the term of a p = 0 into -0.0, which a sum from +0
-    adds as it adds +0.  A table whose batch axes are the fastest in memory
-    gives contiguous rows to every add."""
-    terms = np.maximum(table, _LEAST_POSITIVE)
-    np.log(terms, out=terms)
-    terms *= table
-    terms = terms.transpose(terms.ndim - 1, *range(terms.ndim - 1))  # outcome axis first
-    h = np.empty((len(ELGI_STACK),) + terms.shape[1:])
-    for first, start, width in ((0, 0, 2), (3, 6, 4)):
-        stop = start + 3 * width
-        _row_sum([terms[start + i:stop:width] for i in range(width)], out=h[first:first + 3])
-    return np.negative(h, out=h)
 
 
 def elgi_values(dists, specs=ELGI_SPECS) -> np.ndarray:
@@ -433,19 +410,20 @@ def elgi_values(dists, specs=ELGI_SPECS) -> np.ndarray:
     and the single at each middle.
 
     `dists` is a dict of distributions, of which each distinct entropy the
-    specs read is taken once, key by key (6 for the default specs, 4 for
-    one spec), or the stacked (..., 18) table of the ELGI_STACK
-    experiments, with entries in [0, 1], whose p ln p is taken once for
-    the whole table.  Both give the same floats."""
-    stacked = not isinstance(dists, dict)
-    keys, rows = _elgi_plan(tuple(specs), stacked)
-    if stacked:
-        h = _stacked_entropies(np.asarray(dists, dtype=float))
-    else:
-        h = [entropy(dists[key]) for key in keys]
+    specs read is taken once (6 for the default specs, 4 for one spec), or
+    the stacked (..., 18) table of the ELGI_STACK experiments, whose p ln p
+    is taken once for the whole table.  Both give the same floats."""
+    terms = [_elgi_terms(spec.middle) for spec in specs]
+    if isinstance(dists, dict):
+        h = {key: entropy(dists[key]) for key in dict.fromkeys(k for t in terms for k in t)}
+    else:  # p ln p of the whole table, then the row sums of `entropy`
+        plogp = _plogp(np.asarray(dists, dtype=float))
+        groups = [-_row_sums(plogp[..., cols].reshape(plogp.shape[:-1] + (3, -1)))
+                  for cols in (slice(0, 6), slice(6, 18))]  # (..., 3): singles, pairs
+        h = {key: groups[i // 3][..., i % 3] for i, key in enumerate(ELGI_STACK)}
     # spec by spec, so that no temporary is larger than one entropy; the spec
     # axis is stacked first, where a max over specs reduces whole rows
-    values = np.stack([h[ac] - h[ab] - h[bc] + h[b] for ac, ab, bc, b in rows])
+    values = np.stack([h[ac] - h[ab] - h[bc] + h[b] for ac, ab, bc, b in terms])
     return values.transpose(*range(1, values.ndim), 0)
 
 

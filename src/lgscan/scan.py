@@ -78,17 +78,19 @@ _HARMONICS = np.array([2.0, 4.0])  # tau -> (u, 2u), u = 2 tau
 ZOOM_ROUNDS, _ZOOM = 7, np.linspace(-1.0, 1.0, 21)  # `_zoom_tau_max` rounds, taus per round
 
 
-TAU_BLOCK = 120  # taus per block of `_stacked_tau_curve`, which bounds its temporaries
+TAU_BLOCK = 120  # taus per block of `_elgi_tau_curve`, which bounds its temporaries
 
 
-def _stacked_tau_curve(table: np.ndarray, tau, value_fn) -> np.ndarray:
-    """value_fn (..., T, k) -> (..., T) of the distributions at `tau`, (T,) or
-    (..., T), from the stacked table (..., 5, k) of them at EXACT_TAUS, each
-    clipped to [0, 1] as the kernel clips.  The taus go TAU_BLOCK at a
-    time: each block is one weights matmul into an array whose tau axis is
-    the fastest in memory, and one clip in place.  A block of one tau alone
-    would take BLAS's matrix-vector path, whose floats differ; neither the
-    359-tau grid nor a 21-tau zoom round leaves one."""
+def _elgi_tau_curve(table: np.ndarray, tau, specs) -> np.ndarray:
+    """(..., T) maximum over `specs` of gridmod.elgi_values at `tau`, (T,) or
+    (..., T), from the stacked table (..., 5, 18) of the ELGI_STACK
+    experiments at EXACT_TAUS, each rebuilt clipped to [0, 1] as the
+    kernel clips.  The taus go TAU_BLOCK at a time: each block is one
+    weights matmul into an array whose tau axis is the fastest in memory,
+    one clip in place, and one elgi_values call on the table it makes.  A
+    block of one tau alone would take BLAS's matrix-vector path, whose
+    floats differ; neither the 359-tau grid nor a 21-tau zoom round leaves
+    one."""
     angles = np.asarray(tau, dtype=float)[..., None] * _HARMONICS
     basis = np.empty(angles.shape[:-1] + (5,))  # (1, cos u, sin u, cos 2u, sin 2u)
     basis[..., 0] = 1.0
@@ -100,7 +102,8 @@ def _stacked_tau_curve(table: np.ndarray, tau, value_fn) -> np.ndarray:
     for start in range(0, weights_t.shape[-1], TAU_BLOCK):
         # table_t @ weights_t is (weights @ table) transposed, bit for bit
         probs = table_t @ weights_t[..., start:start + TAU_BLOCK]
-        vals.append(value_fn(np.swapaxes(probs.clip(0.0, 1.0, out=probs), -1, -2)))
+        probs = np.swapaxes(probs.clip(0.0, 1.0, out=probs), -1, -2)
+        vals.append(gridmod.elgi_values(probs, specs).max(axis=-1))
     return vals[0] if len(vals) == 1 else np.concatenate(vals, axis=-1)
 
 
@@ -497,8 +500,8 @@ def threshold_eta(
     is required.  With maximize_tau, value is the supremum over the open
     interval 0 < tau < pi (the maximum over the period), from the
     distributions at EXACT_TAUS: `exact_tau_max` for the linear families;
-    for ELGI, `_zoom_tau_max` of `_stacked_tau_curve`, which rebuilds the
-    six experiments ELGI reads, stacked once per kernel call into one
+    for ELGI, `_zoom_tau_max` of `_elgi_tau_curve`, which rebuilds the six
+    experiments ELGI reads, stacked once per kernel call into one
     (..., 5, 18) table (gridmod.ELGI_STACK), at the taus of each round and
     hands them to gridmod.elgi_values as one table.  Raises ConfigError for
     an axis that is not a finite unit 3-vector (within AXIS_TOL) and for a
@@ -548,8 +551,7 @@ def threshold_eta(
         if fam.linear:
             return exact_tau_max(fam.values(dists, specs))
         table = np.concatenate([dists[key] for key in gridmod.ELGI_STACK], axis=-1)
-        return _zoom_tau_max(lambda t: _stacked_tau_curve(
-            table, t, lambda p: fam.values(p, specs).max(axis=-1)))
+        return _zoom_tau_max(lambda t: _elgi_tau_curve(table, t, specs))
 
     memo: dict[float, float] = {}  # g is deterministic; the bisection revisits bracket samples
 

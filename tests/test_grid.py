@@ -344,16 +344,24 @@ class TestFamilyEvaluators:
         assert np.array_equal(one[:, 0], values[:, 1])
 
     def test_entropy_equals_masked_form(self, rng):
-        # 0 ln 0 = 0 through log's where=, bit-equal to masking the
-        # argument and the terms
-        p = rng.dirichlet(np.ones(4), size=200)
-        p[::3, 1] = 0.0
-        p[::5] = (1.0, 0.0, 0.0, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want = -np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0).sum(axis=-1)
-        got = gridmod.entropy(p)
-        assert np.array_equal(bits(got), bits(want))
-        assert np.array_equal(bits(gridmod.entropy(p[7])), bits(want[7]))
+        # 0 ln 0 = 0 through a floored log, bit-equal to masking the
+        # argument and the terms: also for -0.0 and (rounding-sized)
+        # negative entries, which contribute nothing, and for rows of zeros
+        # of either sign, on the column-add path and the np.sum one
+        for width in (2, 4, 8):
+            p = rng.dirichlet(np.ones(width), size=200)
+            p[::3, 1] = 0.0
+            p[::5] = np.eye(width)[0]
+            p[::7, 0] = -0.0
+            p[::11, 1] = -1e-17
+            p[4] = 0.0
+            p[9] = -0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = -np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0).sum(axis=-1)
+            got = gridmod.entropy(p)
+            assert np.array_equal(bits(got), bits(want))
+            for row in (7, 11):
+                assert np.array_equal(bits(gridmod.entropy(p[row])), bits(want[row]))
 
     def test_column_adds_equal_sum_only_below_eight(self, rng):
         # np.sum adds a row of fewer than COLUMN_ADD_WIDTH entries left to

@@ -33,7 +33,7 @@ from lgscan.scan import (
     ScanTable,
     _FOURIER,
     _circle_max,
-    _stacked_tau_curve,
+    _elgi_tau_curve,
     _zoom_tau_max,
     axis_from_angles,
     bias_x,
@@ -720,7 +720,7 @@ class TestThresholdEta:
           "--axis-beta", "1.1"], "0.836395"),
     ])
     def test_elgi_crossings_away_from_zero_bias(self, capsys, args, out):
-        # each is a real crossing: g is at least 1.1e-3 from 0 at eta -+ 1e-3
+        # each is a real crossing: g is at least 2.5e-3 from 0 at eta -+ 1e-3
         assert cli.main(["threshold", "--family", "elgi", "--maximize-tau", *args]) == 0
         assert capsys.readouterr().out == f"elgi threshold eta = {out}\n"
 
@@ -949,8 +949,7 @@ class TestInterpolatedTauMax:
                 table = np.concatenate([dists[key] for key in gridmod.ELGI_STACK], axis=-1)
                 for specs in [elgi.specs] + [elgi.specs[i:i + 1] for i in range(3)]:
                     def stacked(t, specs=specs):
-                        return _stacked_tau_curve(table, t,
-                                                  lambda p: elgi.values(p, specs).max(axis=-1))
+                        return _elgi_tau_curve(table, t, specs)
 
                     def reference(t, specs=specs):
                         return elgi.values(_interpolate(dists, t), specs).max(axis=-1)
@@ -969,8 +968,7 @@ class TestInterpolatedTauMax:
         for dists, values in _tau_cases(1):  # both axes, all three bias modes
             samples = dists(EXACT_TAUS)
             table = np.concatenate([samples[key] for key in gridmod.ELGI_STACK], axis=-1)
-            got = float(_zoom_tau_max(lambda t: _stacked_tau_curve(
-                table, t, lambda p: elgi.values(p).max(axis=-1))))
+            got = float(_zoom_tau_max(lambda t: _elgi_tau_curve(table, t, elgi.specs)))
             dense_max = max(values(part, "elgi").max() for part in np.array_split(dense, 8))
             assert dense_max - 1e-12 <= got <= dense_max + 1e-9
 
