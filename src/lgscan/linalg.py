@@ -177,7 +177,7 @@ def qubit_unitary(axis: np.ndarray, phase: float) -> Operator:
     |axis| = 1 within AXIS_TOL.
     """
     axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > AXIS_TOL:
+    if axis.shape != (3,) or not abs(np.linalg.norm(axis) - 1.0) <= AXIS_TOL:  # nan fails
         raise BadAxis("axis must be a unit 3-vector")
     ax, ay, az = axis
     c = np.cos(phase)

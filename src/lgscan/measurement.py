@@ -58,12 +58,12 @@ class QubitState:
 
     def __post_init__(self) -> None:
         t = self.rho.trace()
-        if abs(t - 1.0) > STATE_TOL:
+        if not abs(t - 1.0) <= STATE_TOL:  # each test fails on nan
             raise InvariantError(f"state trace {t} != 1")
         coeffs = to_pauli(self.rho, tol=1e-10)
         r = coeffs.norm
         # eigenvalues are 1/2 +/- |bloch|/2; PSD means |bloch| <= 1
-        if r > 1.0 + 2 * STATE_TOL:
+        if not r <= 1.0 + 2 * STATE_TOL:
             raise InvariantError(f"state Bloch norm {r} > 1")
 
     @classmethod
@@ -79,7 +79,7 @@ class QubitState:
     def from_bloch(cls, bloch: np.ndarray) -> "QubitState":
         """rho = (I + bloch.sigma)/2 for any |bloch| <= 1."""
         bloch = np.asarray(bloch, dtype=float)
-        if bloch.shape != (3,) or np.linalg.norm(bloch) > 1.0 + STATE_TOL:
+        if bloch.shape != (3,) or not np.linalg.norm(bloch) <= 1.0 + STATE_TOL:  # nan fails
             raise InvariantError("Bloch vector must have norm <= 1")
         return cls(from_pauli(0.5, 0.5 * bloch))
 
@@ -117,7 +117,7 @@ class Effect:
         m = np.asarray(self.m, dtype=float)
         if m.shape != (3,):
             raise InvalidEffect("m must be a 3-vector")
-        if abs(self.x) + np.linalg.norm(m) > 1.0 + EFFECT_TOL:
+        if not abs(self.x) + np.linalg.norm(m) <= 1.0 + EFFECT_TOL:  # nan fails
             raise InvalidEffect(
                 f"|x| + |m| = {abs(self.x) + np.linalg.norm(m):.6g} exceeds 1"
             )
@@ -163,15 +163,15 @@ class Schedule:
             raise ValueError("tau must be finite")
         object.__setattr__(self, "tau", float(self.tau))
         axis = np.array(self.axis, dtype=float)  # a copy: the caller's array stays writable
-        if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > 1e-12:
+        if axis.shape != (3,) or not abs(np.linalg.norm(axis) - 1.0) <= 1e-12:  # nan fails
             raise ValueError("axis must be a unit 3-vector")
         axis.setflags(write=False)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "eta", float(self.eta))
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise InvalidEffect("eta must be >= 0")
-        if abs(self.x) + self.eta > 1.0 + EFFECT_TOL:
+        if not abs(self.x) + self.eta <= 1.0 + EFFECT_TOL:
             raise InvalidEffect(f"|x| + eta = {abs(self.x) + self.eta:.6g} exceeds 1")
 
     def with_measured(self, measured: tuple[int, ...]) -> "Schedule":

@@ -614,7 +614,14 @@ _KEY_LIMIT = 2**62  # combination keys stay below this: int64 never overflows
 
 
 def _json_float(text: str) -> str:
-    """json's spelling of the float `text` reads as: its repr when finite."""
+    """json's spelling of the float `text` reads as: its repr when finite.
+
+    For the 12-digit text of a normal float that is the text, with ".0" after
+    an integer text (no other decimal of <= 15 digits reads as the same
+    float), as `_distinct` writes it.  This takes the rest: magnitudes from
+    1e11 (.12g's exponents start at 1e+12, repr's at 1e16), below 1e-307
+    (subnormal 5e-324 prints 4.94065645841e-324), nan and inf.
+    """
     value = float(text)
     return repr(value) if math.isfinite(value) else json.dumps(value)
 
@@ -631,9 +638,9 @@ def _distinct(column: np.ndarray, col: str, as_json: bool) -> tuple[list[str], n
     """(cells, codes) of one column block: its distinct cells, each between
     the column's affixes, and each row's index into them.
 
-    Floats are f"{v:.12g}" (CSV) or the repr of the float that text reads as
-    (JSON; non-finite floats keep json's NaN and Infinity), deduplicated on
-    their bit pattern, not on ==, so -0.0 ("-0") stays apart from 0.0.
+    Floats are f"{v:.12g}" (CSV) or json's spelling of the float that text
+    reads as (JSON, see `_json_float`), deduplicated on their bit pattern,
+    not on ==, so -0.0 ("-0") stays apart from 0.0.
     Family and flag codes index their cell tables as they are.
     """
     pre, post = (_JSON_AFFIXES if as_json else _CSV_AFFIXES)[col]
@@ -649,7 +656,12 @@ def _distinct(column: np.ndarray, col: str, as_json: bool) -> tuple[list[str], n
         floats = bits.view(np.float64).tolist()
         if not as_json:
             return [f"{v:.12g}{post}" for v in floats], codes
-        distinct = [_json_float(f"{v:.12g}") for v in floats]
+        cells = [f"{pre}{t}{post}" if "." in t or "e" in t else f"{pre}{t}.0{post}"
+                 for t in [f"{v:.12g}" for v in floats]]
+        size = np.abs(bits.view(np.float64))
+        for i in np.flatnonzero((size < 1e-307) | ~(size < 1e11)).tolist():
+            cells[i] = pre + _json_float(f"{floats[i]:.12g}") + post
+        return cells, codes
     return [pre + c + post for c in distinct], codes
 
 
@@ -695,9 +707,11 @@ def report(table: ScanTable, path: str, fmt: str = "csv") -> None:
     """Write a table; floats carry 12 significant digits in either format.
 
     JSON is what json.dump(rows, indent=1) writes for the rows as dicts, with
-    each float rounded through f"{v:.12g}".  Each block of CHUNK rows is
-    formatted run by run (`_cells`, `_RUNS`) into one row-major object array of
-    len(_RUNS) cells per row, which is written WRITE_ROWS rows to a string.
+    each float rounded through f"{v:.12g}": a cell is that text, with ".0"
+    after an integer text, outside the ranges `_json_float` spells.  Each
+    block of CHUNK rows is formatted run by run (`_cells`, `_RUNS`) into one
+    row-major object array of len(_RUNS) cells per row, which is written
+    WRITE_ROWS rows to a string.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")

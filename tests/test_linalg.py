@@ -159,6 +159,12 @@ class TestQubitUnitary:
         with pytest.raises(BadAxis):
             qubit_unitary(np.array([1.0, 1.0, 0.0]), 0.2)
 
+    @pytest.mark.parametrize("axis", [[np.nan, 0.0, 0.0], [1.0, np.nan, 0.0], [0.0, 0.0, np.inf]])
+    def test_rejects_non_finite_axis(self, axis):
+        # a test written `|norm - 1| > tol` lets nan through
+        with pytest.raises(BadAxis):
+            qubit_unitary(np.array(axis), 0.3)
+
 
 @settings(max_examples=60, deadline=None)
 @given(

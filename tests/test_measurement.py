@@ -55,6 +55,14 @@ class TestQubitState:
         with pytest.raises(InvariantError):
             QubitState(Operator(np.diag([1.0, 0.5]).astype(complex)))
 
+    @pytest.mark.parametrize("bloch", [[np.nan, 0.0, 0.0], [0.0, 0.0, np.inf]])
+    def test_from_bloch_rejects_non_finite(self, bloch):
+        # a test written `norm > 1` lets nan through
+        with pytest.raises(InvariantError):
+            QubitState.from_bloch(np.array(bloch))
+        with pytest.raises(InvariantError):
+            QubitState(Operator(np.diag([np.nan, 0.5]).astype(complex)))
+
 
 class TestEffect:
     def test_completeness_exact(self, rng):
@@ -72,6 +80,12 @@ class TestEffect:
     def test_rejects_invalid(self):
         with pytest.raises(InvalidEffect):
             Effect(0.5, np.array([0.0, 0.0, 0.6]), 1)
+
+    @pytest.mark.parametrize("x, m", [(np.nan, [0.0, 0.0, 0.5]), (0.0, [np.nan, 0.0, 0.0]),
+                                      (-np.inf, [0.0, 0.0, 0.5])])
+    def test_rejects_non_finite(self, x, m):
+        with pytest.raises(InvalidEffect):
+            Effect(x, np.array(m), 1)
 
     def test_bias_family_operator(self):
         # x = eta - 1 gives eta * (I + sigma_z)/2
@@ -115,6 +129,13 @@ class TestEffectAtTime:
     def test_invalid_effect_rejected(self):
         with pytest.raises(InvalidEffect):
             Schedule(measured=(1,), tau=0.1, x=0.4, eta=0.7)
+
+    @pytest.mark.parametrize("kw", [dict(axis=[np.nan, 0.0, 0.0]), dict(eta=np.nan),
+                                    dict(x=np.nan), dict(eta=0.5, x=np.nan)])
+    def test_nan_rejected(self, kw):
+        error = ValueError if "axis" in kw else InvalidEffect
+        with pytest.raises(error):
+            Schedule(measured=(1, 2, 3), tau=0.5, **kw)
 
 
 class TestLuders:

@@ -348,6 +348,10 @@ EDGE_FLOATS = SPECIAL_FLOATS + [
     0.0, 1e12, 999999999999.5, 1e15, 1.2345678901234e13, 1e-4, 9.99999999999e-5,
     0.1234567890123, 0.1234567890124, 1.0000000000001, 1.0000000000002,
     123456789012.3, 123456789012.4,
+    # print as integers but are not integral; 999999999999.5 prints 1e+12
+    2.0000000000001, -0.99999999999996, 999999999999.4, 999999999999.5,
+    # the smallest normal float and two subnormals
+    2.2250738585072014e-308, 1e-310, -2.5e-320,
 ]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(1e12, 1e16),
                    st.floats(allow_nan=True, allow_infinity=True))
@@ -391,6 +395,37 @@ def test_random_tables_match_row_wise_writer(tmp_path_factory, table):
         mp.setattr(scan_mod, "CHUNK", 7)
         mp.setattr(scan_mod, "WRITE_ROWS", 3)
         assert_same_bytes(table, list(table), tmp_path)
+
+
+def json_cells(values: np.ndarray) -> list[str]:
+    """The JSON writer's float cell of each of `values`, without its affixes."""
+    pre, post = scan_mod._JSON_AFFIXES["value"]
+    cells, codes = scan_mod._distinct(values, "value", True)
+    assert all(c.startswith(pre) and c.endswith(post) for c in cells)
+    return [cells[k][len(pre):-len(post)] for k in codes.tolist()]
+
+
+def round_trip_cells(values: np.ndarray) -> list[str]:
+    return [scan_mod._json_float(f"{v:.12g}") for v in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_subnormal=True)),
+                min_size=1, max_size=30))
+def test_json_cells_are_the_round_tripped_text(values):
+    # the text rule ("." or "e", else ".0" appended) and its fallback give the
+    # cell that float(text) spells; integrality is read off the text, so
+    # 2.0000000000001 ("2") is "2.0"
+    values = np.array(values)
+    assert json_cells(values) == round_trip_cells(values)
+
+
+def test_json_cells_of_random_bit_patterns():
+    bits = np.random.default_rng(24).integers(-(2**63), 2**63 - 1, 10**5, dtype=np.int64,
+                                              endpoint=True)
+    values = bits.view(np.float64)
+    assert np.isnan(values).any() and (np.abs(values) < 2.2250738585072014e-308).any()
+    assert json_cells(values) == round_trip_cells(values)
 
 
 def test_all_distinct_table_renumbers_its_keys(tmp_path):
