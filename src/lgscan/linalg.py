@@ -118,10 +118,10 @@ def to_pauli(op: Operator, tol: float = HERMITIAN_TOL) -> PauliCoeffs:
     """Decompose a Hermitian operator as a0*I + vec.sigma.
 
     a0 = tr(A)/2 and vec_k = tr(A sigma_k)/2.  Raises NotHermitian when the
-    anti-Hermitian part exceeds `tol`.
+    anti-Hermitian part exceeds `tol`, or is NaN.
     """
     m = op.mat
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    if not np.max(np.abs(m - m.conj().T)) <= tol:  # nan fails
         raise NotHermitian(f"anti-Hermitian part exceeds {tol:g}")
     a0 = 0.5 * (m[0, 0] + m[1, 1]).real
     ax = (m[0, 1] + m[1, 0]).real * 0.5
@@ -159,10 +159,10 @@ def sqrt_psd(op: Operator) -> Operator:
     ((sqrt(lam+) + sqrt(lam-))/2) I + ((sqrt(lam+) - sqrt(lam-))/2) n.sigma.
     Eigenvalues in [-PSD_TOL, 0) are clamped to 0 (effects on the validity
     boundary |x| + |m| = 1 have a zero eigenvalue up to rounding); anything
-    below -PSD_TOL raises NotPSD.
+    below -PSD_TOL, or NaN, raises NotPSD.
     """
     lam_plus, lam_minus, n_hat = eig_hermitian(op)
-    if lam_minus < -PSD_TOL:
+    if not lam_minus >= -PSD_TOL:  # nan fails
         raise NotPSD(f"eigenvalue {lam_minus:g} below -{PSD_TOL:g}")
     sp = np.sqrt(max(lam_plus, 0.0))
     sm = np.sqrt(max(lam_minus, 0.0))

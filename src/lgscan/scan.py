@@ -64,7 +64,13 @@ WRITE_ROWS = 2**10  # rows per string that `report` joins and writes
 DEFAULT_TAU_STEP = math.pi / 360  # threshold-resolution grid
 
 ETA_LO, ETA_HI, BRACKET_SAMPLES = 1e-6, 1.0, 9  # threshold_eta's bracket and sign samples
-HALVINGS_PER_CALL = 3  # threshold_eta's halvings decided per kernel call
+# threshold_eta's halvings decided per kernel call, a batching choice that never
+# changes a result.  ELGI's zoomed tau-maximum costs in proportion to its etas,
+# so its calls decide 3 and its first call holds only the bracket samples.  Every
+# other g (an exact tau-maximum, or a fixed tau) costs about the same per call at
+# 7 etas or 63, so its calls decide 5, and the first also carries the first 5.
+HALVINGS_PER_CALL = 3
+EXACT_HALVINGS_PER_CALL = 5
 
 # Every probability of gridmod.lg_distributions, so every linear family value, is
 # a trigonometric polynomial of degree 2 in u = 2 tau, fixed by these 5 samples
@@ -407,6 +413,7 @@ def _circle_max(a0, a1, b1, a2, b2) -> np.ndarray:
     pages in 0.1-0.9 MiB of code, which a threshold run's peak RSS shows.
     """
     r = np.sqrt(a2 * a2 + b2 * b2)
+    two_r = 2 * r
     # (cos h, sin h) up to a sign, which f does not see: along (r + a2, b2),
     # or along (b2, r - a2) where a2 < 0 and r + a2 cancels; any h if r = 0
     cos_h, sin_h = _unit(np.where(a2 >= 0, r + a2, b2), np.where(a2 >= 0, b2, r - a2))
@@ -415,19 +422,21 @@ def _circle_max(a0, a1, b1, a2, b2) -> np.ndarray:
     mu = np.abs(g1)
     moving = np.ones(mu.shape, dtype=bool)
     for _ in range(60):  # converges in <= 8 steps on 20,000 random curves
-        x, y = g1 / _nonzero(mu), g2 / _nonzero(mu + 2 * r)
-        norm2 = x * x + y * y
-        slope = x * x / _nonzero(mu) + y * y / _nonzero(mu + 2 * r)
+        mu_nz, mu_2r_nz = _nonzero(mu), _nonzero(mu + two_r)
+        x, y = g1 / mu_nz, g2 / mu_2r_nz
+        xx, yy = x * x, y * y
+        norm2 = xx + yy
+        slope = xx / mu_nz + yy / mu_2r_nz
         step = np.where(slope > 0, norm2 * (np.sqrt(norm2) - 1.0) / _nonzero(slope), 0.0)
         # each curve stops on its own test, so its mu does not depend on the batch
         new = np.maximum(mu + step, 0.0)
         mu, moving = np.where(moving, new, mu), moving & (new - mu > 1e-15 * new)
         if not moving.any():
             break
-    y0 = np.clip(g2 / _nonzero(2 * r), -1.0, 1.0)  # the mu = 0 points (+-x0, y0)
+    y0 = np.clip(g2 / _nonzero(two_r), -1.0, 1.0)  # the mu = 0 points (+-x0, y0)
     x0 = np.sqrt(1.0 - y0 * y0)
     X, Y = _unit(np.stack([x0, -x0, g1 / _nonzero(mu)]),
-                 np.stack([y0, y0, g2 / _nonzero(mu + 2 * r)]))
+                 np.stack([y0, y0, g2 / _nonzero(mu + two_r)]))
     cos_u, sin_u = X * cos_h - Y * sin_h, X * sin_h + Y * cos_h
     f = (a0 + a1 * cos_u + b1 * sin_u + a2 * (cos_u * cos_u - sin_u * sin_u)
          + 2 * b2 * sin_u * cos_u)
@@ -511,10 +520,18 @@ def threshold_eta(
 
     The midpoints are those of halving [ETA_LO, ETA_HI]; one past cap (by
     `valid_effect`) lies above the crossing, since g(cap) > 0, and the
-    result is at most cap.  g takes one kernel call for all its etas: one
-    for the bracket samples, then one per HALVINGS_PER_CALL halvings, at
-    every midpoint they can reach (`halving_tree`), deciding as halving one
-    step at a time would.  g is memoized: a repeated eta costs nothing.
+    result is at most cap.  g takes one kernel call for all its etas, and
+    each call tests every midpoint that the next `depth` halvings can reach
+    (`halving_tree`), deciding as halving one step at a time would.  For
+    ELGI's zoomed tau-maximum, whose cost grows with its etas, depth is
+    HALVINGS_PER_CALL (3), and the first call holds only the bracket samples
+    and cap, which are most of the first three halvings' midpoints.  For
+    every other g, whose call costs about the same at 7 etas or 63, depth
+    is EXACT_HALVINGS_PER_CALL (5), and the first call carries the first 5
+    halvings together with the samples and cap; the sign and NoBracket tests
+    read only the samples and cap.  The depth only batches: every g value
+    is the same however its etas are batched, so the result does not
+    depend on it.  g is memoized: a repeated eta costs nothing.
     """
     if family not in gridmod.FAMILY_TABLE:
         raise ConfigError(f"unknown family {family!r}")
@@ -539,8 +556,8 @@ def threshold_eta(
     cap = 1.0 - abs(x_fixed) if bias_mode == "fixed" else ETA_HI
     bloch = gridmod.pure_bloch(theta, phi)
 
-    def valid(eta: float) -> bool:
-        return bool(valid_effect(eta, bias_x(bias_mode, eta, x_fixed)))
+    def valid(etas):
+        return valid_effect(etas, bias_x(bias_mode, etas, x_fixed))
 
     def value_max(etas: np.ndarray) -> np.ndarray:
         etas = etas[:, None]
@@ -562,7 +579,19 @@ def threshold_eta(
             memo.update(zip(new, (value_max(np.array(new)) - fam.bound).tolist()))
         return [memo[e] for e in etas]
 
+    zoomed = maximize_tau and not fam.linear
+    depth = HALVINGS_PER_CALL if zoomed else EXACT_HALVINGS_PER_CALL
+
+    def midpoints(lo: float, hi: float) -> list[float]:
+        """The midpoints of `depth` halvings of [lo, hi] that the bisection
+        can read: of intervals wider than tol, with a float inside, at valid
+        effects."""
+        a, b, m = np.array(halving_tree(lo, hi, depth)).T
+        return m[(b - a > tol) & (a < m) & (m < b) & valid(m)].tolist()
+
     samples = [e for e in np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES).tolist() if e < cap]
+    # the first call: the samples, cap and, for an exact g, the first `depth` halvings
+    g(*samples, cap, *([] if zoomed else midpoints(ETA_LO, ETA_HI)))
     signs = [v > 0 for v in g(*samples, cap)]
     g_lo, g_hi = g(ETA_LO, cap)
     if not (g_lo < 0.0 < g_hi):
@@ -578,8 +607,7 @@ def threshold_eta(
             break
         above = not valid(mid)
         if not above and mid not in memo:  # one call for the midpoints of the next halvings
-            tree = halving_tree(lo, hi, HALVINGS_PER_CALL)
-            g(*(m for a, b, m in tree if b - a > tol and a < m < b and valid(m)))
+            g(*midpoints(lo, hi))
         if above or memo[mid] > 0:
             hi = mid
         else:

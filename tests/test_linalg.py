@@ -52,6 +52,13 @@ class TestToPauli:
         with pytest.raises(NotHermitian):
             to_pauli(Operator(np.array([[0, 1], [0, 0]], dtype=complex)))
 
+    @pytest.mark.parametrize("mat", [[[np.nan, 0], [0, 0.5]], [[0.5, np.nan], [np.nan, 0.5]],
+                                     [[0.5, complex(0, np.nan)], [0, 0.5]]])
+    def test_rejects_nan(self, mat):
+        # a test written `max |A - A^dag| > tol` lets nan through
+        with pytest.raises(NotHermitian):
+            to_pauli(Operator(np.array(mat, dtype=complex)))
+
     def test_roundtrip_random(self, rng):
         for _ in range(1000):
             a0, vec = rng.normal(), rng.normal(size=3)
@@ -122,6 +129,16 @@ class TestSqrtPsd:
     def test_rejects_negative(self):
         with pytest.raises(NotPSD):
             sqrt_psd(SIGMA_Z)
+
+    def test_rejects_nan_eigenvalue(self):
+        # a finite Hermitian operator whose a0 and |a| overflow to inf: its
+        # lower eigenvalue inf - inf is nan, which a test written
+        # `lam_minus < -tol` lets through
+        op = Operator(np.full((2, 2), 1.7e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(eig_hermitian(op)[1])
+            with pytest.raises(NotPSD):
+                sqrt_psd(op)
 
     def test_clamps_boundary_rounding(self):
         op = from_pauli(0.5, np.array([0.0, 0.0, 0.5 + 4e-13]))

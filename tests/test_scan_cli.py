@@ -1,4 +1,5 @@
 import functools
+import importlib
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from lgscan.scan import (
     CSV_COLUMNS,
     ETA_HI,
     ETA_LO,
+    EXACT_HALVINGS_PER_CALL,
     EXACT_TAUS,
     HALVINGS_PER_CALL,
     ScanConfig,
@@ -40,6 +42,7 @@ from lgscan.scan import (
     default_tau_grid,
     exact_tau_max,
     figure_records,
+    halving_tree,
     parse_report,
     report,
     scan,
@@ -47,6 +50,8 @@ from lgscan.scan import (
     threshold_eta,
     valid_effect,
 )
+
+scan_mod = importlib.import_module("lgscan.scan")  # the module, not the function
 
 
 def small_config(**kw):
@@ -522,6 +527,9 @@ _STATES = [(float(t), float(p)) for t, p in np.random.default_rng(2024).uniform(
 _BIASES = [dict(bias_mode="zero"), dict(bias_mode="eta-1"),
            dict(bias_mode="fixed", x_fixed=0.1)]
 _TAU_MODES = [dict(maximize_tau=True), dict(tau=0.7), dict(tau=0.7, spec_index=1)]
+# SLGI's samples cross the bound more than once here
+_NOT_MONOTONE = dict(theta=1.0203076046982933, phi=4.90879241562788, tau=1.793517709541068,
+                     bias_mode="eta-1")
 
 
 class TestThresholdEta:
@@ -535,17 +543,33 @@ class TestThresholdEta:
             assert _outcome(threshold_eta, family, **kw) == want
 
     def test_not_monotone_crossing_equals_one_sample_at_a_time(self):
-        kw = dict(theta=1.0203076046982933, phi=4.90879241562788, tau=1.793517709541068,
-                  bias_mode="eta-1")
-        want = _outcome(lambda: _threshold_one_sample_at_a_time("slgi", **kw)[0])
+        want = _outcome(lambda: _threshold_one_sample_at_a_time("slgi", **_NOT_MONOTONE)[0])
         assert want == (NoBracket, "g(eta) is not monotone-crossing on the bracket")
-        assert _outcome(threshold_eta, "slgi", **kw) == want
+        assert _outcome(threshold_eta, "slgi", **_NOT_MONOTONE) == want
+
+    @pytest.mark.parametrize("family", ["slgi", "wlgi", "elgi"])
+    def test_halvings_per_call_only_batch(self, family, monkeypatch):
+        # the halvings a kernel call decides are a batching choice: at every
+        # depth, the same threshold or the same NoBracket text
+        cases = [dict(theta=theta, phi=phi, **bias, **taus)
+                 for bias in _BIASES for taus in _TAU_MODES
+                 for theta, phi in _STATES + [(1.7, math.pi / 2)]]
+        if family == "slgi":
+            cases.append(_NOT_MONOTONE)
+        want = [_outcome(threshold_eta, family, **kw) for kw in cases]
+        if family == "slgi":
+            assert want[-1] == (NoBracket, "g(eta) is not monotone-crossing on the bracket")
+        for depth in range(1, 8):
+            monkeypatch.setattr(scan_mod, "HALVINGS_PER_CALL", depth)
+            monkeypatch.setattr(scan_mod, "EXACT_HALVINGS_PER_CALL", depth)
+            assert [_outcome(threshold_eta, family, **kw) for kw in cases] == want, depth
 
     @staticmethod
     def _kernel_calls(family, monkeypatch, **taus):
-        """Per state of _STATES: the kernel calls of threshold_eta and the
-        halvings of the one-sample-at-a-time bisection; the thresholds agree
-        and the first call carries the nine bracket samples."""
+        """Per state of _STATES: the etas of each kernel call of threshold_eta
+        and the halvings of the one-sample-at-a-time bisection; the
+        thresholds agree and the first call begins with the nine bracket
+        samples."""
         calls, counts = [], []
         kernel = gridmod.lg_distributions
 
@@ -560,22 +584,41 @@ class TestThresholdEta:
             monkeypatch.setattr(gridmod, "lg_distributions", counting)
             assert threshold_eta(family, **kw) == eta
             monkeypatch.undo()
-            assert np.array_equal(calls[0], np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES))
-            counts.append((len(calls), halvings))
+            assert np.array_equal(calls[0][:BRACKET_SAMPLES],
+                                  np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES))
+            counts.append((list(calls), halvings))
         return counts
+
+    @staticmethod
+    def _assert_exact_schedule(calls):
+        """An exact g's first call also holds every midpoint of the first
+        EXACT_HALVINGS_PER_CALL halvings, and at tol = 1e-4, whose 14
+        halvings take 3 calls of 5, an op makes at most 3 kernel calls."""
+        first = {m for a, b, m in halving_tree(ETA_LO, ETA_HI, EXACT_HALVINGS_PER_CALL)}
+        assert first <= set(calls[0].tolist())
+        halvings = math.ceil(math.log2((ETA_HI - ETA_LO) / 1e-4))
+        assert len(calls) <= math.ceil(halvings / EXACT_HALVINGS_PER_CALL) == 3
 
     @pytest.mark.parametrize("family", ["slgi", "wlgi", "elgi"])
     def test_bracket_samples_take_one_kernel_call(self, family, monkeypatch):
-        # one call for the nine samples; every family's maximum reads 5
-        # taus per eta, and one call decides HALVINGS_PER_CALL halvings
+        # every family's maximum reads 5 taus per eta.  ELGI's zoomed
+        # maximum costs in proportion to its etas: the first call is the
+        # nine samples alone, and each later call decides
+        # HALVINGS_PER_CALL halvings.  The exact maximum of SLGI and WLGI
+        # costs about the same per call at 7 etas or 63: its first call
+        # also carries the first EXACT_HALVINGS_PER_CALL halvings.
         for calls, halvings in self._kernel_calls(family, monkeypatch, maximize_tau=True):
-            assert calls <= 1 + math.ceil(halvings / HALVINGS_PER_CALL)
+            if family == "elgi":
+                assert np.array_equal(calls[0], np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES))
+                assert len(calls) <= 1 + math.ceil(halvings / HALVINGS_PER_CALL)
+            else:
+                self._assert_exact_schedule(calls)
 
     @pytest.mark.parametrize("family", ["slgi", "wlgi", "elgi"])
     def test_fixed_tau_decides_halvings_per_call(self, family, monkeypatch):
-        # a fixed tau is one tau per eta: one call decides HALVINGS_PER_CALL halvings
+        # a fixed tau is one tau per eta: every family's g is exact
         for calls, halvings in self._kernel_calls(family, monkeypatch, tau=0.7):
-            assert calls <= 1 + math.ceil(halvings / HALVINGS_PER_CALL)
+            self._assert_exact_schedule(calls)
 
     def test_slgi_spin_threshold(self):
         thr = threshold_eta("slgi", maximize_tau=True)
@@ -897,6 +940,55 @@ class TestExactTauMax:
         f = a0 + a1 * np.cos(u) + b1 * np.sin(u) + a2 * np.cos(2 * u) + b2 * np.sin(2 * u)
         got = _circle_max(*(np.array([c]) for c in (a0, a1, b1, a2, b2)))[0]
         assert f.max() - 1e-15 <= got <= f.max() + 1e-9
+
+    @staticmethod
+    def _circle_max_twice_per_step(a0, a1, b1, a2, b2):
+        """`_circle_max` as first written, with 2r, both guarded divisors and
+        both squares computed twice in each Newton step."""
+        r = np.sqrt(a2 * a2 + b2 * b2)
+        cos_h, sin_h = scan_mod._unit(np.where(a2 >= 0, r + a2, b2),
+                                      np.where(a2 >= 0, b2, r - a2))
+        g1 = 0.5 * (a1 * cos_h + b1 * sin_h)
+        g2 = 0.5 * (b1 * cos_h - a1 * sin_h)
+        mu = np.abs(g1)
+        moving = np.ones(mu.shape, dtype=bool)
+        nonzero = scan_mod._nonzero
+        for _ in range(60):
+            x, y = g1 / nonzero(mu), g2 / nonzero(mu + 2 * r)
+            norm2 = x * x + y * y
+            slope = x * x / nonzero(mu) + y * y / nonzero(mu + 2 * r)
+            step = np.where(slope > 0, norm2 * (np.sqrt(norm2) - 1.0) / nonzero(slope), 0.0)
+            new = np.maximum(mu + step, 0.0)
+            mu, moving = np.where(moving, new, mu), moving & (new - mu > 1e-15 * new)
+            if not moving.any():
+                break
+        y0 = np.clip(g2 / nonzero(2 * r), -1.0, 1.0)
+        x0 = np.sqrt(1.0 - y0 * y0)
+        X, Y = scan_mod._unit(np.stack([x0, -x0, g1 / nonzero(mu)]),
+                              np.stack([y0, y0, g2 / nonzero(mu + 2 * r)]))
+        cos_u, sin_u = X * cos_h - Y * sin_h, X * sin_h + Y * cos_h
+        f = (a0 + a1 * cos_u + b1 * sin_u + a2 * (cos_u * cos_u - sin_u * sin_u)
+             + 2 * b2 * sin_u * cos_u)
+        return f.max(axis=0)
+
+    def test_circle_max_bytes_of_first_form(self):
+        # one quotient per Newton step is the same arithmetic, byte for byte
+        rng = np.random.default_rng(25)
+        coeffs = [scale * rng.normal(size=(5, 120)) for scale in (1.0, 1e-8, 1e3)]
+        r_zero = rng.normal(size=(5, 40))
+        r_zero[3:] = 0.0  # a2 = b2 = 0
+        g1_zero = rng.normal(size=(5, 60))
+        g1_zero[1, :30], g1_zero[4, :30] = 0.0, 0.0  # a1 = b2 = 0, a2 >= 0: g1 = 0
+        g1_zero[3, :30] = np.abs(g1_zero[3, :30])
+        g1_zero[2, 30:], g1_zero[4, 30:] = 0.0, 0.0  # b1 = b2 = 0, a2 < 0: g1 = 0
+        g1_zero[3, 30:] = -np.abs(g1_zero[3, 30:])
+        coeffs = np.concatenate(coeffs + [r_zero, g1_zero, np.zeros((5, 2))], axis=1)
+        assert coeffs.shape[1] >= 300
+        got = _circle_max(*coeffs)
+        assert got.tobytes() == self._circle_max_twice_per_step(*coeffs).tobytes()
+        for c in coeffs.T[::7]:  # and alone
+            one = _circle_max(*c[:, None])
+            assert one.tobytes() == self._circle_max_twice_per_step(*c[:, None]).tobytes()
 
 
 class TestInterpolatedTauMax:
