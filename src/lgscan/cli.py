@@ -22,7 +22,7 @@ import os
 import sys
 
 from .config import eval_expr, load_configs, parse_bias
-from .errors import ConfigError, InvariantError, LgscanError, NoBracket
+from .errors import ConfigError, InvariantError, LgscanError
 from .grid import FAMILY_TABLE, NSIT_TOL, bias_x, pick, violated
 from .inequalities import elgi_all, slgi_all, wlgi_all
 from .measurement import QubitState, Schedule
@@ -136,7 +136,10 @@ def _cmd_scan(args) -> int:
             cfg = dataclasses.replace(cfg, jobs=args.jobs)
         if args.tolerance is not None:
             cfg = dataclasses.replace(cfg, nsit_tol=args.tolerance)
-        records = scan(cfg)
+        try:
+            records = scan(cfg)
+        except ConfigError as exc:  # a grid whose report does not fit in memory
+            raise ConfigError(f"[{name}] {exc}", exc.field) from exc
         skipped = skipped_points(cfg)
         path = os.path.join(args.out, cfg.out or f"{name}.{args.format}")
         report(records, path, args.format)
@@ -210,9 +213,6 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (ConfigError, NoBracket) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InvariantError as exc:
         print(f"numerical invariant failure: {exc}", file=sys.stderr)
         return 3

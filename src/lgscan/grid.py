@@ -105,6 +105,20 @@ def valid_effect(eta, x):
     return np.abs(x) + eta <= 1.0 + 1e-12
 
 
+AXIS_TOL = 1e-12  # |axis| = 1 to this, as lgscan.linalg.qubit_unitary (not imported here)
+
+
+def unit_axis(axis) -> np.ndarray:
+    """axis as a float array; ConfigError unless a finite 3-vector of length 1 within AXIS_TOL."""
+    try:
+        unit = np.asarray(axis, dtype=float)
+    except (TypeError, ValueError):
+        unit = np.full(3, np.nan)
+    if unit.shape != (3,) or not abs(np.linalg.norm(unit) - 1.0) <= AXIS_TOL:  # nan, inf fail
+        raise ConfigError(f"axis must be a finite unit 3-vector, got {axis!r}")
+    return unit
+
+
 @dataclass(frozen=True)
 class SlgiSpec:
     """Outcome relabeling (s1, s2, s3); only the products s_i s_j matter."""
@@ -399,8 +413,8 @@ def _elgi_terms(middle: int) -> tuple:
     return (a, c), tuple(sorted((a, middle))), tuple(sorted((middle, c))), (middle,)
 
 
-# The experiments ELGI reads, in the column order of its stacked (..., 18)
-# table: the singles, 2 columns each, then the pairs, 4 columns each
+# The experiments ELGI reads (its Family.reads) in the column order of its stacked
+# (..., 18) table: the singles, 2 columns each, then the pairs, 4 columns each
 ELGI_STACK = ((1,), (2,), (3,)) + PAIRS
 
 
@@ -455,8 +469,7 @@ class Family:
 FAMILY_TABLE: dict[str, Family] = {
     "slgi": Family(1.0, SLGI_SPECS, PAIRS, lambda d, s: slgi_values(d, s), linear=True),
     "wlgi": Family(0.0, WLGI_SPECS, PAIRS, lambda d, s: wlgi_values(d, s), linear=True),
-    "elgi": Family(0.0, ELGI_SPECS, PAIRS + ((1,), (2,), (3,)), lambda d, s: elgi_values(d, s),
-                   linear=False),
+    "elgi": Family(0.0, ELGI_SPECS, ELGI_STACK, lambda d, s: elgi_values(d, s), linear=False),
 }
 
 VIOLATION_TOL = 1e-12

@@ -9,11 +9,12 @@ configuration produce byte-identical files.
 
 Records are held as a `ScanTable`, one numpy array per report column.  A
 scan and the canned figures walk their grid in blocks of `CHUNK` points
-(`_grid_table`): one kernel call per block, whose loop computes every
-per-point cell, the NSIT and JM flags among them, in one place; the JM
-flags are evaluated on the block's first (tau, eta) cycle and tiled over
-the block.  `_fill` only writes a block's cells and picks straight into
-the preallocated columns.
+(`_grid_table`), a row per point and (family, spec) pick: a scan picks
+each family's maximum, a figure each of its forms.  Each block is one
+kernel call, whose loop computes every per-point cell, the NSIT and JM
+flags among them; the JM flags are evaluated on the block's first (tau,
+eta) cycle and tiled over the block.  `_fill` only writes a block's cells
+and picks straight into the preallocated columns.
 `report` splits the columns into four runs and formats each run of a
 `CHUNK`-row block once per distinct combination of its cells, places the
 four cells of each row row-major in one object array and joins `WRITE_ROWS`
@@ -32,6 +33,7 @@ import json
 import locale
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -322,28 +324,32 @@ def _fill(table: ScanTable, row: int, cells: dict,
     return row + n * k
 
 
-def _grid_table(config: ScanConfig, order: tuple[str, ...], n_picks: int,
-                picks_of) -> ScanTable:
+def _grid_table(config: ScanConfig, order: tuple[str, ...],
+                picks: Sequence[tuple[str, int | None]]) -> ScanTable:
     """The report rows of the grid config.theta x phi x tau x eta_kept, its
-    axes nested as `order` names them (outermost first), `n_picks` rows per
-    point.
+    axes nested as `order` names them (outermost first): one row per point
+    and pick (family, spec), the family maximum with the spec `gridmod.pick`
+    chooses if spec is None, else the value of form `spec`.
 
-    The flat point list is evaluated in blocks of CHUNK points, each one
-    kernel call with per-point arrays.  The block loop computes every
-    per-point cell (theta through axis_beta, the NSIT flags and the JM
-    flags), picks_of(dists) gives the block's picks, and `_fill` only
-    writes them; the kernel result is freed before the next block's call.
-    tau and eta must be the two innermost axes: the JM flags depend on
-    (tau, eta) only, and a block's first min(block length, n_tau n_eta)
-    points, consecutive flat indices, hold each of its (tau, eta) pairs
-    once, so every block evaluates the flags there and tiles them.
+    The points go in blocks of CHUNK, each one kernel call whose loop
+    computes every per-point cell (theta through axis_beta, the NSIT and JM
+    flags) and each picked family once; `_fill` only writes them, and the
+    kernel result is freed before the next call.  tau and eta must be the
+    two innermost axes: the JM flags depend on (tau, eta) only, and a
+    block's first min(block length, n_tau n_eta) points, consecutive flat
+    indices, hold each of its (tau, eta) pairs once, so every block
+    evaluates the flags there and tiles them.  A table too large to
+    allocate is a ConfigError.
     """
     axes = {"theta": config.theta, "phi": config.phi, "tau": config.tau,
             "eta": config.eta_kept}
     shape = tuple(axes[name].size for name in order)
     n_points, cycle = math.prod(shape), math.prod(shape[-2:])
     jm_tol = jointmeas.MARGIN_TOL
-    table = ScanTable.empty(n_points * n_picks)
+    try:
+        table = ScanTable.empty(n_points * len(picks))
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+        raise ConfigError(f"{n_points * len(picks)} report rows do not fit in memory") from None
     row = 0
     for start in range(0, n_points, CHUNK):
         flat = np.arange(start, min(start + CHUNK, n_points))
@@ -355,7 +361,14 @@ def _grid_table(config: ScanConfig, order: tuple[str, ...], n_picks: int,
                                          tau, config.axis, eta, x)
         cells.update(gridmod.nsit_flags(gridmod.disturbances(dists),
                                         gridmod.aot_residual(dists), config.nsit_tol))
-        picks = picks_of(dists)
+        picked = []
+        for family, group in groupby(picks, key=lambda p: p[0]):
+            values = gridmod.FAMILY_TABLE[family].values(dists)
+            # a form's spec as a per-point array: figures-json's peak RSS follows allocation order
+            picked += [(family, *gridmod.pick(values)) if spec is None
+                       else (family, values[:, spec], np.full(len(values), spec))
+                       for _, spec in group]
+            del values
         del dists
         m = min(flat.size, cycle)
         pairs, triple = jointmeas.lg_margins(tau[:m], eta[:m], x[:m], config.axis)
@@ -364,21 +377,15 @@ def _grid_table(config: ScanConfig, order: tuple[str, ...], n_picks: int,
         jm["jm_triple"] = np.where(np.abs(x[:m]) < jointmeas.BIAS_ZERO, triple >= -jm_tol,
                                    FLAG_VALUES.index(None))
         cells.update((name, np.resize(flags, flat.size)) for name, flags in jm.items())
-        row = _fill(table, row, cells, picks)
+        row = _fill(table, row, cells, picked)
     return table
 
 
 def scan(config: ScanConfig) -> ScanTable:
-    """Evaluate the whole grid; records ordered by grid index, then family.
-
-    The grid is evaluated in blocks of CHUNK points.  `config.jobs` is
-    accepted for compatibility and has no effect.
-    """
-    def picks_of(dists):
-        return [(fam, *gridmod.pick(gridmod.FAMILY_TABLE[fam].values(dists)))
-                for fam in config.families]
-
-    return _grid_table(config, ("theta", "phi", "tau", "eta"), len(config.families), picks_of)
+    """Each family's maximum at every grid point, in blocks of CHUNK points;
+    records ordered by grid index, then family.  `config.jobs` is accepted
+    for compatibility and has no effect."""
+    return _grid_table(config, ("theta", "phi", "tau", "eta"), [(f, None) for f in config.families])
 
 
 # --- threshold search ---------------------------------------------------------
@@ -471,22 +478,6 @@ def halving_tree(lo: float, hi: float, depth: int) -> list[tuple[float, float, f
     return nodes
 
 
-AXIS_TOL = 1e-12  # |axis| = 1 to this, the tolerance of lgscan.linalg.qubit_unitary
-
-
-def _unit_axis(axis) -> np.ndarray:
-    """axis as a float array; ConfigError unless it is a finite 3-vector of
-    length 1 within AXIS_TOL, as every `axis_from_angles` output is."""
-    try:
-        unit = np.asarray(axis, dtype=float)
-    except (TypeError, ValueError):
-        unit = np.full(3, np.nan)
-    if not (unit.shape == (3,) and np.all(np.isfinite(unit))
-            and abs(np.linalg.norm(unit) - 1.0) <= AXIS_TOL):
-        raise ConfigError(f"axis must be a finite unit 3-vector, got {axis!r}")
-    return unit
-
-
 def threshold_eta(
     family: str,
     *,
@@ -513,7 +504,7 @@ def threshold_eta(
     experiments ELGI reads, stacked once per kernel call into one
     (..., 5, 18) table (gridmod.ELGI_STACK), at the taus of each round and
     hands them to gridmod.elgi_values as one table.  Raises ConfigError for
-    an axis that is not a finite unit 3-vector (within AXIS_TOL) and for a
+    an axis that is not a finite unit 3-vector (`gridmod.unit_axis`) and for a
     non-finite theta, phi, tau or x_fixed.  Raises NoBracket when g has no
     sign change on [ETA_LO, cap] or its samples (the BRACKET_SAMPLES points
     of [ETA_LO, ETA_HI] below cap, and cap) are not monotone-crossing.
@@ -549,7 +540,7 @@ def threshold_eta(
     for name, value in (("theta", theta), ("phi", phi), ("tau", tau), ("x_fixed", x_fixed)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    axis = axis_from_angles(0.0, math.pi / 2) if axis is None else _unit_axis(axis)
+    axis = axis_from_angles(0.0, math.pi / 2) if axis is None else gridmod.unit_axis(axis)
     taus = EXACT_TAUS if maximize_tau else np.array([float(tau)])
     if not valid_effect(ETA_LO, bias_x(bias_mode, ETA_LO, x_fixed)):
         raise ConfigError(f"bias x = {x_fixed:.12g} leaves no valid eta >= {ETA_LO:g}")
@@ -855,9 +846,4 @@ def figure_records(which: int) -> ScanTable:
         family, specs = "wlgi", range(len(gridmod.WLGI_SPECS))
     else:
         raise ConfigError(f"unknown figure {which}; pick 1, 2, 3 or 4")
-
-    def picks_of(dists):
-        values = gridmod.FAMILY_TABLE[family].values(dists)
-        return [(family, values[:, k], np.full(len(values), k)) for k in specs]
-
-    return _grid_table(cfg, ("theta", "phi", "eta", "tau"), len(specs), picks_of)
+    return _grid_table(cfg, ("theta", "phi", "eta", "tau"), [(family, k) for k in specs])

@@ -275,6 +275,28 @@ class TestInputValidation:
         assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "line 3 (x.tau)" in capsys.readouterr().err
 
+    def test_grid_too_large_for_numpy_exits_2(self, tmp_path, capsys):
+        # four 10^6-point ranges: numpy refuses the 3e24-row table before
+        # allocating anything, on any machine
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("[huge]\ntheta = 0 : 999999 : 1\nphi = 0 : 999999 : 1\n"
+                       "tau = 0 : 999999 : 1\neta = 0 : 0.999999 : 0.000001\n")
+        assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [huge] {3 * 10**24} report rows do not fit in memory\n"
+
+    def test_table_allocation_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_memory(n):
+            raise MemoryError(f"Unable to allocate the table of {n} rows")
+
+        monkeypatch.setattr(ScanTable, "empty", staticmethod(no_memory))
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("[small]\ntheta = 0.2\ntau = 0.4 : 1.2 : 0.4\neta = 0.5 : 1.0 : 0.5\n")
+        assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: [small] 18 report rows do not fit in memory\n"
+        assert not (tmp_path / "out" / "small.csv").exists()
+
     def _report_lines(self, tmp_path):
         path = tmp_path / "r.csv"
         report(scan(small_config(families=("slgi",))), str(path), "csv")
