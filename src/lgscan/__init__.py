@@ -22,14 +22,11 @@ from .inequalities import (
     WLGI_SPECS,
     WlgiSpec,
     elgi_all,
-    elgi_value,
     shannon_entropy,
     slgi_all,
     slgi_closed_form_biased,
     slgi_closed_form_spin,
-    slgi_value,
     wlgi_all,
-    wlgi_value,
 )
 from .jointmeas import (
     JmVerdict,
@@ -63,8 +60,6 @@ from .measurement import (
     correlator,
     effect_at_time,
     luders_update,
-    make_pure_state,
-    marginalize,
     run_schedule,
 )
 from .nsit import (

@@ -25,12 +25,11 @@ since nothing reads the states after the last measurement.  A caller that
 reads fewer experiments names them, and the walk skips every node,
 post-state and rotation none of them reaches: the three pairs take 10
 probabilities, 4 post-updates and 4 rotations, the pairs and singles (ELGI)
-12, 4 and 5.  The update is written once, as
-`luders_coefficients`, `luders_probability` and `luders_post`, which
-`luders_step` composes; a call computes the coefficients of each outcome
-and the cosine and sine of 2 tau once, not at every node.  The rotation
-(`_rotate`) and the update work component by component on basic slices of
-the states, with no length-3 reductions and no index copies.
+12, 4 and 5.  The update is written once, as `luders_coefficients`,
+`luders_probability` and `luders_post`; a call computes the coefficients of
+each outcome and the cosine and sine of 2 tau once, not at every node.  The
+rotation (`_rotate`) and the update work component by component on basic
+slices of the states, with no length-3 reductions and no index copies.
 The singles are measured, not marginals, so the AoT residual stays a real
 check.
 
@@ -247,15 +246,6 @@ def luders_post(r: np.ndarray, coefficients, r_z, prob) -> np.ndarray:
     post /= np.where(kept, prob, 1.0)[..., None]
     np.copyto(post, 0.0, where=~kept[..., None])
     return post
-
-
-def luders_step(r: np.ndarray, eta, x, sign: int):
-    """Probability and post-measurement Bloch vector of one Lueders update
-    along z_hat."""
-    r = np.asarray(r, dtype=float)
-    coefficients = luders_coefficients(eta, x, sign)
-    r_z, prob = luders_probability(r, coefficients)
-    return np.clip(prob, 0.0, 1.0), luders_post(r, coefficients, r_z, prob)
 
 
 @cache

@@ -87,11 +87,6 @@ def _family_all(family: str, state: QubitState, schedule: Schedule, specs) -> li
 # --- SLGI -------------------------------------------------------------------
 
 
-def slgi_value(state: QubitState, schedule: Schedule, spec: SlgiSpec) -> InequalityResult:
-    """s1 s2 <M1 M2> + s2 s3 <M2 M3> - s1 s3 <M1 M3> against the bound 1."""
-    return slgi_all(state, schedule, (spec,))[0]
-
-
 def slgi_all(state: QubitState, schedule: Schedule, specs=SLGI_SPECS) -> list[InequalityResult]:
     """SLGIs (default: all 4, in canonical order) from one set of pair experiments."""
     return _family_all("slgi", state, schedule, specs)
@@ -129,10 +124,6 @@ def slgi_closed_form_biased(theta: float, phi: float, tau: float, eta: float) ->
 # --- WLGI -------------------------------------------------------------------
 
 
-def wlgi_value(state: QubitState, schedule: Schedule, spec: WlgiSpec) -> InequalityResult:
-    return wlgi_all(state, schedule, (spec,))[0]
-
-
 def wlgi_all(state: QubitState, schedule: Schedule, specs=WLGI_SPECS) -> list[InequalityResult]:
     """WLGIs (default: all 24, in canonical order) from one set of pair experiments."""
     return _family_all("wlgi", state, schedule, specs)
@@ -150,16 +141,9 @@ def shannon_entropy(dist: JointDistribution | Iterable[float]) -> float:
     return float(grid.entropy(probs))
 
 
-def elgi_value(state: QubitState, schedule: Schedule, spec: ElgiSpec) -> InequalityResult:
-    """H(M_a, M_c) - H(M_a, M_b) - H(M_b, M_c) + H(M_b), b = spec.middle.
-
-    Pair entropies come from two-time experiments, H(M_b) from the
-    single-measurement experiment at t_b.
-    """
-    return elgi_all(state, schedule, (spec,))[0]
-
-
 def elgi_all(state: QubitState, schedule: Schedule, specs=ELGI_SPECS) -> list[InequalityResult]:
+    """ELGIs (default: all 3, in canonical order): pair entropies from two-time
+    experiments, H(M_b) from the single-measurement experiment at t_b."""
     if any(spec.middle not in (1, 2, 3) for spec in specs):
         raise ValueError("middle must be 1, 2 or 3")
     return _family_all("elgi", state, schedule, specs)

@@ -92,7 +92,6 @@ IDENTITY = Operator(np.eye(2))
 SIGMA_X = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
 SIGMA_Y = Operator(np.array([[0, -1j], [1j, 0]], dtype=complex))
 SIGMA_Z = Operator(np.array([[1, 0], [0, -1]], dtype=complex))
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 @dataclass(frozen=True, eq=False)

@@ -94,10 +94,6 @@ class QubitState:
         return float((self.rho @ self.rho).trace().real)
 
 
-def make_pure_state(theta: float, phi: float) -> QubitState:
-    return QubitState.pure(theta, phi)
-
-
 @dataclass(frozen=True, eq=False)
 class Effect:
     """One POVM element (I + sign*(x I + m.sigma))/2.
@@ -297,10 +293,6 @@ class JointDistribution:
             sub = tuple(key[i] for i in positions)
             out[sub] = out.get(sub, 0.0) + p
         return JointDistribution(self.schedule.with_measured(keep), out)
-
-
-def marginalize(dist: JointDistribution, keep: tuple[int, ...]) -> JointDistribution:
-    return dist.marginalize(keep)
 
 
 def correlator(state: QubitState, schedule: Schedule) -> float:

@@ -32,7 +32,7 @@ import io
 import json
 import locale
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from typing import Iterator, Sequence
 
@@ -45,18 +45,48 @@ from .grid import bias_x, valid_effect
 
 FAMILIES = tuple(gridmod.FAMILY_TABLE)
 
-CSV_COLUMNS = (
-    "theta", "phi", "tau", "eta", "x", "axis_alpha", "axis_beta",
-    "family", "spec_index", "value", "bound", "violated",
-    "nsit_12", "nsit_13", "nsit_23", "nsit_123", "nsit_1_2_3",
-    "jm_12", "jm_23", "jm_13", "jm_triple",
-)
 
-FLOAT_COLUMNS = ("theta", "phi", "tau", "eta", "x", "axis_alpha", "axis_beta",
-                 "value", "bound")
+@dataclass(frozen=True)
+class ScanRecord:
+    """One report row; `ScanTable` indexing and iteration yield these.  Its
+    fields, in order, are the report columns, and their types the columns'
+    kinds."""
+
+    theta: float
+    phi: float
+    tau: float
+    eta: float
+    x: float
+    axis_alpha: float
+    axis_beta: float
+    family: str
+    spec_index: int
+    value: float
+    bound: float
+    violated: bool
+    nsit_12: bool
+    nsit_13: bool
+    nsit_23: bool
+    nsit_123: bool
+    nsit_1_2_3: bool
+    jm_12: bool
+    jm_23: bool
+    jm_13: bool
+    jm_triple: bool | None
+
+
+_COLUMN_TYPES = {f.name: f.type for f in fields(ScanRecord)}
+CSV_COLUMNS = tuple(_COLUMN_TYPES)
+FLOAT_COLUMNS = tuple(col for col, kind in _COLUMN_TYPES.items() if kind == "float")
 FLAG_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("violated"):]
 # flag cells are int8 codes into FLAG_VALUES; jm_triple is None for biased effects
 FLAG_VALUES = (False, True, None)
+
+
+def _dtype(col: str):
+    # family: index into FAMILIES; flags: code into FLAG_VALUES
+    return {"float": np.float64, "int": np.int64}.get(_COLUMN_TYPES[col], np.int8)
+
 
 # grid points per kernel call in `scan` and `figure_records`, and rows per
 # block formatted by `report`
@@ -204,41 +234,6 @@ class ScanConfig:
     def eta_kept(self) -> np.ndarray:
         """Eta grid values with a valid effect, |x| + eta <= 1 (fixed bias only)."""
         return self.eta[valid_effect(self.eta, self.x_of(self.eta))]
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    """One report row; `ScanTable` indexing and iteration yield these."""
-
-    theta: float
-    phi: float
-    tau: float
-    eta: float
-    x: float
-    axis_alpha: float
-    axis_beta: float
-    family: str
-    spec_index: int
-    value: float
-    bound: float
-    violated: bool
-    nsit_12: bool
-    nsit_13: bool
-    nsit_23: bool
-    nsit_123: bool
-    nsit_1_2_3: bool
-    jm_12: bool
-    jm_23: bool
-    jm_13: bool
-    jm_triple: bool | None
-
-
-def _dtype(col: str):
-    if col in FLOAT_COLUMNS:
-        return np.float64
-    if col == "spec_index":
-        return np.int64
-    return np.int8  # family: index into FAMILIES; flags: code into FLAG_VALUES
 
 
 _FAMILY_OBJECTS = np.array(FAMILIES, dtype=object)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import ConfigError
-from .inequalities import WLGI_SPECS, shannon_entropy, slgi_closed_form_spin, wlgi_value
+from .inequalities import WLGI_SPECS, shannon_entropy, slgi_closed_form_spin, wlgi_all
 from .linalg import (
     IDENTITY,
     Operator,
@@ -181,7 +181,7 @@ def check_threshold_equivalence(rng: np.random.Generator, n: int = 30) -> Check:
         sched = Schedule(measured=(1, 2, 3), tau=tau, x=x, eta=eta)
         spec = WLGI_SPECS[int(rng.integers(0, 24))]
         check = wlgi_threshold_check(state, sched, spec)
-        value = wlgi_value(state, sched, spec).value
+        value = wlgi_all(state, sched, (spec,))[0].value
         worst = max(worst, abs(value - (check.lhs - check.rhs)))
         agree &= check.predicted_violation == bool(gridmod.violated(value, 0.0))
     ok = worst < 1e-12 and agree

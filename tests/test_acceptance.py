@@ -47,7 +47,6 @@ from lgscan.measurement import (
     QubitState,
     Schedule,
     correlator,
-    make_pure_state,
     run_schedule,
 )
 from lgscan.nsit import (
@@ -84,7 +83,7 @@ def test_criterion_01_slgi_spin_threshold():
 
 
 def test_criterion_02_slgi_spin_maximum():
-    state = make_pure_state(0.3, 1.1)  # spin-family values are state-independent
+    state = QubitState.pure(0.3, 1.1)  # spin-family values are state-independent
     taus = default_tau_grid()
     best_per_spec = {}
     best = -np.inf
@@ -113,7 +112,7 @@ def test_criterion_02_slgi_spin_maximum():
 
 
 def test_criterion_03_biased_slgi_point():
-    state = make_pure_state(np.pi / 3, np.pi / 2)
+    state = QubitState.pure(np.pi / 3, np.pi / 2)
     worst = 0.0
     for eta in np.linspace(0.05, 1.0, 20):
         sched = Schedule(measured=(1, 2, 3), tau=5 * np.pi / 6, x=eta - 1.0, eta=eta)
@@ -150,7 +149,7 @@ def test_criterion_04_wlgi_spin_threshold_and_grid():
 def _wlgi_matches_quadratic(phi: float, axis: np.ndarray = X_HAT) -> float:
     """Smallest max-deviation from eta^2/8 over the 24 specs, 20 eta values."""
     etas = np.linspace(0.05, 1.0, 20)
-    state = make_pure_state(np.pi / 3, phi)
+    state = QubitState.pure(np.pi / 3, phi)
     per_spec = [0.0] * 24
     for eta in etas:
         sched = Schedule(measured=(1, 2, 3), tau=5 * np.pi / 6, axis=axis,
@@ -179,7 +178,7 @@ def test_criterion_05_biased_wlgi_point_as_stated():
 
 
 def test_criterion_05_companion_verified_at_phi_half_pi():
-    state = make_pure_state(np.pi / 3, np.pi / 2)
+    state = QubitState.pure(np.pi / 3, np.pi / 2)
     worst = 0.0
     for eta in np.linspace(0.05, 1.0, 20):
         sched = Schedule(measured=(1, 2, 3), tau=5 * np.pi / 6, x=eta - 1.0, eta=eta)
@@ -217,7 +216,7 @@ def test_criterion_07_disturbance_closed_forms():
         theta = rng.uniform(0, np.pi)
         phi = rng.uniform(0, 2 * np.pi)
         tau = rng.uniform(0, np.pi)
-        state = make_pure_state(theta, phi)
+        state = QubitState.pure(theta, phi)
         sched = Schedule(measured=(1, 2, 3), tau=tau, x=0.0, eta=1.0)
         rep = disturbance_report(state, sched)
         closed = disturbance_closed_forms(theta, phi, tau)
@@ -231,7 +230,7 @@ def test_criterion_07_disturbance_closed_forms():
     # pipeline recomputation agrees with the corrected forms and not with
     # the variants (one factor differs in each)
     theta, phi, tau = 1.1, 2.0, 0.8
-    rep = disturbance_report(make_pure_state(theta, phi),
+    rep = disturbance_report(QubitState.pure(theta, phi),
                              Schedule(measured=(1,), tau=tau, x=0.0, eta=1.0))
     var = closed_form_variants(theta, phi, tau)
     corr = disturbance_closed_forms(theta, phi, tau)
@@ -438,7 +437,10 @@ def test_criterion_11_property_suites():
     m2 = gridmod.rotate_bloch(m1, X_HAT, -2.0 * tau)
     hs_dev = 0.0
     for k, l in product(SIGNS, SIGNS):
-        p1, post = gridmod.luders_step(bloch, eta, x, k)
+        coefficients = gridmod.luders_coefficients(eta, x, k)
+        r_z, prob = gridmod.luders_probability(bloch, coefficients)
+        p1 = np.clip(prob, 0.0, 1.0)
+        post = gridmod.luders_post(bloch, coefficients, r_z, prob)
         c2 = 0.5 * (1.0 + l * x)
         d2 = 0.5 * l * eta
         heis = p1 * (c2 + d2 * np.sum(m2 * post, axis=-1))
@@ -496,7 +498,7 @@ def test_criterion_11_property_suites():
     # anchor the vectorized engine to the scalar operator pipeline
     anchor_dev = 0.0
     for i in rng.integers(0, n, 150):
-        state = make_pure_state(theta[i], phi[i])
+        state = QubitState.pure(theta[i], phi[i])
         sched = Schedule(measured=(1, 2, 3), tau=tau[i], x=x[i], eta=eta[i])
         slow = run_schedule(state, sched).probabilities()
         anchor_dev = max(anchor_dev, float(np.max(np.abs(slow - tri[i]))))

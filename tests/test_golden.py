@@ -1,10 +1,14 @@
 """tools/golden.py on a few of its commands: a tree against itself is
-identical, and a copy that prints thresholds to 5 decimals is reported."""
+identical, a copy that prints thresholds to 5 decimals is reported, and a
+copy that shifts one WLGI form is found in the right column and row."""
 
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
@@ -12,7 +16,8 @@ golden = sys.modules.setdefault("golden", importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 
 THRESHOLD = "threshold --family slgi --maximize-tau"
-SMOKE = [case for case in golden.CASES if case.name in (THRESHOLD, "scan ci csv", "figure 3 json")]
+CASES = golden.all_cases()
+SMOKE = [case for case in CASES if case.name in (THRESHOLD, "scan ci csv", "figure 3 json")]
 
 
 def test_tree_against_itself_is_identical(capsys):
@@ -39,3 +44,59 @@ def test_changed_threshold_digits_are_reported(tmp_path, capsys):
 def test_tree_without_sources_exits_2(tmp_path, capsys):
     assert golden.main([str(ROOT), str(tmp_path)], SMOKE) == 2
     assert capsys.readouterr().err == f"error: {str(tmp_path)!r} has no src/lgscan/cli.py\n"
+
+
+def test_shifted_wlgi_form_is_found_in_value_column(tmp_path, capsys):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    grid = tmp_path / "src" / "lgscan" / "grid.py"
+    text = grid.read_text()
+    stack = "        cols.append(pos - neg1 - neg2)\n    return np.stack(cols, axis=-1)\n"
+    assert text.count(stack) == 1  # the end of wlgi_values
+    grid.write_text(text.replace(stack, stack.replace("    return", "    cols[0] = cols[0] + 1e-9\n"
+                                                                      "    return")))
+    figure = [case for case in CASES if case.name == "figure 3 json"]
+    assert golden.main([str(ROOT), str(tmp_path)], figure) == 1
+    lines = capsys.readouterr().out.splitlines()
+    value = [line for line in lines if line.startswith("DIFF [figure 3 json] file figure.json "
+                                                       "column value: ")]
+    assert len(value) == 1
+    delta = float(value[0].split("max |diff| ")[1].split()[0])
+    assert delta == pytest.approx(1e-9, rel=1e-3)
+    assert value[0].endswith(" family=wlgi spec_index=0)")
+    assert lines[-1].startswith("golden: 1 runs, 0 identical, 1 differ")
+
+
+def test_ci_threshold_lines_are_read_from_the_workflow():
+    lines = golden.ci_thresholds()
+    assert "--family slgi --maximize-tau" in lines
+    assert all(line.startswith("--family ") for line in lines)
+    names = {case.name for case in CASES}
+    assert all(" ".join(("threshold", *line.split())) in names for line in lines)
+
+
+def test_header_and_row_count_changes_are_one_line(tmp_path):
+    header = "theta,family,value\n"
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text(header + "0.5,slgi,1.25\n0.7,wlgi,-0.5\n")
+    new.write_text(header + "0.5,slgi,1.25\n")
+    assert golden.cell_diff(str(old), str(new)) == ["rows 2 -> 1"]
+    new.write_text(header.replace("value", "val") + "0.5,slgi,1.25\n0.7,wlgi,-0.5\n")
+    assert golden.cell_diff(str(old), str(new)) == [
+        "header theta,family,value -> theta,family,val"]
+    new.write_text(header + "0.5,slgi,1.5\n0.7,elgi,-1.0\n")
+    assert golden.cell_diff(str(old), str(new)) == [
+        "column family: 1 of 2 cells differ",
+        "column value: 2 of 2 cells differ, max |diff| 0.5 at row 2 (theta=0.7 family=wlgi)"]
+    new.write_text(header + "0.5,slgi\n0.7,wlgi,-0.5\n")
+    with pytest.raises(ValueError, match="a row of 2 cells under 3 columns"):
+        golden.cell_diff(str(old), str(new))
+
+
+def test_json_report_is_read_an_item_at_a_time(tmp_path):
+    rows = [{"theta": 0.1 * k, "family": "elgi", "violated": k % 2 == 0, "jm": None}
+            for k in range(40)]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(rows, indent=1) + "\n")
+    assert list(golden._json_items(str(path), size=200)) == rows
+    path.write_text("[]\n")
+    assert list(golden._json_items(str(path))) == []

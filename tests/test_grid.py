@@ -9,7 +9,7 @@ import pytest
 from lgscan import grid as gridmod
 from lgscan.inequalities import elgi_all, slgi_all, wlgi_all
 from lgscan.linalg import X_HAT
-from lgscan.measurement import Schedule, make_pure_state, run_schedule
+from lgscan.measurement import QubitState, Schedule, run_schedule
 from lgscan.nsit import disturbance_report
 from lgscan.scan import EXACT_TAUS
 
@@ -84,7 +84,7 @@ class TestPureBloch:
             theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
             assert np.allclose(
                 gridmod.pure_bloch(theta, phi),
-                make_pure_state(theta, phi).bloch(),
+                QubitState.pure(theta, phi).bloch(),
                 atol=1e-13,
             )
 
@@ -100,7 +100,7 @@ class TestSequentialProbabilities:
             theta, phi, tau, eta, x = random_point(rng)
             axis = random_axis(rng)
             subset = tuple(sorted(rng.choice([1, 2, 3], size=rng.integers(1, 4), replace=False)))
-            state = make_pure_state(theta, phi)
+            state = QubitState.pure(theta, phi)
             sched = Schedule(measured=subset, tau=tau, axis=axis, x=x, eta=eta)
             slow = run_schedule(state, sched).probabilities()
             fast = gridmod.lg_distributions(state.bloch(), tau, axis, eta, x)[subset]
@@ -274,7 +274,7 @@ class TestLgDistributions:
 class TestFamilyEvaluators:
     def _both(self, rng, biased):
         theta, phi, tau, eta, x = random_point(rng, biased=biased)
-        state = make_pure_state(theta, phi)
+        state = QubitState.pure(theta, phi)
         sched = Schedule(measured=(1, 2, 3), tau=tau, x=x, eta=eta)
         dists = gridmod.lg_distributions(state.bloch(), tau, X_HAT, eta, x)
         return state, sched, dists
@@ -429,7 +429,7 @@ class TestDisturbanceDefinitions:
             theta, phi, tau, eta, _ = random_point(rng, biased=False)
             eta = 0.8 * eta if bias == "fixed" else eta
             x = {"zero": 0.0, "eta-1": eta - 1.0, "fixed": 0.2}[bias]
-            state = make_pure_state(theta, phi)
+            state = QubitState.pure(theta, phi)
             sched = Schedule(measured=(1, 2, 3), tau=tau, axis=random_axis(rng), x=x, eta=eta)
             runs = {s: run_schedule(state, sched.with_measured(s)) for s in gridmod.SUBSETS}
             dists = {s: run.probabilities() for s, run in runs.items()}

@@ -7,15 +7,13 @@ from lgscan.inequalities import (
     WLGI_SPECS,
     WlgiSpec,
     elgi_all,
-    elgi_value,
     shannon_entropy,
+    slgi_all,
     slgi_closed_form_biased,
     slgi_closed_form_spin,
-    slgi_value,
     wlgi_all,
-    wlgi_value,
 )
-from lgscan.measurement import QubitState, Schedule, make_pure_state, run_schedule
+from lgscan.measurement import QubitState, Schedule, run_schedule
 from lgscan.scan import axis_from_angles
 
 from conftest import random_point
@@ -54,32 +52,32 @@ class TestSpecTables:
 
 class TestSlgi:
     def test_sharp_peak(self):
-        r = slgi_value(PLUS, spin_sched(np.pi / 6, 1.0), SLGI_SPECS[0])
+        r = slgi_all(PLUS, spin_sched(np.pi / 6, 1.0), (SLGI_SPECS[0],))[0]
         assert r.value == pytest.approx(1.5, abs=1e-12)
         assert r.violated
 
     def test_relabeled_peak_at_pi_3(self):
         # the fully-flipped relabeling reaches the same maximum at tau = pi/3
-        r = slgi_value(PLUS, spin_sched(np.pi / 3, 1.0), SLGI_SPECS[2])
+        r = slgi_all(PLUS, spin_sched(np.pi / 3, 1.0), (SLGI_SPECS[2],))[0]
         assert r.value == pytest.approx(1.5, abs=1e-12)
 
     def test_tau_zero_no_violation(self, rng):
         for eta in rng.uniform(0, 1, 10):
-            r = slgi_value(PLUS, spin_sched(0.0, eta), SLGI_SPECS[0])
+            r = slgi_all(PLUS, spin_sched(0.0, eta), (SLGI_SPECS[0],))[0]
             assert r.value == pytest.approx(eta**2, abs=1e-12)
             assert not r.violated
 
     def test_biased_simple_form_any_eta(self):
-        state = make_pure_state(np.pi / 3, np.pi / 2)
+        state = QubitState.pure(np.pi / 3, np.pi / 2)
         for eta in np.linspace(0.05, 1.0, 20):
-            r = slgi_value(state, biased_sched(5 * np.pi / 6, eta), SLGI_SPECS[0])
+            r = slgi_all(state, biased_sched(5 * np.pi / 6, eta), (SLGI_SPECS[0],))[0]
             assert r.value == pytest.approx(1 + eta**2 / 2, abs=1e-10)
             assert r.violated
 
     def test_relabeling_closure(self, rng):
         # flipping outcomes in the distributions == evaluating the flipped spec
         theta, phi, tau, eta, x = random_point(rng)
-        state = make_pure_state(theta, phi)
+        state = QubitState.pure(theta, phi)
         sched = Schedule(measured=(1, 2, 3), tau=tau, x=x, eta=eta)
         base = {p: run_schedule(state, sched.with_measured(p)) for p in ((1, 2), (2, 3), (1, 3))}
         for spec in SLGI_SPECS:
@@ -90,7 +88,7 @@ class TestSlgi:
                     (s[a] * i) * (s[b] * j) * p for (i, j), p in dist.table.items()
                 )
             flipped_plain = corr[(1, 2)] + corr[(2, 3)] - corr[(1, 3)]
-            direct = slgi_value(state, sched, spec).value
+            direct = slgi_all(state, sched, (spec,))[0].value
             assert flipped_plain == pytest.approx(direct, abs=1e-14)
 
 
@@ -128,9 +126,9 @@ class TestSlgiClosedForms:
         assert worst < 1e-10
 
         for _ in range(12):
-            state = make_pure_state(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
+            state = QubitState.pure(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
             tau, eta = rng.uniform(0.05, np.pi - 0.05), rng.uniform(0.05, 1.0)
-            v = slgi_value(state, spin_sched(tau, eta), SLGI_SPECS[0]).value
+            v = slgi_all(state, spin_sched(tau, eta), (SLGI_SPECS[0],))[0].value
             assert abs(v - slgi_closed_form_spin(eta, tau)) < 1e-10
 
     def test_biased_closed_form_reductions(self):
@@ -144,33 +142,33 @@ class TestSlgiClosedForms:
         for _ in range(25):
             theta, phi, tau, eta, _ = random_point(rng)
             eta = max(eta, 1e-3)
-            state = make_pure_state(theta, phi)
-            v = slgi_value(state, biased_sched(tau, eta), SLGI_SPECS[0]).value
+            state = QubitState.pure(theta, phi)
+            v = slgi_all(state, biased_sched(tau, eta), (SLGI_SPECS[0],))[0].value
             worst = max(worst, abs(v - slgi_closed_form_biased(theta, phi, tau, eta)))
         assert worst < 1e-10
 
     def test_biased_closed_form_eta_to_zero(self):
         # pure bias x -> -1: the degenerate limit evaluated just off zero
-        state = make_pure_state(1.1, 2.2)
-        v = slgi_value(state, biased_sched(0.8, 1e-6), SLGI_SPECS[0]).value
+        state = QubitState.pure(1.1, 2.2)
+        v = slgi_all(state, biased_sched(0.8, 1e-6), (SLGI_SPECS[0],))[0].value
         assert v == pytest.approx(slgi_closed_form_biased(1.1, 2.2, 0.8, 1e-6), abs=1e-9)
         assert v == pytest.approx(1.0, abs=1e-5)
 
 
 class TestWlgi:
     def test_lowest_threshold_point_closed_form(self):
-        state = make_pure_state(np.pi / 3, np.pi / 2)
+        state = QubitState.pure(np.pi / 3, np.pi / 2)
         for eta in np.linspace(0.1, 1.0, 10):
-            r = wlgi_value(state, spin_sched(np.pi / 3, eta), SPEC_23)
+            r = wlgi_all(state, spin_sched(np.pi / 3, eta), (SPEC_23,))[0]
             expected = (3 * eta * (1 + eta - np.sqrt(1 - eta**2)) - 2) / 8
             assert r.value == pytest.approx(expected, abs=1e-10)
 
     def test_threshold_is_069(self):
-        state = make_pure_state(np.pi / 3, np.pi / 2)
-        r = wlgi_value(state, spin_sched(np.pi / 3, 0.69), SPEC_23)
+        state = QubitState.pure(np.pi / 3, np.pi / 2)
+        r = wlgi_all(state, spin_sched(np.pi / 3, 0.69), (SPEC_23,))[0]
         assert abs(r.value) < 1e-4
-        assert wlgi_value(state, spin_sched(np.pi / 3, 0.72), SPEC_23).violated
-        assert not wlgi_value(state, spin_sched(np.pi / 3, 0.66), SPEC_23).violated
+        assert wlgi_all(state, spin_sched(np.pi / 3, 0.72), (SPEC_23,))[0].violated
+        assert not wlgi_all(state, spin_sched(np.pi / 3, 0.66), (SPEC_23,))[0].violated
 
     def test_spin_closed_form_generic(self, rng):
         # transcription of the unbiased closed form for SPEC_23
@@ -188,20 +186,20 @@ class TestWlgi:
         worst = 0.0
         for _ in range(25):
             theta, phi, tau, eta, _ = random_point(rng)
-            state = make_pure_state(theta, phi)
-            v = wlgi_value(state, spin_sched(tau, eta), SPEC_23).value
+            state = QubitState.pure(theta, phi)
+            v = wlgi_all(state, spin_sched(tau, eta), (SPEC_23,))[0].value
             worst = max(worst, abs(v - wl1(theta, phi, tau, eta)))
         assert worst < 1e-10
 
     def test_biased_simple_form_needs_phi_half_pi(self):
         # eta^2/8 for the positive-(1,3) inequality at (pi/3, pi/2, 5pi/6);
         # at phi = pi/3 no member of the family reduces this way
-        state = make_pure_state(np.pi / 3, np.pi / 2)
+        state = QubitState.pure(np.pi / 3, np.pi / 2)
         for eta in np.linspace(0.1, 1.0, 10):
-            r = wlgi_value(state, biased_sched(5 * np.pi / 6, eta), SPEC_13)
+            r = wlgi_all(state, biased_sched(5 * np.pi / 6, eta), (SPEC_13,))[0]
             assert r.value == pytest.approx(eta**2 / 8, abs=1e-10)
             assert r.violated
-        off = make_pure_state(np.pi / 3, np.pi / 3)
+        off = QubitState.pure(np.pi / 3, np.pi / 3)
         mismatch = [abs(r.value - 1 / 8) for r in wlgi_all(off, biased_sched(5 * np.pi / 6, 1.0))]
         assert min(mismatch) > 1e-3
 
@@ -221,14 +219,14 @@ class TestWlgi:
 
     def test_tilted_axis_zero_state_no_violation(self):
         axis = axis_from_angles(np.pi / 4, np.pi / 4)
-        state = make_pure_state(0.0, 0.0)
+        state = QubitState.pure(0.0, 0.0)
         sched = Schedule(measured=(1, 2, 3), tau=np.pi / 3, axis=axis, x=0.0, eta=1.0)
         assert max(r.value for r in wlgi_all(state, sched)) <= 1e-12
 
     def test_range_bounds(self, rng):
         for _ in range(30):
             theta, phi, tau, eta, x = random_point(rng)
-            state = make_pure_state(theta, phi)
+            state = QubitState.pure(theta, phi)
             sched = Schedule(measured=(1, 2, 3), tau=tau, x=x, eta=eta)
             for r in wlgi_all(state, sched):
                 assert -2.0 - 1e-12 <= r.value <= 1.0 + 1e-12
@@ -236,7 +234,7 @@ class TestWlgi:
     def test_commuting_limit_all_nonpositive(self, rng):
         for _ in range(10):
             theta, phi, _, _, _ = random_point(rng)
-            state = make_pure_state(theta, phi)
+            state = QubitState.pure(theta, phi)
             sched = Schedule(measured=(1, 2, 3), tau=0.0, x=0.0, eta=1.0)
             assert max(r.value for r in wlgi_all(state, sched)) <= 1e-12
 
@@ -264,21 +262,23 @@ class TestEntropy:
 
 
 class TestElgi:
-    STATE = make_pure_state(1.7, np.pi / 2)
+    STATE = QubitState.pure(1.7, np.pi / 2)
 
     def test_tau_zero_collapses(self):
         for spec in ELGI_SPECS:
-            r = elgi_value(self.STATE, spin_sched(0.0, 1.0), spec)
+            r = elgi_all(self.STATE, spin_sched(0.0, 1.0), (spec,))[0]
             assert abs(r.value) < 1e-12
 
     def test_sharp_violation_exists(self):
         taus = np.linspace(0.05, np.pi - 0.05, 80)
-        best = max(elgi_value(self.STATE, spin_sched(t, 1.0), ELGI_SPECS[1]).value for t in taus)
+        best = max(elgi_all(self.STATE, spin_sched(t, 1.0), (ELGI_SPECS[1],))[0].value
+                   for t in taus)
         assert best > 0.05
 
     def test_eta_09_never_violates(self):
         taus = np.linspace(0.05, np.pi - 0.05, 60)
-        best = max(elgi_value(self.STATE, spin_sched(t, 0.9), ELGI_SPECS[1]).value for t in taus)
+        best = max(elgi_all(self.STATE, spin_sched(t, 0.9), (ELGI_SPECS[1],))[0].value
+                   for t in taus)
         assert best <= 0.0
 
     def test_chain_rule_inequalities(self, rng):
@@ -287,7 +287,7 @@ class TestElgi:
         # signal, and it is what lets the ELGI combination go positive)
         for _ in range(40):
             theta, phi, tau, eta, x = random_point(rng)
-            state = make_pure_state(theta, phi)
+            state = QubitState.pure(theta, phi)
             sched = Schedule(measured=(1, 2), tau=tau, x=x, eta=eta)
             for a, b in ((1, 2), (1, 3), (2, 3)):
                 dist = run_schedule(state, sched.with_measured((a, b)))
@@ -307,5 +307,5 @@ class TestElgi:
 
 class TestInequalityResult:
     def test_violation_flag_tolerance(self):
-        r = slgi_value(PLUS, spin_sched(np.pi / 6, 1.0), SLGI_SPECS[0])
+        r = slgi_all(PLUS, spin_sched(np.pi / 6, 1.0), (SLGI_SPECS[0],))[0]
         assert r.violated == (r.value > r.bound + 1e-12)

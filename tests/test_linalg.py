@@ -8,7 +8,6 @@ from lgscan.errors import BadAxis, NotHermitian, NotPSD
 from lgscan.linalg import (
     IDENTITY,
     Operator,
-    PAULI,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -168,7 +167,8 @@ class TestQubitUnitary:
     def test_matches_expm(self, rng):
         for _ in range(50):
             axis, phase = random_axis(rng), rng.uniform(-5, 5)
-            gen = sum((axis[i] * PAULI[i].mat for i in range(3)), np.zeros((2, 2), complex))
+            gen = sum((a * s.mat for a, s in zip(axis, (SIGMA_X, SIGMA_Y, SIGMA_Z))),
+                      np.zeros((2, 2), complex))
             ref = scipy.linalg.expm(-1j * phase * gen)
             assert np.max(np.abs(qubit_unitary(axis, phase).mat - ref)) < 1e-12
 

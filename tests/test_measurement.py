@@ -13,7 +13,6 @@ from lgscan.measurement import (
     correlator,
     effect_at_time,
     luders_update,
-    make_pure_state,
     run_schedule,
 )
 
@@ -25,7 +24,7 @@ PLUS = QubitState.pure(np.pi / 4, 0.0)
 
 class TestQubitState:
     def test_zero_state(self):
-        s = make_pure_state(0.0, 0.0)
+        s = QubitState.pure(0.0, 0.0)
         assert np.allclose(s.bloch(), [0, 0, 1], atol=1e-14)
         assert s.purity() == pytest.approx(1.0, abs=1e-13)
 
@@ -33,12 +32,12 @@ class TestQubitState:
         assert np.allclose(PLUS.bloch(), [1, 0, 0], atol=1e-14)
 
     def test_tilted_state(self):
-        s = make_pure_state(np.pi / 3, np.pi / 2)
+        s = QubitState.pure(np.pi / 3, np.pi / 2)
         assert np.allclose(s.bloch(), [0, np.sqrt(3) / 2, -0.5], atol=1e-14)
 
     def test_pure_random_trace_and_purity(self, rng):
         for _ in range(100):
-            s = make_pure_state(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
+            s = QubitState.pure(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
             assert s.rho.trace().real == pytest.approx(1.0, abs=1e-13)
             assert s.purity() == pytest.approx(1.0, abs=1e-12)
 
@@ -140,13 +139,13 @@ class TestEffectAtTime:
 
 class TestLuders:
     def test_sharp_repeat(self):
-        state = make_pure_state(0.0, 0.0)
+        state = QubitState.pure(0.0, 0.0)
         prob, post = luders_update(state, Effect(0.0, Z_HAT.copy(), 1))
         assert prob == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(post.bloch(), [0, 0, 1], atol=1e-13)
 
     def test_orthogonal_outcome_is_none(self):
-        state = make_pure_state(0.0, 0.0)
+        state = QubitState.pure(0.0, 0.0)
         prob, post = luders_update(state, Effect(0.0, Z_HAT.copy(), -1))
         assert prob <= 1e-12 and post is None
 
@@ -162,7 +161,7 @@ class TestLuders:
     def test_post_state_valid_random(self, rng):
         for _ in range(200):
             theta, phi, _, eta, x = random_point(rng)
-            state = make_pure_state(theta, phi)
+            state = QubitState.pure(theta, phi)
             eff = Effect(x, eta * random_axis(rng), int(rng.choice([1, -1])))
             prob, post = luders_update(state, eff)
             assert 0.0 <= prob <= 1.0
@@ -203,14 +202,14 @@ class TestRunSchedule:
             theta, phi, tau, eta, x = random_point(rng)
             subset = tuple(sorted(rng.choice([1, 2, 3], size=rng.integers(1, 4), replace=False)))
             sched = Schedule(measured=subset, tau=tau, axis=random_axis(rng), x=x, eta=eta)
-            dist = run_schedule(make_pure_state(theta, phi), sched)
+            dist = run_schedule(QubitState.pure(theta, phi), sched)
             assert sum(dist.table.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_heisenberg_schroedinger_equivalence(self, rng):
         worst = 0.0
         for _ in range(60):
             theta, phi, tau, eta, x = random_point(rng)
-            state = make_pure_state(theta, phi)
+            state = QubitState.pure(theta, phi)
             sched = Schedule(measured=(1, 2), tau=tau, axis=random_axis(rng), x=x, eta=eta)
             for pair in ((1, 2), (1, 3), (2, 3)):
                 dist = run_schedule(state, sched.with_measured(pair))
@@ -224,7 +223,7 @@ class TestRunSchedule:
 
     def test_zero_probability_branch(self):
         # first measurement certain, orthogonal branch must contribute zeros
-        state = make_pure_state(0.0, 0.0)
+        state = QubitState.pure(0.0, 0.0)
         sched = Schedule(measured=(1, 2), tau=0.0, x=0.0, eta=1.0)
         dist = run_schedule(state, sched)
         assert dist.prob((1, 1)) == pytest.approx(1.0, abs=1e-14)
@@ -274,7 +273,7 @@ class TestIndependentMatrixOracle:
             measured = tuple(
                 sorted(rng.choice([1, 2, 3], size=rng.integers(1, 4), replace=False))
             )
-            state = make_pure_state(theta, phi)
+            state = QubitState.pure(theta, phi)
             sched = Schedule(measured=measured, tau=tau, axis=axis, x=x, eta=eta)
             dist = run_schedule(state, sched)
             oracle = self._oracle_table(theta, phi, tau, eta, x, axis, measured)
@@ -310,7 +309,7 @@ class TestMarginalize:
     def test_aot_exact(self, rng):
         for _ in range(50):
             theta, phi, tau, eta, x = random_point(rng)
-            state = make_pure_state(theta, phi)
+            state = QubitState.pure(theta, phi)
             sched = Schedule(measured=(1, 2, 3), tau=tau, x=x, eta=eta)
             triple = run_schedule(state, sched)
             pair = run_schedule(state, sched.with_measured((1, 2)))
@@ -326,7 +325,7 @@ class TestMarginalize:
 
     def test_in_context_pair_13(self):
         # triple-experiment (1,3) marginal differs from the stand-alone pair
-        state = make_pure_state(0.0, 0.0)
+        state = QubitState.pure(0.0, 0.0)
         sched = Schedule(measured=(1, 2, 3), tau=np.pi / 3, x=0.0, eta=1.0)
         marg = run_schedule(state, sched).marginalize((1, 3))
         alone = run_schedule(state, sched.with_measured((1, 3)))
@@ -345,7 +344,7 @@ class TestMarginalize:
 
     def test_two_step_marginalization_consistent(self, rng):
         theta, phi, tau, eta, x = random_point(rng)
-        state = make_pure_state(theta, phi)
+        state = QubitState.pure(theta, phi)
         triple = run_schedule(state, Schedule(measured=(1, 2, 3), tau=tau, x=x, eta=eta))
         via_pair = triple.marginalize((1, 3)).marginalize((3,))
         direct = triple.marginalize((3,))
@@ -358,7 +357,7 @@ class TestCorrelator:
         for _ in range(10):
             theta, phi, _, _, _ = random_point(rng)
             sched = Schedule(measured=(1, 2), tau=0.0, x=0.0, eta=1.0)
-            c = correlator(make_pure_state(theta, phi), sched)
+            c = correlator(QubitState.pure(theta, phi), sched)
             assert c == pytest.approx(1.0, abs=1e-12)
 
     def test_spin_povm_mixed_state(self, rng):
@@ -370,7 +369,7 @@ class TestCorrelator:
 
     def test_pair_13_sharp(self):
         sched = Schedule(measured=(1, 3), tau=np.pi / 4, x=0.0, eta=1.0)
-        c = correlator(make_pure_state(0.0, 0.0), sched)
+        c = correlator(QubitState.pure(0.0, 0.0), sched)
         assert c == pytest.approx(-1.0, abs=1e-13)
 
     def test_requires_two_times(self):

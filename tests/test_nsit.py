@@ -4,7 +4,7 @@ import pytest
 from lgscan import inequalities, nsit
 from lgscan.grid import SUBSETS
 from lgscan.inequalities import WLGI_SPECS, wlgi_all
-from lgscan.measurement import QubitState, Schedule, make_pure_state, run_schedule
+from lgscan.measurement import QubitState, Schedule, run_schedule
 from lgscan.nsit import (
     closed_form_variants,
     disturbance_closed_forms,
@@ -41,13 +41,13 @@ class TestDisturbanceReport:
             assert val == pytest.approx(-i * k * 0.25, abs=1e-13)
 
     def test_zero_state_pi4_d2(self):
-        rep = disturbance_report(make_pure_state(0.0, 0.0), sharp_sched(np.pi / 4))
+        rep = disturbance_report(QubitState.pure(0.0, 0.0), sharp_sched(np.pi / 4))
         assert rep.d2_pair[(1, 1)] == pytest.approx(-0.5, abs=1e-13)
 
     def test_families_sum_to_zero(self, rng):
         for _ in range(20):
             theta, phi, tau, eta, x = random_point(rng)
-            state = make_pure_state(theta, phi)
+            state = QubitState.pure(theta, phi)
             sched = Schedule(measured=(1, 2, 3), tau=tau, x=x, eta=eta)
             rep = disturbance_report(state, sched)
             assert abs(sum(rep.d1_pair.values())) < 1e-10
@@ -59,7 +59,7 @@ class TestDisturbanceReport:
     def test_single_outcome_sign_pairing(self, rng):
         for _ in range(20):
             theta, phi, tau, eta, x = random_point(rng)
-            state = make_pure_state(theta, phi)
+            state = QubitState.pure(theta, phi)
             rep = disturbance_report(state, Schedule(measured=(1,), tau=tau, x=x, eta=eta))
             for fam in ("d1_m2", "d1_m3", "d2_m3"):
                 entries = rep.families()[fam]
@@ -68,7 +68,7 @@ class TestDisturbanceReport:
     def test_aot_residual_small_random(self, rng):
         for _ in range(30):
             theta, phi, tau, eta, x = random_point(rng)
-            state = make_pure_state(theta, phi)
+            state = QubitState.pure(theta, phi)
             rep = disturbance_report(state, Schedule(measured=(1,), tau=tau, x=x, eta=eta))
             assert rep.aot_residual < 1e-10
 
@@ -80,7 +80,7 @@ class TestClosedForms:
             theta = rng.uniform(0, np.pi)
             phi = rng.uniform(0, 2 * np.pi)
             tau = rng.uniform(0, np.pi)
-            rep = disturbance_report(make_pure_state(theta, phi), sharp_sched(tau))
+            rep = disturbance_report(QubitState.pure(theta, phi), sharp_sched(tau))
             closed = disturbance_closed_forms(theta, phi, tau)
             for fam, entries in rep.families().items():
                 ref = closed.families()[fam]
@@ -133,7 +133,7 @@ class TestClosedForms:
             theta = rng.uniform(0, np.pi)
             phi = rng.uniform(0, 2 * np.pi)
             tau = rng.uniform(0, np.pi)
-            rep = disturbance_report(make_pure_state(theta, phi), sharp_sched(tau))
+            rep = disturbance_report(QubitState.pure(theta, phi), sharp_sched(tau))
             var = closed_form_variants(theta, phi, tau)
             worst_d1m2 = max(worst_d1m2, abs(rep.d1_m2[1] - var["d1_m2"][1]))
             worst_d2m3 = max(worst_d2m3, abs(rep.d2_m3[1] - var["d2_m3"][1]))
@@ -143,14 +143,14 @@ class TestClosedForms:
 
 class TestNsitSatisfied:
     def test_generic_point_all_violated(self):
-        rep = disturbance_report(make_pure_state(np.pi / 3, np.pi / 2), sharp_sched(np.pi / 5))
+        rep = disturbance_report(QubitState.pure(np.pi / 3, np.pi / 2), sharp_sched(np.pi / 5))
         flags = nsit_satisfied(rep)
         assert not any(flags.values())
         assert set(flags) == {"nsit_12", "nsit_13", "nsit_23", "nsit_123", "nsit_1_2_3"}
 
     def test_trivial_effects_satisfy_all(self):
         sched = Schedule(measured=(1,), tau=0.7, x=0.0, eta=0.0)
-        rep = disturbance_report(make_pure_state(1.0, 2.0), sched)
+        rep = disturbance_report(QubitState.pure(1.0, 2.0), sched)
         assert all(nsit_satisfied(rep).values())
 
     def test_plus_state_pi4_only_middle_family_violated(self):
@@ -213,7 +213,7 @@ class TestWlgiThresholdCheck:
             assert not check.predicted_violation
 
     def test_known_violation_point(self):
-        state = make_pure_state(np.pi / 3, np.pi / 2)
+        state = QubitState.pure(np.pi / 3, np.pi / 2)
         spec = WLGI_SPECS[18]
         check = wlgi_threshold_check(state, sharp_sched(np.pi / 3), spec)
         assert check.predicted_violation
@@ -222,7 +222,7 @@ class TestWlgiThresholdCheck:
         worst = 0.0
         for _ in range(25):
             theta, phi, tau, eta, x = random_point(rng)
-            state = make_pure_state(theta, phi)
+            state = QubitState.pure(theta, phi)
             sched = Schedule(measured=(1, 2, 3), tau=tau, x=x, eta=eta)
             values = [r.value for r in wlgi_all(state, sched)]
             for i in rng.integers(0, 24, 6):
@@ -233,7 +233,7 @@ class TestWlgiThresholdCheck:
         assert worst < 1e-12
 
     def test_decomposition_all_specs_one_point(self):
-        state = make_pure_state(1.1, 0.7)
+        state = QubitState.pure(1.1, 0.7)
         sched = Schedule(measured=(1, 2, 3), tau=0.9, x=-0.2, eta=0.5)
         for spec, r in zip(WLGI_SPECS, wlgi_all(state, sched)):
             check = wlgi_threshold_check(state, sched, spec)
@@ -249,7 +249,7 @@ class TestWlgiThresholdCheck:
 
         for module in (inequalities, nsit):
             monkeypatch.setattr(module, "run_schedule", counting)
-        wlgi_threshold_check(make_pure_state(0.4, 1.2), sharp_sched(0.7), WLGI_SPECS[5])
+        wlgi_threshold_check(QubitState.pure(0.4, 1.2), sharp_sched(0.7), WLGI_SPECS[5])
         assert sorted(calls) == sorted(SUBSETS)
 
     def test_equals_three_case_form(self, rng):
@@ -257,7 +257,7 @@ class TestWlgiThresholdCheck:
         # marginalized time r
         for _ in range(10):
             theta, phi, tau, eta, x = random_point(rng)
-            state = make_pure_state(theta, phi)
+            state = QubitState.pure(theta, phi)
             sched = Schedule(measured=(1, 2, 3), tau=tau, x=x, eta=eta)
             rep = disturbance_report(state, sched)
             triple = run_schedule(state, sched)

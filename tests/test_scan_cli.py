@@ -439,13 +439,13 @@ class TestScan:
 
     def test_nsit_flags_match_scalar(self):
         from lgscan.jointmeas import jm_verdict
-        from lgscan.measurement import QubitState, Schedule, make_pure_state
+        from lgscan.measurement import QubitState, Schedule
         from lgscan.nsit import disturbance_report, nsit_satisfied
 
         cfg = ScanConfig(theta=[np.pi / 4], phi=[0.0], tau=[np.pi / 4], eta=[1.0])
         rec = scan(cfg)[0]
         rep = disturbance_report(
-            make_pure_state(np.pi / 4, 0.0),
+            QubitState.pure(np.pi / 4, 0.0),
             Schedule(measured=(1, 2, 3), tau=np.pi / 4, x=0.0, eta=1.0),
         )
         flags = nsit_satisfied(rep)

@@ -3,33 +3,51 @@ compare what they print and write, byte for byte.
 
     python tools/golden.py OLD_TREE NEW_TREE
 
-Each command of `CASES` runs in a fresh `python -m lgscan.cli` process with
+Each case of `all_cases()` runs in a fresh process with
 PYTHONPATH=<tree>/src and its own temporary working directory, which holds
-the case's input files and nothing else; the old and the new tree's run of a
-case go side by side.  Exit code, stdout, stderr and every file the run
+the case's input files and nothing else; the old and the new tree's run of
+a case go side by side.  A
+case runs `python -m lgscan.cli`, or a `python -c` launcher that sets up
+what the command line cannot: `scan.CHUNK` patched, or thousands of `eval`
+points in one process.  Exit code, stdout, stderr and every file the run
 leaves in its directory are compared.  Each difference is one line, then a
 summary line; the exit status is 0 when every output is identical and 1
 otherwise (2 for a tree without src/lgscan).
 
 The set covers: a four-section scan config (seed 301's benchmark grid at
 zero bias, a fixed bias on a tilted axis, eta-1, a section without `tau`)
-in CSV and JSON; figures 1-4 in CSV and JSON; 64 `eval` points; 120
-`threshold` runs; every `threshold` line of the CI workflow; `selftest`; and
-runs that exit 2.  Report files are compared whole: a difference names the
-file and its first differing line, not the cells.
+in CSV and JSON, also at CHUNK = 4756; figures 1-4 in CSV and JSON; 64
+`eval` points and 3,000 seeded ones over the zero, eta-1 and x=0.2 bias
+modes; 120 `threshold` runs on hand-picked states, the 528-run grid on
+seeded and phi = 0 states, 33 ELGI `--spec-index` runs, 1e-10 and 1e-12
+tolerance runs, and every `threshold` line of the CI workflow (read from
+it); `selftest`; and runs that exit 2.
+
+A report file (.csv or .json) that differs is read back with the csv or
+json module, a row at a time, and accounted for per column: the cells that
+differ and, for numeric cells, max |old - new| with the worst row's
+parameters.  A header or row-count change is one line; any other file, or a
+report whose cells agree while its bytes do not, names its first differing
+line.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
+import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 TIMEOUT_S = 900  # per run; a run past it counts as a difference
 
@@ -39,6 +57,7 @@ class Case:
     name: str
     args: tuple[str, ...]
     inputs: dict[str, bytes] = field(default_factory=dict)  # files written before the run
+    launcher: str | None = None  # `python -c` code run in place of `-m lgscan.cli`
 
 
 SCAN_CONFIG = b"""\
@@ -81,33 +100,69 @@ CI_SCAN_CONFIG = b"[ci]\ntheta = 0.2\nphi = 0.5\ntau = 0.4 : 1.2 : 0.4\neta = 0.
 TILTED = ("--axis-alpha", "0.4", "--axis-beta", "1.1")
 STATES = (("0", "0"), ("pi/3", "pi/2"), ("1.1", "0.4"), ("1.7", "pi/2"), ("0.3", "1.1"))
 
-# the `threshold` lines of .github/workflows/tests.yml
-CI_THRESHOLDS = (
-    "--family wlgi --theta pi/3 --phi pi/2 --tau pi/3 --spec-index 18",
+CI_WORKFLOW = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           ".github", "workflows", "tests.yml")
+# an `lgscan threshold` command line of the workflow, up to `)`, `2>`, `||` or its end
+_CI_THRESHOLD = re.compile(r"lgscan threshold ([^)|>\"\n]*?)\s*(?:\)|2>|\|\||$)", re.M)
+
+
+def ci_thresholds(path: str = CI_WORKFLOW) -> list[str]:
+    """The arguments of every `lgscan threshold` command of the CI workflow,
+    in order."""
+    with open(path, encoding="utf-8") as fh:
+        return _CI_THRESHOLD.findall(fh.read())
+
+
+# the threshold grid's states: 7 seeded, 4 with r_y exactly 0
+GRID_STATES = [(repr(float(t)), repr(float(p))) for t, p in
+               np.random.default_rng(2024).uniform((0.0, 0.0), (math.pi, 2 * math.pi), (7, 2))]
+GRID_STATES += [(theta, "0") for theta in ("0.4", "1.1", "1.7", "2.6")]
+BIASES = ("zero", "eta-1", "x=0.1", "x=-0.3")
+# the threshold runs' bisection tolerances below the default 1e-4
+TOLERANCE_RUNS = (
     "--family slgi --maximize-tau",
-    "--family wlgi --maximize-tau --theta pi/3 --phi pi/2",
-    "--family elgi --maximize-tau --theta 1.1 --phi 0.4",
-    "--family slgi --maximize-tau --tolerance 1e-10",
-    "--family wlgi --theta pi/3 --phi pi/2 --tau pi/3 --spec-index 18 --tolerance 1e-10",
-    "--family elgi --bias x=0.1 --theta 1.1 --phi 0.4 --maximize-tau",
-    "--family wlgi --bias x=-0.3 --theta 1.7 --phi pi/2 --maximize-tau --spec-index 0",
-    "--family elgi --theta 1.7 --phi pi/2 --maximize-tau --spec-index 1",
-    "--family elgi --maximize-tau --theta 0.3 --phi 1.1 --bias eta-1",
-    "--family elgi --maximize-tau --theta 1.7 --phi pi/2 --bias x=-0.3",
-    "--family elgi --maximize-tau --theta 0.3 --phi 1.1 --bias x=0.1 --axis-alpha 0.4 "
-    "--axis-beta 1.1",
+    "--family wlgi --theta pi/3 --phi pi/2 --tau pi/3 --spec-index 18",
     "--family wlgi --theta 1.1 --phi 0 --maximize-tau",
-    "--family elgi --theta 1.1 --phi 0 --maximize-tau",
-    "--family wlgi --theta 1.7 --phi 0 --maximize-tau --bias x=-0.3",
-    "--family slgi --maximize-tau --eta 0.5",
-    "--family slgi --maximize-tau --bias x=1.5",
+    "--family elgi --maximize-tau --theta 1.1 --phi 0.4",
+    "--family wlgi --bias x=-0.3 --theta 1.7 --phi pi/2 --maximize-tau --spec-index 0",
 )
 
+# the scan module, not the `lgscan.scan` function that shadows it in the package
+CHUNK_LAUNCHER = """\
+import importlib, sys
+importlib.import_module("lgscan.scan").CHUNK = 4756
+from lgscan.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+# `lgscan eval` on argv[2] seeded points (seed argv[1]), the bias modes zero,
+# eta-1 and x=0.2 in turn, each on its own seeded axis; exits with the largest code
+EVAL_LAUNCHER = """\
+import math, sys
+import numpy as np
+from lgscan.cli import main
+rng = np.random.default_rng(int(sys.argv[1]))
+codes = [0]
+for i in range(int(sys.argv[2])):
+    eta = float(rng.uniform(0.05, 0.8 if i % 3 == 2 else 1.0))
+    theta, phi = float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi))
+    tau = float(rng.uniform(0.05, math.pi - 0.05))
+    alpha, beta = float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.5, math.pi - 0.5))
+    codes.append(main(["eval", f"--theta={theta!r}", f"--phi={phi!r}", f"--tau={tau!r}",
+                       f"--eta={eta!r}", "--bias=" + ("zero", "eta-1", "x=0.2")[i % 3],
+                       f"--axis-alpha={alpha!r}", f"--axis-beta={beta!r}"]))
+sys.exit(max(codes))
+"""
 
-def _cases() -> list[Case]:
+
+def all_cases() -> list[Case]:
+    """The gate's commands, in run order (this reads the CI workflow)."""
     cases = [Case(f"scan {fmt}", ("scan", "--config", "gate.cfg", "--out", "out",
                                   "--format", fmt), {"gate.cfg": SCAN_CONFIG})
              for fmt in ("csv", "json")]
+    cases += [Case(f"scan {fmt} at CHUNK 4756", ("scan", "--config", "gate.cfg", "--out", "out",
+                                                 "--format", fmt), {"gate.cfg": SCAN_CONFIG},
+                   CHUNK_LAUNCHER)
+              for fmt in ("csv", "json")]
     cases += [Case(f"scan ci {fmt}", ("scan", "--config", "ci.cfg", "--out", "out",
                                       "--format", fmt), {"ci.cfg": CI_SCAN_CONFIG})
               for fmt in ("csv", "json")]
@@ -120,13 +175,26 @@ def _cases() -> list[Case]:
         args = ("eval", "--theta", theta, "--phi", "pi/2", "--tau", tau, "--eta", "0.7",
                 "--bias", bias) + TILTED
         cases.append(Case(" ".join(args), args))
-    for family, (theta, phi), bias, tau in itertools.product(
-            ("slgi", "wlgi", "elgi"), STATES, ("zero", "eta-1", "x=0.1", "x=-0.3"),
-            (("--maximize-tau",), ("--tau", "pi/3") + TILTED)):
-        args = ("threshold", "--family", family, "--theta", theta, "--phi", phi,
-                "--bias", bias) + tau
-        cases.append(Case(" ".join(args), args))
-    cases += [Case("threshold " + line, ("threshold", *line.split())) for line in CI_THRESHOLDS]
+    cases.append(Case("eval 3000 seeded points", ("2027", "3000"), launcher=EVAL_LAUNCHER))
+    threshold_lines = [
+        ("--family", family, "--theta", theta, "--phi", phi, "--bias", bias) + tau
+        for family, (theta, phi), bias, tau in itertools.product(
+            ("slgi", "wlgi", "elgi"), STATES, BIASES,
+            (("--maximize-tau",), ("--tau", "pi/3") + TILTED))]
+    threshold_lines += [
+        ("--family", family, "--theta", theta, "--phi", phi, "--bias", bias) + tau + axis
+        for family, (theta, phi), bias, tau, axis in itertools.product(
+            ("slgi", "wlgi", "elgi"), GRID_STATES, BIASES,
+            (("--maximize-tau",), ("--tau", "pi/3")), ((), TILTED))]
+    threshold_lines += [("--family", "elgi", "--theta", theta, "--phi", phi, "--maximize-tau",
+                         "--spec-index", str(k)) for (theta, phi), k in itertools.product(
+                             GRID_STATES, range(3))]
+    threshold_lines += [tuple(f"{line} --tolerance {tol}".split())
+                        for line, tol in itertools.product(TOLERANCE_RUNS, ("1e-10", "1e-12"))]
+    threshold_lines += [tuple(line.split()) for line in ci_thresholds()]
+    # a line already in the set runs once, under its first name
+    cases += [Case(" ".join(("threshold",) + line), ("threshold",) + line)
+              for line in dict.fromkeys(threshold_lines)]
     cases += [
         Case("selftest", ("selftest",)),
         Case("selftest --seed -1", ("selftest", "--seed", "-1")),
@@ -137,9 +205,6 @@ def _cases() -> list[Case]:
         Case("figure unwritable", ("figure", "3", "--out", "missing/figure3.csv")),
     ]
     return cases
-
-
-CASES = _cases()
 
 
 @dataclass
@@ -155,7 +220,8 @@ def _start(tree: str, case: Case, workdir: str) -> subprocess.Popen:
         with open(os.path.join(workdir, name), "wb") as fh:
             fh.write(data)
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
-    return subprocess.Popen([sys.executable, "-m", "lgscan.cli", *case.args], cwd=workdir,
+    head = ["-c", case.launcher] if case.launcher else ["-m", "lgscan.cli"]
+    return subprocess.Popen([sys.executable, *head, *case.args], cwd=workdir,
                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
@@ -202,6 +268,109 @@ def _file_diff(a: str, b: str, chunk: int = 1 << 20) -> str | None:
             line += x.count(b"\n")
 
 
+REPORT_SUFFIXES = (".csv", ".json")
+ROW_KEY = ("theta", "phi", "tau", "eta", "x", "family", "spec_index")  # a row's parameters
+_SPACE = re.compile(r"\s*")
+
+
+def _json_items(path: str, size: int = 1 << 16):
+    """The items of the JSON array in `path`, decoded one at a time with at
+    least `size` characters read ahead, so a large report is never held
+    whole."""
+    decode = json.JSONDecoder().raw_decode
+    with open(path, encoding="utf-8") as fh:
+        buf, pos, sep, eof = "", 0, "[", False
+        while True:
+            if not eof and len(buf) - pos < size:
+                more = fh.read(size)
+                buf, pos, eof = buf[pos:] + more, 0, not more
+            pos = _SPACE.match(buf, pos).end()
+            if buf.startswith("]", pos) and sep == ",":
+                return
+            if not buf.startswith(sep, pos):
+                raise ValueError(f"expected {sep!r} at character {pos}")
+            pos = _SPACE.match(buf, pos + 1).end()
+            if buf.startswith("]", pos) and sep == "[":
+                return
+            item, pos = decode(buf, pos)
+            yield item
+            sep = ","
+
+
+def _report_rows(path: str):
+    """The header of a CSV or JSON report, then each row's cells in its
+    order; ValueError for a row that does not fit the header."""
+    if path.endswith(".csv"):
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            header = tuple(next(rows, ()))
+            yield header
+            for row in rows:
+                if len(row) != len(header):
+                    raise ValueError(f"a row of {len(row)} cells under {len(header)} columns")
+                yield tuple(row)
+        return
+    items = _json_items(path)
+    first = next(items, None)
+    header = tuple(first) if isinstance(first, dict) else ()
+    yield header
+    for item in itertools.chain((first,) if first is not None else (), items):
+        if not isinstance(item, dict) or tuple(item) != header:
+            raise ValueError("an item that is not an object with the first one's keys")
+        yield tuple(item.values())
+
+
+def _number(cell) -> float | None:
+    if isinstance(cell, bool) or cell is None:
+        return None
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def cell_diff(a: str, b: str) -> list[str]:
+    """How two reports differ, one line per column with differing cells:
+    their count and, where both cells are numbers, max |a - b| with the
+    worst row's ROW_KEY cells in `a`.  A header or row-count change is one
+    line.  Empty when every cell agrees in type and value."""
+    rows_a, rows_b = _report_rows(a), _report_rows(b)
+    header, header_b = next(rows_a), next(rows_b)
+    if header != header_b:
+        return [f"header {','.join(header)} -> {','.join(header_b)}"]
+    changed = dict.fromkeys(header, 0)
+    worst: dict[str, tuple[float, int, tuple]] = {}
+    count_a = count_b = 0
+    for x, y in itertools.zip_longest(rows_a, rows_b):
+        count_a += x is not None
+        count_b += y is not None
+        if x is None or y is None or x == y:
+            continue
+        for col, p, q in zip(header, x, y):
+            if type(p) is type(q) and (p == q or p != p and q != q):
+                continue
+            changed[col] += 1
+            u, v = _number(p), _number(q)
+            if u is not None and v is not None:
+                d = abs(u - v)
+                d = math.inf if d != d else d
+                if col not in worst or d > worst[col][0]:
+                    worst[col] = (d, count_a, x)
+    if count_a != count_b:
+        return [f"rows {count_a} -> {count_b}"]
+    lines = []
+    for col, count in changed.items():
+        if not count:
+            continue
+        line = f"column {col}: {count} of {count_a} cells differ"
+        if col in worst:
+            d, row, cells = worst[col]
+            where = " ".join(f"{k}={cells[header.index(k)]}" for k in ROW_KEY if k in header)
+            line += f", max |diff| {d:.3g} at row {row} ({where})"
+        lines.append(line)
+    return lines
+
+
 def compare(case: Case, old: Run, new: Run) -> tuple[list[str], int]:
     """The differences between two runs of a case, one line each, and the
     bytes of the files compared."""
@@ -221,13 +390,21 @@ def compare(case: Case, old: Run, new: Run) -> tuple[list[str], int]:
                          "tree only")
             continue
         compared += os.path.getsize(old_files[rel])
-        where = _file_diff(old_files[rel], new_files[rel])
-        if where is not None:
-            diffs.append(f"file {rel} differs at {where}")
+        a, b = old_files[rel], new_files[rel]
+        where = _file_diff(a, b)
+        if where is None:
+            continue
+        lines = [f"differs at {where}"]
+        if rel.endswith(REPORT_SUFFIXES):
+            try:  # a report whose cells all agree keeps its first differing line
+                lines = cell_diff(a, b) or lines
+            except (ValueError, csv.Error) as exc:  # JSONDecodeError, UnicodeDecodeError
+                lines = [f"differs at {where} (not read as a report: {exc})"]
+        diffs += [f"file {rel} {line}" for line in lines]
     return diffs, compared
 
 
-def gate(old_tree: str, new_tree: str, cases=CASES) -> int:
+def gate(old_tree: str, new_tree: str, cases: list[Case]) -> int:
     """Run every case on both trees; print one line per difference and a
     summary.  Returns the number of cases whose outputs differ."""
     start, differ, compared, codes = time.monotonic(), 0, 0, {}
@@ -252,7 +429,7 @@ def gate(old_tree: str, new_tree: str, cases=CASES) -> int:
     return differ
 
 
-def main(argv: list[str] | None = None, cases=CASES) -> int:
+def main(argv: list[str] | None = None, cases: list[Case] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("old_tree")
@@ -262,6 +439,7 @@ def main(argv: list[str] | None = None, cases=CASES) -> int:
         if not os.path.isfile(os.path.join(tree, "src", "lgscan", "cli.py")):
             print(f"error: {tree!r} has no src/lgscan/cli.py", file=sys.stderr)
             return 2
+    cases = all_cases() if cases is None else cases
     return 1 if gate(args.old_tree, args.new_tree, cases) else 0
 
 
