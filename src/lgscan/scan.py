@@ -9,12 +9,16 @@ configuration produce byte-identical files.
 
 Records are held as a `ScanTable`, one numpy array per report column.  A
 scan and the canned figures walk their grid in blocks of `CHUNK` points
-(`_grid_table`), a row per point and (family, spec) pick: a scan picks
+(`_grid_blocks`), a row per point and (family, spec) pick: a scan picks
 each family's maximum, a figure each of its forms.  Each block is one
 kernel call, whose loop computes every per-point cell, the NSIT and JM
 flags among them; the JM flags are evaluated on the block's first (tau,
 eta) cycle and tiled over the block.  `_fill` only writes a block's cells
-and picks straight into the preallocated columns.
+and picks into a table's columns.  The table that `scan` and
+`figure_records` return is streamed: its first block is computed when it
+is made and the rest when they are read, so `report` holds one block of
+rows at a time, never the grid; reading `ScanTable.columns` fills the
+whole table once.
 `report` splits the columns into four runs and formats each run of a
 `CHUNK`-row block once per distinct combination of its cells, places the
 four cells of each row row-major in one object array and joins `WRITE_ROWS`
@@ -34,7 +38,7 @@ import locale
 import math
 from dataclasses import dataclass, fields
 from itertools import groupby
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -248,44 +252,104 @@ class ScanTable:
     FAMILIES and every flag column codes into FLAG_VALUES.  `len`, indexing
     and iteration give the rows as `ScanRecord`s; tables compare equal
     column by column.
+
+    A table made by `streamed` (what `scan` and `figure_records` return)
+    computes its rows one block at a time when they are read: `report` and
+    iteration walk the blocks through one block-sized buffer, and `len`
+    reads no row.  Reading `columns`, so indexing and ==, fills the whole
+    table once and keeps it.
     """
 
     def __init__(self, columns: dict[str, np.ndarray]) -> None:
-        self.columns = columns
+        self._columns, self._rows = columns, len(columns["theta"])
+        self._source = self._first = None
 
     @classmethod
     def empty(cls, n: int) -> "ScanTable":
         return cls({col: np.empty(n, dtype=_dtype(col)) for col in CSV_COLUMNS})
 
-    def __len__(self) -> int:
-        return len(self.columns["theta"])
+    @classmethod
+    def streamed(cls, rows: int, block_rows: int,
+                 source: Callable[[int], Iterator[tuple[dict, list]]]) -> "ScanTable":
+        """A table of `rows` rows, in blocks of at most `block_rows`:
+        `source(skip)` yields each block's `_fill` arguments (cells, picks),
+        from block `skip` on.  The first block is filled here, so a block
+        that cannot be allocated is a ConfigError now; the table hands it to
+        the first pass over its blocks and drops it."""
+        table = cls.__new__(cls)
+        table._columns, table._rows, table._source = None, rows, source
+        table._block_rows, table._first = block_rows, None
+        if rows:
+            table._first = _allocate(block_rows, rows)
+            _fill(table._first, 0, *next(source(0)))
+        return table
 
-    def _records(self, start: int, stop: int) -> list[ScanRecord]:
-        cells = []
-        for col in CSV_COLUMNS:
-            part = self.columns[col][start:stop]
-            if col == "family":
-                part = _FAMILY_OBJECTS[part]
-            elif col in FLAG_COLUMNS:
-                part = _FLAG_OBJECTS[part]
-            cells.append(part.tolist())
-        return [ScanRecord(*row) for row in zip(*cells)]
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        if self._columns is None:  # each block `_fill`ed at its rows of the whole table
+            table, row = _allocate(self._rows, self._rows), 0
+            for cells, picks in self._source(0):
+                row = _fill(table, row, cells, picks)
+            self._columns, self._source, self._first = table.columns, None, None
+        return self._columns
+
+    def _blocks(self) -> Iterator[dict[str, np.ndarray]]:
+        """The columns one block at a time: the whole table once filled,
+        else each block computed as it is read, into one buffer."""
+        if self._columns is not None:
+            yield self._columns
+            return
+        buffer, self._first = self._first, None
+        skip = buffer is not None
+        if skip:
+            yield buffer.columns
+        else:
+            buffer = _allocate(self._block_rows, self._rows)
+        for cells, picks in self._source(int(skip)):
+            rows = _fill(buffer, 0, cells, picks)
+            del cells, picks  # freed before the next block is computed
+            yield {col: a[:rows] for col, a in buffer.columns.items()}
+
+    def __len__(self) -> int:
+        return self._rows
 
     def __getitem__(self, i: int) -> ScanRecord:
         n = len(self)
         if not -n <= i < n:
             raise IndexError(f"row {i} out of range for {n} rows")
         i %= n
-        return self._records(i, i + 1)[0]
+        return _records(self.columns, i, i + 1)[0]
 
     def __iter__(self) -> Iterator[ScanRecord]:
-        for start in range(0, len(self), CHUNK):
-            yield from self._records(start, start + CHUNK)
+        for block in self._blocks():
+            for start in range(0, len(block["theta"]), CHUNK):
+                yield from _records(block, start, start + CHUNK)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScanTable):
             return NotImplemented
         return all(np.array_equal(self.columns[c], other.columns[c]) for c in CSV_COLUMNS)
+
+
+def _allocate(n: int, rows: int) -> ScanTable:
+    """ScanTable.empty(n), for a table of `rows` report rows; a ConfigError
+    if it cannot be allocated."""
+    try:
+        return ScanTable.empty(n)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+        raise ConfigError(f"{rows} report rows do not fit in memory") from None
+
+
+def _records(columns: dict[str, np.ndarray], start: int, stop: int) -> list[ScanRecord]:
+    cells = []
+    for col in CSV_COLUMNS:
+        part = columns[col][start:stop]
+        if col == "family":
+            part = _FAMILY_OBJECTS[part]
+        elif col in FLAG_COLUMNS:
+            part = _FLAG_OBJECTS[part]
+        cells.append(part.tolist())
+    return [ScanRecord(*row) for row in zip(*cells)]
 
 
 def skipped_points(config: ScanConfig) -> int:
@@ -319,35 +383,18 @@ def _fill(table: ScanTable, row: int, cells: dict,
     return row + n * k
 
 
-def _grid_table(config: ScanConfig, order: tuple[str, ...],
-                picks: Sequence[tuple[str, int | None]]) -> ScanTable:
-    """The report rows of the grid config.theta x phi x tau x eta_kept, its
-    axes nested as `order` names them (outermost first): one row per point
-    and pick (family, spec), the family maximum with the spec `gridmod.pick`
-    chooses if spec is None, else the value of form `spec`.
-
-    The points go in blocks of CHUNK, each one kernel call whose loop
-    computes every per-point cell (theta through axis_beta, the NSIT and JM
-    flags) and each picked family once; `_fill` only writes them, and the
-    kernel result is freed before the next call.  tau and eta must be the
-    two innermost axes: the JM flags depend on (tau, eta) only, and a
-    block's first min(block length, n_tau n_eta) points, consecutive flat
-    indices, hold each of its (tau, eta) pairs once, so every block
-    evaluates the flags there and tiles them.  A table too large to
-    allocate is a ConfigError.
-    """
-    axes = {"theta": config.theta, "phi": config.phi, "tau": config.tau,
-            "eta": config.eta_kept}
+def _grid_blocks(config: ScanConfig, axes: dict[str, np.ndarray], order: tuple[str, ...],
+                 picks: Sequence[tuple[str, int | None]], chunk: int,
+                 skip: int) -> Iterator[tuple[dict, list]]:
+    """The `_fill` arguments (cells, picks) of each block of `chunk` points
+    of the grid `axes` (theta, phi, tau and the kept eta), from block `skip`
+    on; see `_grid_table`.  Each block is one kernel call, freed before the
+    block is yielded."""
     shape = tuple(axes[name].size for name in order)
     n_points, cycle = math.prod(shape), math.prod(shape[-2:])
     jm_tol = jointmeas.MARGIN_TOL
-    try:
-        table = ScanTable.empty(n_points * len(picks))
-    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
-        raise ConfigError(f"{n_points * len(picks)} report rows do not fit in memory") from None
-    row = 0
-    for start in range(0, n_points, CHUNK):
-        flat = np.arange(start, min(start + CHUNK, n_points))
+    for start in range(skip * chunk, n_points, chunk):
+        flat = np.arange(start, min(start + chunk, n_points))
         cells = {name: axes[name][i] for name, i in zip(order, np.unravel_index(flat, shape))}
         tau, eta = cells["tau"], cells["eta"]
         x = cells["x"] = config.x_of(eta)
@@ -372,14 +419,47 @@ def _grid_table(config: ScanConfig, order: tuple[str, ...],
         jm["jm_triple"] = np.where(np.abs(x[:m]) < jointmeas.BIAS_ZERO, triple >= -jm_tol,
                                    FLAG_VALUES.index(None))
         cells.update((name, np.resize(flags, flat.size)) for name, flags in jm.items())
-        row = _fill(table, row, cells, picked)
-    return table
+        yield cells, picked
+        del cells, picked  # not alive through the next kernel call
+
+
+def _grid_table(config: ScanConfig, order: tuple[str, ...],
+                picks: Sequence[tuple[str, int | None]]) -> ScanTable:
+    """The report rows of the grid config.theta x phi x tau x eta_kept, its
+    axes nested as `order` names them (outermost first): one row per point
+    and pick (family, spec), the family maximum with the spec `gridmod.pick`
+    chooses if spec is None, else the value of form `spec`.
+
+    The rows are streamed (`ScanTable.streamed`) in blocks of CHUNK points
+    (`_grid_blocks`), each one kernel call whose loop computes every
+    per-point cell (theta through axis_beta, the NSIT and JM flags) and
+    each picked family once; `_fill` only writes them, and the kernel
+    result is freed before the next call.  The first block is computed
+    here; the others when the table is read, so `report` holds one block.
+    CHUNK and the grid are read now: the table does not change when either
+    does later.  tau and eta must be the two innermost axes: the JM flags
+    depend on (tau, eta) only, and a block's first min(block length, n_tau
+    n_eta) points, consecutive flat indices, hold each of its (tau, eta)
+    pairs once, so every block evaluates the flags there and tiles them.
+    More rows than numpy can index, or a first block too large to
+    allocate, is a ConfigError.
+    """
+    axes = {"theta": config.theta.copy(), "phi": config.phi.copy(), "tau": config.tau.copy(),
+            "eta": config.eta_kept}
+    n_points, chunk = math.prod(a.size for a in axes.values()), CHUNK
+    rows = n_points * len(picks)
+    if rows > np.iinfo(np.intp).max:
+        raise ConfigError(f"{rows} report rows do not fit in memory")
+    return ScanTable.streamed(
+        rows, min(n_points, chunk) * len(picks),
+        lambda skip: _grid_blocks(config, axes, order, picks, chunk, skip))
 
 
 def scan(config: ScanConfig) -> ScanTable:
     """Each family's maximum at every grid point, in blocks of CHUNK points;
-    records ordered by grid index, then family.  `config.jobs` is accepted
-    for compatibility and has no effect."""
+    records ordered by grid index, then family.  The table is streamed
+    (`_grid_table`).  `config.jobs` is accepted for compatibility and has
+    no effect."""
     return _grid_table(config, ("theta", "phi", "tau", "eta"), [(f, None) for f in config.families])
 
 
@@ -722,29 +802,34 @@ def report(table: ScanTable, path: str, fmt: str = "csv") -> None:
 
     JSON is what json.dump(rows, indent=1) writes for the rows as dicts, with
     each float rounded through f"{v:.12g}": a cell is that text, with ".0"
-    after an integer text, outside the ranges `_json_float` spells.  Each
-    block of CHUNK rows is formatted run by run (`_cells`, `_RUNS`) into one
-    row-major object array of len(_RUNS) cells per row, which is written
-    WRITE_ROWS rows to a string.
+    after an integer text, outside the ranges `_json_float` spells.  The
+    table's blocks are read one at a time (a streamed table computes each
+    as it is read and holds one), and each CHUNK rows of a block are
+    formatted run by run (`_cells`, `_RUNS`) into one row-major object
+    array of len(_RUNS) cells per row, which is written WRITE_ROWS rows to
+    a string.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
-    as_json, n = fmt == "json", len(table)
+    as_json, n, written = fmt == "json", len(table), 0
     try:
         with open(path, "w", newline=None if as_json else "") as fh:
             if as_json and n == 0:
                 fh.write("[]\n")
                 return
             fh.write("[\n" if as_json else ",".join(CSV_COLUMNS) + "\n")
-            for start in range(0, n, CHUNK):
-                block = {col: a[start:start + CHUNK] for col, a in table.columns.items()}
-                cells = np.empty((len(block["theta"]), len(_RUNS)), dtype=object)
-                for j, run in enumerate(_RUNS):
-                    cells[:, j] = _cells(block, run, as_json)
-                if as_json and start + CHUNK >= n:
-                    cells[-1, -1] = cells[-1, -1][:-2]  # no ",\n" after the last row
-                for i in range(0, len(cells), WRITE_ROWS):
-                    fh.write("".join(cells[i:i + WRITE_ROWS].ravel().tolist()))
+            for columns in table._blocks():
+                for start in range(0, len(columns["theta"]), CHUNK):
+                    block = {col: a[start:start + CHUNK] for col, a in columns.items()}
+                    cells = np.empty((len(block["theta"]), len(_RUNS)), dtype=object)
+                    for j, run in enumerate(_RUNS):
+                        cells[:, j] = _cells(block, run, as_json)
+                    written += len(cells)
+                    if as_json and written == n:
+                        cells[-1, -1] = cells[-1, -1][:-2]  # no ",\n" after the last row
+                    for i in range(0, len(cells), WRITE_ROWS):
+                        fh.write("".join(cells[i:i + WRITE_ROWS].ravel().tolist()))
+                    del block, cells  # not alive through the next kernel call
             if as_json:
                 fh.write("\n]\n")
     except OSError as exc:

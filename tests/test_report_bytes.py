@@ -15,6 +15,7 @@ import gc
 import importlib
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -272,9 +273,10 @@ def test_multi_block_figure_matches_one_block(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("run", ["scan", "figure"])
-def test_block_result_freed_before_next_kernel_call(monkeypatch, run):
+def test_block_result_freed_before_next_kernel_call(tmp_path, monkeypatch, run):
     # one block's kernel result (3.25 MiB at 2^14 points) must not stay
-    # alive through the next block's kernel call
+    # alive through the next block's kernel call, when `report` streams the
+    # blocks and when `.columns` fills the whole table
     kernel, previous, calls = gridmod.lg_distributions, [], []
 
     def tracked(*args, **kwargs):
@@ -288,13 +290,85 @@ def test_block_result_freed_before_next_kernel_call(monkeypatch, run):
     gc.disable()  # freed by reference counting alone
     try:
         if run == "scan":
-            scan(CONFIGS["tolerance"])  # 280 points: 3 blocks
+            table, blocks = scan(CONFIGS["tolerance"]), 3  # 280 points
         else:
-            figure_records(3)  # 359 points: 4 blocks
+            table, blocks = figure_records(3), 4  # 359 points
+        assert len(calls) == 1  # the first block, computed by the call
+        report(table, str(tmp_path / "r.csv"))
+        assert len(calls) == blocks  # the other blocks, as they are written
+        table.columns
     finally:
         gc.enable()
-    assert len(calls) >= 3
+    assert len(calls) == 2 * blocks  # every block again, into the whole table
     assert calls[0] == [] and all(alive == [False] * 7 for alive in calls[1:])
+
+
+def streaming_grid(n_theta: int) -> ScanConfig:
+    """n_theta x 4 x 32 x 32 points: n_theta blocks of 2^12 points, or 4
+    n_theta blocks of 2^10."""
+    return config(theta=np.linspace(0.1, 1.5, n_theta), phi=np.linspace(0.0, 3.0, 4),
+                  tau=np.linspace(0.05, 3.1, 32), eta=np.linspace(0.1, 1.0, 32))
+
+
+def test_report_memory_is_one_block(tmp_path, monkeypatch):
+    # a streamed report holds one block of rows, so its peak does not grow
+    # with the grid; the whole 16-block table alone would be 4.3 MiB
+    monkeypatch.setattr(scan_mod, "CHUNK", 2**10)
+    report(scan(streaming_grid(1)), str(tmp_path / "warm.csv"))  # first-call caches
+    peaks = {}
+    for blocks in (4, 16):
+        tracemalloc.start()
+        try:
+            report(scan(streaming_grid(blocks // 4)), str(tmp_path / f"{blocks}.csv"))
+            peaks[blocks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] <= 1.1 * peaks[4], peaks
+
+
+@pytest.mark.parametrize("read", ["report", "iterate"])
+def test_streamed_reads_allocate_one_block(tmp_path, monkeypatch, read):
+    # neither writing nor iterating a streamed table allocates more than
+    # CHUNK x len(picks) rows at once
+    monkeypatch.setattr(scan_mod, "CHUNK", 2**10)
+    empty, sizes = ScanTable.empty, []
+
+    def tracked(n):
+        sizes.append(n)
+        return empty(n)
+
+    monkeypatch.setattr(ScanTable, "empty", staticmethod(tracked))
+    cfg = streaming_grid(1)  # 4 blocks
+    table = scan(cfg)
+    if read == "report":
+        report(table, str(tmp_path / "r.csv"))
+    else:
+        assert sum(1 for _ in table) == len(table) == 3 * 4096
+    assert sizes and max(sizes) <= 2**10 * len(cfg.families), sizes
+
+
+def test_streamed_table_reads_again(tmp_path, monkeypatch):
+    # a table written twice, or filled after it was written, gives the same
+    # bytes and rows; the first block, computed by `scan`, is written once
+    monkeypatch.setattr(scan_mod, "CHUNK", 100)  # 280 points: 3 blocks
+    cfg = CONFIGS["tolerance"]
+    records = reference_scan(cfg)
+    table = scan(cfg)
+    assert_same_bytes(table, records, tmp_path, "first")
+    assert_same_bytes(table, records, tmp_path, "again")
+    assert list(table) == records
+    assert table == scan(cfg) and scan(cfg) == table
+    assert_same_bytes(table, records, tmp_path, "filled")
+
+
+def test_table_ignores_later_grid_edits(tmp_path):
+    cfg = config(bias_mode="eta-1", eta=[0.05, 0.5, 1.0], theta=[0.2, 1.1], phi=[0.0, 2.5])
+    records = reference_scan(cfg)
+    tables = [scan(cfg) for _ in range(3)]
+    cfg.tau[:] = 0.0  # frozen dataclass, mutable arrays
+    assert list(tables[0]) == records
+    assert tables[1][-1] == records[-1]
+    assert_same_bytes(tables[2], records, tmp_path)
 
 
 def test_empty_report(tmp_path):
