@@ -42,9 +42,11 @@ evaluators in lgscan.inequalities and lgscan.nsit feed them the operator
 pipeline's distributions.  `elgi_values` also takes the six experiments it
 reads stacked as one (..., 18) table (`ELGI_STACK`), which the ELGI
 tau-maximum of lgscan.scan.threshold_eta rebuilds at many taus.  Both
-forms take p ln p (`_plogp`) and its row sums (`_row_sums`, column adds
-for rows of fewer than COLUMN_ADD_WIDTH outcomes, in the order np.sum
-uses there) from the code `entropy` is, so they give the same floats.
+forms take p ln p from `_plogp`, the code `entropy` is.  The dict form sums
+each row with `_row_sums` (column adds for rows of fewer than
+COLUMN_ADD_WIDTH outcomes, in the order np.sum uses there); the stacked
+form makes the same adds in the same order in one pass over strided
+column views of the whole table.  So they give the same floats.
 
 SLGI, WLGI, D and AoT find each outcome term by `locate`, once.  Each D
 family is a row of `DISTURBANCES` and each AoT identity a row of
@@ -158,6 +160,17 @@ SLGI_SPECS: tuple[SlgiSpec, ...] = tuple(
     SlgiSpec((1, s2, s3)) for s2, s3 in product((1, -1), repeat=2)
 )
 
+# WLGI_SPECS[k], k = 8 (pair index) + 4 (u = -1) + 2 (v = -1) + (s = -1).  Forms
+# tie in classes: (0, 11), (1, 9), (2, 10), (3, 8), (4, 15), (5, 13), (6, 14)
+# and (7, 12) pair a (1, 2) form with the (1, 3) form of the same u, v' = -s and
+# s' = -v; the two differ by P(1:u) read off the (1, 2) and off the (1, 3)
+# experiment, which the arrow of time makes equal, in every bias mode.  At zero
+# bias 23, 19, 20 and 16 also join the classes of 1, 3, 4 and 6; at other biases
+# they differ by ~0.2-0.3.  Within a class the floats differ by rounding only
+# (<= 3.6e-16; about half of them not bitwise equal), so which member holds the
+# float maximum is decided by rounding; `pick` reports the class's lowest index,
+# within VIOLATION_TOL of the maximum, however the members round
+# (tests/test_grid.py TestWlgiTies).
 WLGI_SPECS: tuple[WlgiSpec, ...] = tuple(
     WlgiSpec(pair, u, v, s)
     for pair in PAIRS
@@ -270,15 +283,18 @@ def _expand(done, t, weights, r, axis, turn, coefficients, prefixes, out) -> lis
     children = []
     if done + (t,) in prefixes:
         steps = [luders_probability(r, cf) for cf in coefficients]
-        # earliest time slowest: each branch b splits into (2b, 2b+1)
+        # earliest time slowest: each branch b splits into (2b, 2b+1).  The outcomes
+        # are stacked by np.concatenate of [..., None] views and clipped by the
+        # ndarray method: the arrays, floats and allocations of np.stack and
+        # np.clip, without their Python-level wrappers, which show in small calls
         batch = weights.shape[:-1]
-        probs = np.stack([weights * np.clip(prob, 0.0, 1.0) for _, prob in steps],
-                         axis=-1).reshape(batch + (-1,))
+        probs = np.concatenate([(weights * prob.clip(0.0, 1.0))[..., None] for _, prob in steps],
+                               axis=-1).reshape(batch + (-1,))
         out[done + (t,)] = probs
         if _reaches(prefixes, done + (t,), t + 1):
-            post = np.stack([luders_post(r, cf, *step)
-                             for cf, step in zip(coefficients, steps)],
-                            axis=-2).reshape(batch + (-1, 3))
+            post = np.concatenate([luders_post(r, cf, *step)[..., None, :]
+                                   for cf, step in zip(coefficients, steps)],
+                                  axis=-2).reshape(batch + (-1, 3))
             children.append((done + (t,), t + 1, probs, _rotate(post, axis, *turn)))
     if _reaches(prefixes, done, t + 1):
         children.append((done, t + 1, weights, _rotate(r, axis, *turn)))
@@ -403,32 +419,61 @@ def _elgi_terms(middle: int) -> tuple:
     return (a, c), tuple(sorted((a, middle))), tuple(sorted((middle, c))), (middle,)
 
 
+def _elgi(h_ac, h_ab, h_bc, h_b):
+    """The ELGI value from its four entropies: H(a,c) - H(a,b) - H(b,c) + H(b)."""
+    return h_ac - h_ab - h_bc + h_b
+
+
 # The experiments ELGI reads (its Family.reads) in the column order of its stacked
 # (..., 18) table: the singles, 2 columns each, then the pairs, 4 columns each
 ELGI_STACK = ((1,), (2,), (3,)) + PAIRS
 
 
+@cache
+def _elgi_columns(specs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Where the stacked table's entropies of `specs` are: the pair indices
+    (into PAIRS) of every spec's H(a,c), then of every H(a,b), then of every
+    H(b,c), and the single index (time - 1) of every H(b)."""
+    ac, ab, bc, b = zip(*(_elgi_terms(spec.middle) for spec in specs))
+    pairs = np.array([PAIRS.index(key) for key in ac + ab + bc])
+    singles = np.array([key[0] - 1 for key in b])
+    pairs.flags.writeable = singles.flags.writeable = False
+    return pairs, singles
+
+
 def elgi_values(dists, specs=ELGI_SPECS) -> np.ndarray:
-    """(..., len(specs)) ELGI values H(a,c) - H(a,b) - H(b,c) + H(b); the
-    default specs order the middle index b 1, 2, 3.  Reads the three pairs
-    and the single at each middle.
+    """(..., len(specs)) ELGI values H(a,c) - H(a,b) - H(b,c) + H(b) (`_elgi`);
+    the default specs order the middle index b 1, 2, 3.  Reads the three
+    pairs and the single at each middle.
 
     `dists` is a dict of distributions, of which each distinct entropy the
     specs read is taken once (6 for the default specs, 4 for one spec), or
-    the stacked (..., 18) table of the ELGI_STACK experiments, whose p ln p
-    is taken once for the whole table.  Both give the same floats."""
-    terms = [_elgi_terms(spec.middle) for spec in specs]
+    the stacked (..., 18) table of the ELGI_STACK experiments.  The table
+    takes p ln p once for the whole table and each group's row sums in one
+    pass over strided column views, `_row_sums`' adds in its order, with no
+    copy: the singles' (..., 3) entropies from columns 0:6:2 and 1:6:2, the
+    pairs' from 6::4 through 9::4.  Every spec's four entropies are then
+    gathered by index arrays (`_elgi_columns`), so `_elgi` runs once on
+    (..., len(specs)) arrays.  Both inputs give the same floats."""
     if isinstance(dists, dict):
+        terms = [_elgi_terms(spec.middle) for spec in specs]
         h = {key: entropy(dists[key]) for key in dict.fromkeys(k for t in terms for k in t)}
-    else:  # p ln p of the whole table, then the row sums of `entropy`
-        plogp = _plogp(np.asarray(dists, dtype=float))
-        groups = [-_row_sums(plogp[..., cols].reshape(plogp.shape[:-1] + (3, -1)))
-                  for cols in (slice(0, 6), slice(6, 18))]  # (..., 3): singles, pairs
-        h = {key: groups[i // 3][..., i % 3] for i, key in enumerate(ELGI_STACK)}
-    # spec by spec, so that no temporary is larger than one entropy; the spec
-    # axis is stacked first, where a max over specs reduces whole rows
-    values = np.stack([h[ac] - h[ab] - h[bc] + h[b] for ac, ab, bc, b in terms])
-    return values.transpose(*range(1, values.ndim), 0)
+        # spec by spec, so that no temporary is larger than one entropy; the spec
+        # axis is stacked first, where a max over specs reduces whole rows
+        values = np.stack([_elgi(*(h[key] for key in t)) for t in terms])
+        return values.transpose(*range(1, values.ndim), 0)
+    plogp = _plogp(np.asarray(dists, dtype=float))
+    singles = plogp[..., 0:6:2] + plogp[..., 1:6:2]
+    singles += 0.0
+    pairs = plogp[..., 6::4] + plogp[..., 7::4]
+    pairs += plogp[..., 8::4]
+    pairs += plogp[..., 9::4]
+    pairs += 0.0
+    np.negative(singles, out=singles)
+    np.negative(pairs, out=pairs)
+    at_pairs, at_singles = _elgi_columns(tuple(specs))
+    h, k = pairs[..., at_pairs], len(at_singles)
+    return _elgi(h[..., :k], h[..., k:2 * k], h[..., 2 * k:], singles[..., at_singles])
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ import json
 import locale
 import math
 from dataclasses import dataclass, fields
+from functools import cache
 from itertools import groupby
 from typing import Callable, Iterator, Sequence
 
@@ -123,38 +124,62 @@ ZOOM_ROUNDS, _ZOOM = 7, np.linspace(-1.0, 1.0, 21)  # `_zoom_tau_max` rounds, ta
 TAU_BLOCK = 120  # taus per block of `_elgi_tau_curve`, which bounds its temporaries
 
 
+def _tau_weights(tau) -> np.ndarray:
+    """(..., 5) weights w with f(tau) = w @ samples for a degree-2
+    trigonometric polynomial in u = 2 tau sampled at EXACT_TAUS: its basis
+    (1, cos u, sin u, cos 2u, sin 2u) @ _FOURIER."""
+    angles = np.asarray(tau, dtype=float)[..., None] * _HARMONICS
+    basis = np.empty(angles.shape[:-1] + (5,))
+    basis[..., 0] = 1.0
+    np.cos(angles, out=basis[..., 1::2])
+    np.sin(angles, out=basis[..., 2::2])
+    return basis @ _FOURIER
+
+
+@cache
+def _grid_weights() -> tuple[np.ndarray, np.ndarray]:
+    """`default_tau_grid()` and its `_tau_weights`, computed once and kept
+    read-only: every ELGI tau-maximum starts on this grid."""
+    grid = default_tau_grid()
+    weights = _tau_weights(grid)
+    grid.flags.writeable = weights.flags.writeable = False
+    return grid, weights
+
+
 def _elgi_tau_curve(table: np.ndarray, tau, specs) -> np.ndarray:
     """(..., T) maximum over `specs` of gridmod.elgi_values at `tau`, (T,) or
     (..., T), from the stacked table (..., 5, 18) of the ELGI_STACK
-    experiments at EXACT_TAUS, each rebuilt clipped to [0, 1] as the
-    kernel clips.  The taus go TAU_BLOCK at a time: each block is one
-    weights matmul into an array whose tau axis is the fastest in memory,
-    one clip in place, and one elgi_values call on the table it makes.  A
-    block of one tau alone would take BLAS's matrix-vector path, whose
-    floats differ; neither the 359-tau grid nor a 21-tau zoom round leaves
-    one."""
-    angles = np.asarray(tau, dtype=float)[..., None] * _HARMONICS
-    basis = np.empty(angles.shape[:-1] + (5,))  # (1, cos u, sin u, cos 2u, sin 2u)
-    basis[..., 0] = 1.0
-    basis[..., 1::2] = np.cos(angles)
-    basis[..., 2::2] = np.sin(angles)
-    weights = basis @ _FOURIER
-    table_t, weights_t = np.swapaxes(table, -1, -2), np.swapaxes(weights, -1, -2)
+    experiments at EXACT_TAUS: the values of each experiment rebuilt at tau
+    and clipped to [0, 1], as the kernel clips.  The weights are
+    `_tau_weights`, kept from `_grid_weights` when tau is that grid.  The
+    taus go TAU_BLOCK at a time: each block is one weights matmul into an
+    array whose tau axis is the fastest in memory, one clip in place, and
+    one elgi_values call on the table it makes.  The clip is
+    np.minimum(., 1.0): elgi_values takes p ln p as 0 wherever p <= 0
+    (`gridmod._plogp`), so a probability below 0 gives the floats that 0
+    gives, and the floor needs no pass of its own.  A block of one tau alone
+    would take BLAS's matrix-vector path, whose floats differ; neither the
+    359-tau grid nor a 21-tau zoom round leaves one."""
+    grid, weights = _grid_weights()
+    if tau is not grid:
+        weights = _tau_weights(tau)
+    table_t, weights_t = table.swapaxes(-1, -2), weights.swapaxes(-1, -2)
     vals = []
     for start in range(0, weights_t.shape[-1], TAU_BLOCK):
         # table_t @ weights_t is (weights @ table) transposed, bit for bit
         probs = table_t @ weights_t[..., start:start + TAU_BLOCK]
-        probs = np.swapaxes(probs.clip(0.0, 1.0, out=probs), -1, -2)
+        probs = np.minimum(probs, 1.0, out=probs).swapaxes(-1, -2)
         vals.append(gridmod.elgi_values(probs, specs).max(axis=-1))
     return vals[0] if len(vals) == 1 else np.concatenate(vals, axis=-1)
 
 
 def _zoom_tau_max(value_fn) -> np.ndarray:
     """Maximum over tau of value_fn(taus (T,) or (..., T)) -> (..., T): over
-    `default_tau_grid()`, then ZOOM_ROUNDS rounds of 21 taus centred on the
-    best tau so far, each a tenth as wide as the last (the first spans one
-    grid step either side).  A round replaces only a value it beats."""
-    grid = default_tau_grid()
+    `default_tau_grid()` (the one `_grid_weights` keeps), then ZOOM_ROUNDS
+    rounds of 21 taus centred on the best tau so far, each a tenth as wide
+    as the last (the first spans one grid step either side).  A round
+    replaces only a value it beats."""
+    grid = _grid_weights()[0]
     vals = value_fn(grid)
     k = vals.argmax(axis=-1)[..., None]
     rows = np.indices(k.shape, sparse=True)[:-1]  # with k, indexes each row's argmax
@@ -162,9 +187,9 @@ def _zoom_tau_max(value_fn) -> np.ndarray:
     for _ in range(ZOOM_ROUNDS):
         taus = tau + width * _ZOOM
         vals = value_fn(taus)
-        k = vals.argmax(axis=-1)[..., None]
-        new = vals[rows + (k,)]
-        tau = np.where(new > best, taus[rows + (k,)], tau)
+        at = rows + (vals.argmax(axis=-1)[..., None],)
+        new = vals[at]
+        tau = np.where(new > best, taus[at], tau)
         best, width = np.maximum(best, new), width / 10
     return best[..., 0]
 
@@ -473,7 +498,8 @@ def _nonzero(a: np.ndarray) -> np.ndarray:
 def _unit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, y) scaled to unit length; (1, 0) where both are 0."""
     norm = np.sqrt(x * x + y * y)
-    return np.where(norm > 0, x / _nonzero(norm), 1.0), y / _nonzero(norm)
+    divisor = _nonzero(norm)
+    return np.where(norm > 0, x / divisor, 1.0), y / divisor
 
 
 def _circle_max(a0, a1, b1, a2, b2) -> np.ndarray:
@@ -498,27 +524,37 @@ def _circle_max(a0, a1, b1, a2, b2) -> np.ndarray:
     two_r = 2 * r
     # (cos h, sin h) up to a sign, which f does not see: along (r + a2, b2),
     # or along (b2, r - a2) where a2 < 0 and r + a2 cancels; any h if r = 0
-    cos_h, sin_h = _unit(np.where(a2 >= 0, r + a2, b2), np.where(a2 >= 0, b2, r - a2))
+    right = a2 >= 0
+    cos_h, sin_h = _unit(np.where(right, r + a2, b2), np.where(right, b2, r - a2))
     g1 = 0.5 * (a1 * cos_h + b1 * sin_h)
     g2 = 0.5 * (b1 * cos_h - a1 * sin_h)
+    # (X, Y) = g / (mu + shift) row by row: both coordinates in one array op
+    g, shift = np.array([g1, g2]), np.array([np.zeros(two_r.shape), two_r])
     mu = np.abs(g1)
     moving = np.ones(mu.shape, dtype=bool)
     for _ in range(60):  # converges in <= 8 steps on 20,000 random curves
-        mu_nz, mu_2r_nz = _nonzero(mu), _nonzero(mu + two_r)
-        x, y = g1 / mu_nz, g2 / mu_2r_nz
-        xx, yy = x * x, y * y
-        norm2 = xx + yy
-        slope = xx / mu_nz + yy / mu_2r_nz
-        step = np.where(slope > 0, norm2 * (np.sqrt(norm2) - 1.0) / _nonzero(slope), 0.0)
+        divisor = _nonzero(mu + shift)  # mu + 0.0 is mu: mu >= +0
+        squares = g / divisor
+        squares *= squares
+        norm2 = squares[0] + squares[1]
+        squares /= divisor
+        slope = squares[0] + squares[1]
+        rising = slope > 0
+        step = np.sqrt(norm2)
+        step -= 1.0
+        step *= norm2
+        step /= np.where(rising, slope, 1.0)
         # each curve stops on its own test, so its mu does not depend on the batch
-        new = np.maximum(mu + step, 0.0)
+        new = np.where(rising, step, 0.0)
+        new += mu
+        np.maximum(new, 0.0, out=new)
         mu, moving = np.where(moving, new, mu), moving & (new - mu > 1e-15 * new)
         if not moving.any():
             break
-    y0 = np.clip(g2 / _nonzero(two_r), -1.0, 1.0)  # the mu = 0 points (+-x0, y0)
+    y0 = (g2 / _nonzero(two_r)).clip(-1.0, 1.0)  # the mu = 0 points (+-x0, y0)
     x0 = np.sqrt(1.0 - y0 * y0)
-    X, Y = _unit(np.stack([x0, -x0, g1 / _nonzero(mu)]),
-                 np.stack([y0, y0, g2 / _nonzero(mu + two_r)]))
+    turned = g / _nonzero(mu + shift)
+    X, Y = _unit(np.array([x0, -x0, turned[0]]), np.array([y0, y0, turned[1]]))
     cos_u, sin_u = X * cos_h - Y * sin_h, X * sin_h + Y * cos_h
     f = (a0 + a1 * cos_u + b1 * sin_u + a2 * (cos_u * cos_u - sin_u * sin_u)
          + 2 * b2 * sin_u * cos_u)
@@ -597,7 +633,8 @@ def threshold_eta(
     halvings together with the samples and cap; the sign and NoBracket tests
     read only the samples and cap.  The depth only batches: every g value
     is the same however its etas are batched, so the result does not
-    depend on it.  g is memoized: a repeated eta costs nothing.
+    depend on it.  g is memoized: a repeated eta costs nothing; so is
+    whether each midpoint of a halving tree is a valid effect.
     """
     if family not in gridmod.FAMILY_TABLE:
         raise ConfigError(f"unknown family {family!r}")
@@ -648,12 +685,16 @@ def threshold_eta(
     zoomed = maximize_tau and not fam.linear
     depth = HALVINGS_PER_CALL if zoomed else EXACT_HALVINGS_PER_CALL
 
+    checked: dict[float, bool] = {}  # whether each midpoint tested so far is a valid effect
+
     def midpoints(lo: float, hi: float) -> list[float]:
         """The midpoints of `depth` halvings of [lo, hi] that the bisection
         can read: of intervals wider than tol, with a float inside, at valid
-        effects."""
-        a, b, m = np.array(halving_tree(lo, hi, depth)).T
-        return m[(b - a > tol) & (a < m) & (m < b) & valid(m)].tolist()
+        effects (each `checked`)."""
+        nodes = halving_tree(lo, hi, depth)
+        mids = [m for _, _, m in nodes]
+        checked.update(zip(mids, valid(np.array(mids)).tolist()))
+        return [m for a, b, m in nodes if b - a > tol and a < m < b and checked[m]]
 
     samples = [e for e in np.linspace(ETA_LO, ETA_HI, BRACKET_SAMPLES).tolist() if e < cap]
     # the first call: the samples, cap and, for an exact g, the first `depth` halvings
@@ -671,7 +712,7 @@ def threshold_eta(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # no float left between lo and hi
             break
-        above = not valid(mid)
+        above = not (checked[mid] if mid in checked else valid(mid))
         if not above and mid not in memo:  # one call for the midpoints of the next halvings
             g(*midpoints(lo, hi))
         if above or memo[mid] > 0:

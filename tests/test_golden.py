@@ -1,13 +1,19 @@
 """tools/golden.py on a few of its commands: a tree against itself is
 identical, a copy that prints thresholds to 5 decimals is reported, and a
-copy that shifts one WLGI form is found in the right column and row."""
+copy that shifts one WLGI form is found in the right column and row; the
+CI step checks the gate's run count, and the threshold-sweep launcher
+prints each float in full."""
 
+import importlib
 import importlib.util
 import json
+import math
+import re
 import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,3 +106,33 @@ def test_json_report_is_read_an_item_at_a_time(tmp_path):
     assert list(golden._json_items(str(path), size=200)) == rows
     path.write_text("[]\n")
     assert list(golden._json_items(str(path))) == []
+
+
+def test_ci_checks_the_run_count():
+    # the CI step fails when the gate runs fewer (or more) cases than it holds
+    with open(golden.CI_WORKFLOW, encoding="utf-8") as fh:
+        counts = re.findall(r"golden: (\d+) runs, (\d+) identical, 0 differ", fh.read())
+    assert counts == [(str(len(CASES)), str(len(CASES)))]
+    assert len(CASES) == 792
+
+
+def test_threshold_launcher_prints_each_float_in_full(tmp_path):
+    # one seed of the threshold-sweep launcher: 6 states, 12 floats each,
+    # every one the repr of threshold_eta in this process
+    case = next(c for c in CASES if c.launcher == golden.THRESHOLD_LAUNCHER)
+    assert case.args == ("301", "310")
+    one_seed = golden.Case("one seed", ("301", "301"), launcher=case.launcher)
+    run = golden._finish(golden._start(str(ROOT), one_seed, str(tmp_path)), str(tmp_path))
+    assert run.code == 0 and run.stderr == b""
+    lines = run.stdout.decode().splitlines()
+    assert len(lines) == 72
+    rng = np.random.default_rng(301)
+    theta, phi = float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi))
+    scan_mod = importlib.import_module("lgscan.scan")
+    for line in (lines[0], lines[11]):
+        seed, th, ph, family, spec, tol, value = line.split()
+        assert (seed, th, ph) == ("301", repr(theta), repr(phi))
+        want = scan_mod.threshold_eta(family, theta=theta, phi=phi, maximize_tau=True,
+                                      spec_index=None if spec == "None" else int(spec),
+                                      tol=float(tol))
+        assert value == repr(want)

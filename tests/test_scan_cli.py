@@ -1073,6 +1073,38 @@ class TestInterpolatedTauMax:
                     assert np.array_equal(bits(_zoom_tau_max(stacked)),
                                           bits(_zoom_tau_max(reference)))
 
+    def test_cached_grid_and_weights_equal_fresh_ones(self):
+        # the 359-tau grid and its weights, computed once, are bit for bit a
+        # fresh default_tau_grid() and a basis product built here on its own,
+        # and neither can be written to
+        grid, weights = scan_mod._grid_weights()
+        assert scan_mod._grid_weights()[0] is grid
+        fresh = default_tau_grid()
+        assert np.array_equal(bits(grid), bits(fresh))
+        u = 2 * fresh[:, None]
+        basis = np.concatenate([np.ones_like(u), np.cos(u), np.sin(u), np.cos(2 * u),
+                                np.sin(2 * u)], axis=-1)
+        assert weights.shape == (359, 5)
+        assert np.array_equal(bits(weights), bits(basis @ _FOURIER))
+        assert np.array_equal(bits(scan_mod._tau_weights(fresh)), bits(weights))
+        for a in (grid, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_upper_clip_gives_the_floats_of_the_two_sided_one(self):
+        # rebuilt probabilities below 0 are clipped to 1 only: elgi_values
+        # reads p <= 0 as 0 in p ln p, so the table keeps its negatives and
+        # -0.0 and still gives the floats of np.clip(., 0, 1)
+        rng = np.random.default_rng(43)
+        table = rng.uniform(-1e-3, 1.0 + 1e-3, (7, 120, 18))
+        table[:, ::5] = np.where(table[:, ::5] < 0.5, -0.0, 1.0)
+        table[:, 1::7, 3] = -1e-300
+        assert (table < 0).any() and (table > 1).any()
+        for specs in [gridmod.ELGI_SPECS] + [gridmod.ELGI_SPECS[i:i + 1] for i in range(3)]:
+            two_sided = gridmod.elgi_values(np.clip(table, 0.0, 1.0), specs)
+            assert np.array_equal(bits(gridmod.elgi_values(np.minimum(table, 1.0), specs)),
+                                  bits(two_sided))
+
     def test_elgi_tau_max_at_least_dense_kernel_max(self):
         # the grid start and the zoom rounds never miss the peak that a
         # 200,001-tau direct kernel scan finds, and stop within that scan's

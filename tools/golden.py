@@ -8,9 +8,10 @@ PYTHONPATH=<tree>/src and its own temporary working directory, which holds
 the case's input files and nothing else; the old and the new tree's run of
 a case go side by side.  A
 case runs `python -m lgscan.cli`, or a `python -c` launcher that sets up
-what the command line cannot: `scan.CHUNK` patched, or thousands of `eval`
-points in one process.  Exit code, stdout, stderr and every file the run
-leaves in its directory are compared.  Each difference is one line, then a
+what the command line cannot: `scan.CHUNK` patched, thousands of `eval`
+points in one process, or `threshold_eta` floats printed in full.  Exit
+code, stdout, stderr and every file the run leaves in its directory are
+compared.  Each difference is one line, then a
 summary line; the exit status is 0 when every output is identical and 1
 otherwise (2 for a tree without src/lgscan).
 
@@ -21,7 +22,9 @@ in CSV and JSON, also at CHUNK = 4756; figures 1-4 in CSV and JSON; 64
 modes; 120 `threshold` runs on hand-picked states, the 528-run grid on
 seeded and phi = 0 states, 33 ELGI `--spec-index` runs, 1e-10 and 1e-12
 tolerance runs, and every `threshold` line of the CI workflow (read from
-it); `selftest`; and runs that exit 2.
+it); the repr of `threshold_eta` on the threshold-sweep benchmark's states
+for seeds 301-310 (720 floats: each family, and each ELGI spec, at
+tolerances 1e-4 and 1e-12); `selftest`; and runs that exit 2.
 
 A report file (.csv or .json) that differs is read back with the csv or
 json module, a row at a time, and accounted for per column: the cells that
@@ -152,6 +155,30 @@ for i in range(int(sys.argv[2])):
                        f"--axis-alpha={alpha!r}", f"--axis-beta={beta!r}"]))
 sys.exit(max(codes))
 """
+# threshold_eta on the benchmark's threshold-sweep states, seeds argv[1] to argv[2]
+# (each 6 states, drawn as that workload draws them), at the maximized tau and
+# zero bias: the repr of every float, which shows a flipped bisection decision
+# that the CLI's 6 decimals can hide, at tolerances 1e-4 and 1e-12; ELGI also
+# per spec
+THRESHOLD_LAUNCHER = """\
+import importlib, itertools, math, sys
+import numpy as np
+from lgscan.errors import NoBracket
+threshold_eta = importlib.import_module("lgscan.scan").threshold_eta
+for seed in range(int(sys.argv[1]), int(sys.argv[2]) + 1):
+    rng = np.random.default_rng(seed)
+    states = [(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
+              for _ in range(6)]
+    for (theta, phi), (family, spec), tol in itertools.product(
+            states, [("slgi", None), ("wlgi", None), ("elgi", None), ("elgi", 0), ("elgi", 1),
+                     ("elgi", 2)], (1e-4, 1e-12)):
+        try:
+            value = repr(threshold_eta(family, theta=theta, phi=phi, maximize_tau=True,
+                                       bias_mode="zero", spec_index=spec, tol=tol))
+        except NoBracket as exc:
+            value = f"NoBracket: {exc}"
+        print(seed, repr(theta), repr(phi), family, spec, tol, value)
+"""
 
 
 def all_cases() -> list[Case]:
@@ -195,6 +222,8 @@ def all_cases() -> list[Case]:
     # a line already in the set runs once, under its first name
     cases += [Case(" ".join(("threshold",) + line), ("threshold",) + line)
               for line in dict.fromkeys(threshold_lines)]
+    cases.append(Case("threshold-sweep states, seeds 301-310", ("301", "310"),
+                      launcher=THRESHOLD_LAUNCHER))
     cases += [
         Case("selftest", ("selftest",)),
         Case("selftest --seed -1", ("selftest", "--seed", "-1")),
