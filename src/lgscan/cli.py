@@ -23,7 +23,7 @@ import sys
 
 from .config import eval_expr, load_configs, parse_bias
 from .errors import ConfigError, InvariantError, LgscanError
-from .grid import FAMILY_TABLE, NSIT_TOL, bias_x, pick, violated
+from .grid import FAMILY_TABLE, NSIT_TOL, bias_x, check_angles, pick, violated
 from .inequalities import elgi_all, slgi_all, wlgi_all
 from .measurement import QubitState, Schedule
 from .jointmeas import jm_verdict
@@ -88,6 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
+    check_angles(args.theta, args.tau)
     mode, x_fixed = parse_bias(args.bias)
     x = float(bias_x(mode, args.eta, x_fixed))
     axis = axis_from_angles(args.axis_alpha, args.axis_beta)

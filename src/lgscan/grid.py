@@ -120,6 +120,20 @@ def unit_axis(axis) -> np.ndarray:
     return unit
 
 
+def check_angles(theta=None, tau=None) -> None:
+    """ConfigError, with the angle's name as its field, unless 2 theta and
+    4 tau are finite: the largest multiples of each that the engine forms
+    (`pure_bloch`; lgscan.jointmeas.lg_directions).  Each angle is a number
+    or an array; None is not checked."""
+    for name, angles, k in (("theta", theta, 2), ("tau", tau, 4)):
+        if angles is not None:
+            angles = np.asarray(angles, dtype=float)
+            bad = angles[~(np.abs(angles) <= np.finfo(float).max / k)]
+            if bad.size:
+                raise ConfigError(f"{k} {name} must be finite, got {name} = {float(bad[0])!r}",
+                                  name)
+
+
 @dataclass(frozen=True)
 class SlgiSpec:
     """Outcome relabeling (s1, s2, s3); only the products s_i s_j matter."""

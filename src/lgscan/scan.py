@@ -15,15 +15,17 @@ kernel call, whose loop computes every per-point cell, the NSIT and JM
 flags among them; the JM flags are evaluated on the block's first (tau,
 eta) cycle and tiled over the block.  `_fill` only writes a block's cells
 and picks into a table's columns.  The table that `scan` and
-`figure_records` return is streamed: its first block is computed when it
-is made and the rest when they are read, so `report` holds one block of
-rows at a time, never the grid; reading `ScanTable.columns` fills the
-whole table once.
+`figure_records` return is streamed: no block is computed when it is made,
+and every read computes each block once.  `ScanTable._blocks` is the one
+read path, `CHUNK` rows at a time from each block as it is computed or from
+the filled table, so `report` holds one block of rows at a time, never the
+grid; reading `ScanTable.columns` fills the whole table once.
 `report` splits the columns into four runs and formats each run of a
-`CHUNK`-row block once per distinct combination of its cells, places the
+`CHUNK`-row piece once per distinct combination of its cells, places the
 four cells of each row row-major in one object array and joins `WRITE_ROWS`
 rows of it at a time; `parse_report` reads a CSV report back into a table.
-`ScanRecord` is the row view.
+`ScanRecord` is the row view.  The family and flag columns hold indices
+into their values, read, written and parsed through one table, `_CODED`.
 
 Bias modes (`grid.bias_x`, the one rule every command uses): "zero", "eta-1"
 or a fixed explicit x; in fixed mode grid points that fail
@@ -231,6 +233,7 @@ class ScanConfig:
             if not np.all(np.isfinite(arr)):
                 raise ConfigError(f"grid '{name}' must hold finite numbers only", name)
             object.__setattr__(self, name, arr)
+        gridmod.check_angles(self.theta, self.tau)
         for name in ("x_fixed", "axis_alpha", "axis_beta", "nsit_tol"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
@@ -265,8 +268,14 @@ class ScanConfig:
         return self.eta[valid_effect(self.eta, self.x_of(self.eta))]
 
 
-_FAMILY_OBJECTS = np.array(FAMILIES, dtype=object)
-_FLAG_OBJECTS = np.array(FLAG_VALUES, dtype=object)
+# Coded columns store an index into their values: the values as Python
+# objects, and each value's CSV and its JSON cell
+_CODED = {
+    col: (np.array(values, dtype=object), csv, [json.dumps(v) for v in values])
+    for cols, values, csv in ((("family",), FAMILIES, FAMILIES),
+                              (FLAG_COLUMNS, FLAG_VALUES, ("false", "true", "")))
+    for col in cols
+}
 
 
 class ScanTable:
@@ -279,15 +288,14 @@ class ScanTable:
     column by column.
 
     A table made by `streamed` (what `scan` and `figure_records` return)
-    computes its rows one block at a time when they are read: `report` and
-    iteration walk the blocks through one block-sized buffer, and `len`
-    reads no row.  Reading `columns`, so indexing and ==, fills the whole
-    table once and keeps it.
+    computes no row until it is read, and each read computes every block
+    once: `report` and iteration walk the blocks through one block-sized
+    buffer, and `len` reads no row.  Reading `columns`, so indexing and ==,
+    fills the whole table once and keeps it.
     """
 
     def __init__(self, columns: dict[str, np.ndarray]) -> None:
-        self._columns, self._rows = columns, len(columns["theta"])
-        self._source = self._first = None
+        self._columns, self._rows, self._source = columns, len(columns["theta"]), None
 
     @classmethod
     def empty(cls, n: int) -> "ScanTable":
@@ -295,60 +303,48 @@ class ScanTable:
 
     @classmethod
     def streamed(cls, rows: int, block_rows: int,
-                 source: Callable[[int], Iterator[tuple[dict, list]]]) -> "ScanTable":
+                 source: Callable[[], Iterator[tuple[dict, list]]]) -> "ScanTable":
         """A table of `rows` rows, in blocks of at most `block_rows`:
-        `source(skip)` yields each block's `_fill` arguments (cells, picks),
-        from block `skip` on.  The first block is filled here, so a block
-        that cannot be allocated is a ConfigError now; the table hands it to
-        the first pass over its blocks and drops it."""
+        `source()` yields each block's `_fill` arguments (cells, picks).
+        Nothing is computed here; a block buffer is allocated and dropped,
+        so that a block that cannot be allocated is a ConfigError now."""
+        _allocate(block_rows, rows)
         table = cls.__new__(cls)
         table._columns, table._rows, table._source = None, rows, source
-        table._block_rows, table._first = block_rows, None
-        if rows:
-            table._first = _allocate(block_rows, rows)
-            _fill(table._first, 0, *next(source(0)))
+        table._block_rows = block_rows
         return table
 
     @property
     def columns(self) -> dict[str, np.ndarray]:
         if self._columns is None:  # each block `_fill`ed at its rows of the whole table
             table, row = _allocate(self._rows, self._rows), 0
-            for cells, picks in self._source(0):
+            for cells, picks in self._source():
                 row = _fill(table, row, cells, picks)
-            self._columns, self._source, self._first = table.columns, None, None
+            self._columns, self._source = table.columns, None
         return self._columns
 
     def _blocks(self) -> Iterator[dict[str, np.ndarray]]:
-        """The columns one block at a time: the whole table once filled,
-        else each block computed as it is read, into one buffer."""
+        """The columns at most CHUNK rows at a time: of the whole table once
+        filled, else of each block, computed as it is read into one buffer."""
         if self._columns is not None:
-            yield self._columns
+            yield from _slices(self._columns, self._rows)
             return
-        buffer, self._first = self._first, None
-        skip = buffer is not None
-        if skip:
-            yield buffer.columns
-        else:
-            buffer = _allocate(self._block_rows, self._rows)
-        for cells, picks in self._source(int(skip)):
+        buffer = _allocate(self._block_rows, self._rows)
+        for cells, picks in self._source():
             rows = _fill(buffer, 0, cells, picks)
             del cells, picks  # freed before the next block is computed
-            yield {col: a[:rows] for col, a in buffer.columns.items()}
+            yield from _slices(buffer.columns, rows)
 
     def __len__(self) -> int:
         return self._rows
 
     def __getitem__(self, i: int) -> ScanRecord:
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError(f"row {i} out of range for {n} rows")
-        i %= n
-        return _records(self.columns, i, i + 1)[0]
+        i = range(len(self))[i]
+        return _records({col: a[i:i + 1] for col, a in self.columns.items()})[0]
 
     def __iter__(self) -> Iterator[ScanRecord]:
         for block in self._blocks():
-            for start in range(0, len(block["theta"]), CHUNK):
-                yield from _records(block, start, start + CHUNK)
+            yield from _records(block)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScanTable):
@@ -365,15 +361,15 @@ def _allocate(n: int, rows: int) -> ScanTable:
         raise ConfigError(f"{rows} report rows do not fit in memory") from None
 
 
-def _records(columns: dict[str, np.ndarray], start: int, stop: int) -> list[ScanRecord]:
-    cells = []
-    for col in CSV_COLUMNS:
-        part = columns[col][start:stop]
-        if col == "family":
-            part = _FAMILY_OBJECTS[part]
-        elif col in FLAG_COLUMNS:
-            part = _FLAG_OBJECTS[part]
-        cells.append(part.tolist())
+def _slices(columns: dict[str, np.ndarray], rows: int) -> Iterator[dict[str, np.ndarray]]:
+    """The first `rows` rows of `columns`, CHUNK rows at a time."""
+    for start in range(0, rows, CHUNK):
+        yield {col: a[start:min(start + CHUNK, rows)] for col, a in columns.items()}
+
+
+def _records(columns: dict[str, np.ndarray]) -> list[ScanRecord]:
+    cells = [(_CODED[col][0][columns[col]] if col in _CODED else columns[col]).tolist()
+             for col in CSV_COLUMNS]
     return [ScanRecord(*row) for row in zip(*cells)]
 
 
@@ -409,16 +405,16 @@ def _fill(table: ScanTable, row: int, cells: dict,
 
 
 def _grid_blocks(config: ScanConfig, axes: dict[str, np.ndarray], order: tuple[str, ...],
-                 picks: Sequence[tuple[str, int | None]], chunk: int,
-                 skip: int) -> Iterator[tuple[dict, list]]:
+                 picks: Sequence[tuple[str, int | None]],
+                 chunk: int) -> Iterator[tuple[dict, list]]:
     """The `_fill` arguments (cells, picks) of each block of `chunk` points
-    of the grid `axes` (theta, phi, tau and the kept eta), from block `skip`
-    on; see `_grid_table`.  Each block is one kernel call, freed before the
-    block is yielded."""
+    of the grid `axes` (theta, phi, tau and the kept eta); see
+    `_grid_table`.  Each block is one kernel call, freed before the block is
+    yielded."""
     shape = tuple(axes[name].size for name in order)
     n_points, cycle = math.prod(shape), math.prod(shape[-2:])
     jm_tol = jointmeas.MARGIN_TOL
-    for start in range(skip * chunk, n_points, chunk):
+    for start in range(0, n_points, chunk):
         flat = np.arange(start, min(start + chunk, n_points))
         cells = {name: axes[name][i] for name, i in zip(order, np.unravel_index(flat, shape))}
         tau, eta = cells["tau"], cells["eta"]
@@ -459,8 +455,8 @@ def _grid_table(config: ScanConfig, order: tuple[str, ...],
     (`_grid_blocks`), each one kernel call whose loop computes every
     per-point cell (theta through axis_beta, the NSIT and JM flags) and
     each picked family once; `_fill` only writes them, and the kernel
-    result is freed before the next call.  The first block is computed
-    here; the others when the table is read, so `report` holds one block.
+    result is freed before the next call.  No block is computed here: each
+    read of the table computes them all, so `report` holds one block.
     CHUNK and the grid are read now: the table does not change when either
     does later.  tau and eta must be the two innermost axes: the JM flags
     depend on (tau, eta) only, and a block's first min(block length, n_tau
@@ -475,9 +471,8 @@ def _grid_table(config: ScanConfig, order: tuple[str, ...],
     rows = n_points * len(picks)
     if rows > np.iinfo(np.intp).max:
         raise ConfigError(f"{rows} report rows do not fit in memory")
-    return ScanTable.streamed(
-        rows, min(n_points, chunk) * len(picks),
-        lambda skip: _grid_blocks(config, axes, order, picks, chunk, skip))
+    return ScanTable.streamed(rows, min(n_points, chunk) * len(picks),
+                              lambda: _grid_blocks(config, axes, order, picks, chunk))
 
 
 def scan(config: ScanConfig) -> ScanTable:
@@ -615,8 +610,9 @@ def threshold_eta(
     experiments ELGI reads, stacked once per kernel call into one
     (..., 5, 18) table (gridmod.ELGI_STACK), at the taus of each round and
     hands them to gridmod.elgi_values as one table.  Raises ConfigError for
-    an axis that is not a finite unit 3-vector (`gridmod.unit_axis`) and for a
-    non-finite theta, phi, tau or x_fixed.  Raises NoBracket when g has no
+    an axis that is not a finite unit 3-vector (`gridmod.unit_axis`), for a
+    non-finite theta, phi, tau or x_fixed, and for a theta or tau whose
+    multiple overflows (`gridmod.check_angles`).  Raises NoBracket when g has no
     sign change on [ETA_LO, cap] or its samples (the BRACKET_SAMPLES points
     of [ETA_LO, ETA_HI] below cap, and cap) are not monotone-crossing.
 
@@ -652,6 +648,7 @@ def threshold_eta(
     for name, value in (("theta", theta), ("phi", phi), ("tau", tau), ("x_fixed", x_fixed)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    gridmod.check_angles(theta, tau)
     axis = axis_from_angles(0.0, math.pi / 2) if axis is None else gridmod.unit_axis(axis)
     taus = EXACT_TAUS if maximize_tau else np.array([float(tau)])
     if not valid_effect(ETA_LO, bias_x(bias_mode, ETA_LO, x_fixed)):
@@ -733,8 +730,6 @@ _JSON_AFFIXES = {
     col: (" {\n" * (i == 0) + f'  "{col}": ', "\n }" * (i == len(CSV_COLUMNS) - 1) + ",\n")
     for i, col in enumerate(CSV_COLUMNS)
 }
-_FAMILY_CELLS = {False: list(FAMILIES), True: [json.dumps(f) for f in FAMILIES]}
-_FLAG_CELLS = {False: ["false", "true", ""], True: ["false", "true", "null"]}
 
 # The column runs `report` writes as one cell per row: a run's cell is its
 # columns' cells with their separators, formatted once per distinct
@@ -776,13 +771,11 @@ def _distinct(column: np.ndarray, col: str, as_json: bool) -> tuple[list[str], n
     Floats are f"{v:.12g}" (CSV) or json's spelling of the float that text
     reads as (JSON, see `_json_float`), deduplicated on their bit pattern,
     not on ==, so -0.0 ("-0") stays apart from 0.0.
-    Family and flag codes index their cell tables as they are.
+    Coded columns index their cells (`_CODED`) as they are.
     """
     pre, post = (_JSON_AFFIXES if as_json else _CSV_AFFIXES)[col]
-    if col == "family":
-        distinct, codes = _FAMILY_CELLS[as_json], column
-    elif col in FLAG_COLUMNS:
-        distinct, codes = _FLAG_CELLS[as_json], column
+    if col in _CODED:
+        distinct, codes = _CODED[col][1 + as_json], column
     elif col == "spec_index":
         values, codes = _unique(column)
         distinct = [str(v) for v in values.tolist()]
@@ -859,40 +852,37 @@ def report(table: ScanTable, path: str, fmt: str = "csv") -> None:
                 fh.write("[]\n")
                 return
             fh.write("[\n" if as_json else ",".join(CSV_COLUMNS) + "\n")
-            for columns in table._blocks():
-                for start in range(0, len(columns["theta"]), CHUNK):
-                    block = {col: a[start:start + CHUNK] for col, a in columns.items()}
-                    cells = np.empty((len(block["theta"]), len(_RUNS)), dtype=object)
-                    for j, run in enumerate(_RUNS):
-                        cells[:, j] = _cells(block, run, as_json)
-                    written += len(cells)
-                    if as_json and written == n:
-                        cells[-1, -1] = cells[-1, -1][:-2]  # no ",\n" after the last row
-                    for i in range(0, len(cells), WRITE_ROWS):
-                        fh.write("".join(cells[i:i + WRITE_ROWS].ravel().tolist()))
-                    del block, cells  # not alive through the next kernel call
+            for block in table._blocks():
+                cells = np.empty((len(block["theta"]), len(_RUNS)), dtype=object)
+                for j, run in enumerate(_RUNS):
+                    cells[:, j] = _cells(block, run, as_json)
+                written += len(cells)
+                if as_json and written == n:
+                    cells[-1, -1] = cells[-1, -1][:-2]  # no ",\n" after the last row
+                for i in range(0, len(cells), WRITE_ROWS):
+                    fh.write("".join(cells[i:i + WRITE_ROWS].ravel().tolist()))
+                del block, cells  # not alive through the next kernel call
             if as_json:
                 fh.write("\n]\n")
     except OSError as exc:
         raise ConfigError(f"cannot write report {path!r}: {exc.strerror or exc}") from exc
 
 
-def _finite(cell: str) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite cell {cell!r}")
-    return value
+def _decoder(col: str) -> Callable[[str], object]:
+    """CSV cell text -> the column's stored value or code; raises ValueError
+    for a cell that is not the text the writer writes for what it reads as
+    (a coded column's cell, f"{v:.12g}" for a float, str(n) for
+    spec_index), or a float cell that is not finite."""
+    if col in _CODED:
+        return _CODED[col][1].index
+    parse, text = (int, str) if col == "spec_index" else (float, "{:.12g}".format)
 
-
-def _decoder(col: str):
-    """CSV cell text -> the column's stored code, through the writer's cell
-    tables; raises ValueError for a cell the writer does not write, or a
-    float cell that is not finite."""
-    if col == "family":
-        return _FAMILY_CELLS[False].index
-    if col in FLAG_COLUMNS:
-        return _FLAG_CELLS[False].index
-    return int if col == "spec_index" else _finite
+    def decode(cell: str):
+        value = parse(cell)
+        if text(value) != cell or not math.isfinite(value):
+            raise ValueError(f"not a report cell: {cell!r}")
+        return value
+    return decode
 
 
 def read_lines(path: str, what: str) -> list[str]:
@@ -917,7 +907,8 @@ def read_lines(path: str, what: str) -> list[str]:
 def parse_report(path: str) -> ScanTable:
     """Read a CSV report back into a table (inverse of `report`); an
     unreadable file (`read_lines`), or a missing or wrong header, row length
-    or cell (a nan or inf float among them) raises ConfigError."""
+    or cell (`_decoder`: one the writer would not write, or a nan or inf
+    float) raises ConfigError."""
     lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(read_lines(path, "report"), 1)
              if ln.strip()]
     n, header = lines[0] if lines else (1, "")

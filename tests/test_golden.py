@@ -113,7 +113,7 @@ def test_ci_checks_the_run_count():
     with open(golden.CI_WORKFLOW, encoding="utf-8") as fh:
         counts = re.findall(r"golden: (\d+) runs, (\d+) identical, 0 differ", fh.read())
     assert counts == [(str(len(CASES)), str(len(CASES)))]
-    assert len(CASES) == 792
+    assert len(CASES) == 797
 
 
 def test_threshold_launcher_prints_each_float_in_full(tmp_path):

@@ -293,14 +293,37 @@ def test_block_result_freed_before_next_kernel_call(tmp_path, monkeypatch, run):
             table, blocks = scan(CONFIGS["tolerance"]), 3  # 280 points
         else:
             table, blocks = figure_records(3), 4  # 359 points
-        assert len(calls) == 1  # the first block, computed by the call
+        assert len(calls) == 0  # nothing computed by the call
         report(table, str(tmp_path / "r.csv"))
-        assert len(calls) == blocks  # the other blocks, as they are written
+        assert len(calls) == blocks  # every block, as it is written
         table.columns
     finally:
         gc.enable()
     assert len(calls) == 2 * blocks  # every block again, into the whole table
     assert calls[0] == [] and all(alive == [False] * 7 for alive in calls[1:])
+
+
+@pytest.mark.parametrize("run, blocks", [("scan", 3), ("figure", 4)])
+@pytest.mark.parametrize("read", ["report", "iterate", "columns", "index", "equal"])
+def test_each_read_computes_each_block_once(tmp_path, monkeypatch, run, blocks, read):
+    # making and sizing a streamed table call no kernel; any one read then
+    # computes each block exactly once
+    kernel, calls = gridmod.lg_distributions, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(gridmod, "lg_distributions", counted)
+    monkeypatch.setattr(scan_mod, "CHUNK", 100)
+    table = scan(CONFIGS["tolerance"]) if run == "scan" else figure_records(3)
+    assert len(calls) == 0
+    assert len(table) == (280 * 3 if run == "scan" else 359 * 24) and len(calls) == 0
+    reads = {"report": lambda: report(table, str(tmp_path / "r.csv")),
+             "iterate": lambda: list(table), "columns": lambda: table.columns,
+             "index": lambda: table[0], "equal": lambda: table == table}
+    reads[read]()
+    assert len(calls) == blocks
 
 
 def streaming_grid(n_theta: int) -> ScanConfig:
@@ -349,7 +372,7 @@ def test_streamed_reads_allocate_one_block(tmp_path, monkeypatch, read):
 
 def test_streamed_table_reads_again(tmp_path, monkeypatch):
     # a table written twice, or filled after it was written, gives the same
-    # bytes and rows; the first block, computed by `scan`, is written once
+    # bytes and rows
     monkeypatch.setattr(scan_mod, "CHUNK", 100)  # 280 points: 3 blocks
     cfg = CONFIGS["tolerance"]
     records = reference_scan(cfg)
@@ -500,6 +523,25 @@ def test_json_cells_of_random_bit_patterns():
     values = bits.view(np.float64)
     assert np.isnan(values).any() and (np.abs(values) < 2.2250738585072014e-308).any()
     assert json_cells(values) == round_trip_cells(values)
+
+
+def test_parse_report_reads_every_written_cell_back(tmp_path):
+    # parse_report accepts a cell only as the writer's text for the value it
+    # reads as, so every cell written from a finite float or any spec_index
+    # must read back to a table that writes the same bytes
+    rng = np.random.default_rng(26)
+    values = rng.integers(-(2**63), 2**63 - 1, 4000, dtype=np.int64, endpoint=True)
+    values = values.view(np.float64)
+    finite = [v for v in EDGE_FLOATS if math.isfinite(v)]
+    values = np.concatenate([finite, values[np.isfinite(values)]])
+    base = scan(CONFIGS["zero"]).columns
+    table = ScanTable({c: np.resize(a, len(values)) for c, a in base.items()})
+    for shift, col in enumerate(FLOAT_COLUMNS):
+        table.columns[col][:] = np.roll(values, shift)
+    table.columns["spec_index"][:] = rng.integers(-(2**63), 2**63 - 1, len(values), endpoint=True)
+    report(table, str(tmp_path / "r.csv"))
+    report(parse_report(str(tmp_path / "r.csv")), str(tmp_path / "again.csv"))
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
 
 
 def test_all_distinct_table_renumbers_its_keys(tmp_path):

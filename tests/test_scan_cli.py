@@ -266,6 +266,48 @@ class TestInputValidation:
         with pytest.raises(ConfigError, match=field):
             small_config(**{"bias_mode": "fixed", field: value})
 
+    @pytest.mark.parametrize("key, text, message", [
+        ("theta", "1e308", "2 theta must be finite, got theta = 1e+308"),
+        ("tau", "5e307", "4 tau must be finite, got tau = 5e+307"),
+        ("tau", "-5e307", "4 tau must be finite, got tau = -5e+307"),
+    ])
+    def test_config_overflowing_angle_names_line(self, tmp_path, capsys, key, text, message):
+        # theta = 1e308 used to write value=nan rows, and tau = 5e307 jm
+        # flags read off nan margins, both with exit 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[x]\nphi = 0.5\n{key} = {text}\neta = 0.5\n")
+        assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: line 3 (x.{key}): {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_angle_multiples_must_be_finite(self):
+        top = np.finfo(float).max
+        gridmod.check_angles(theta=[-top / 2, top / 2], tau=[-top / 4, top / 4])
+        for kw in (dict(theta=[0.1, np.nextafter(top / 2, math.inf)]),
+                   dict(tau=np.nextafter(-top / 4, -math.inf)), dict(tau=math.nan)):
+            (name, _), = kw.items()
+            with pytest.raises(ConfigError, match=f"must be finite, got {name} = ") as err:
+                gridmod.check_angles(**kw)
+            assert err.value.field == name
+        with pytest.raises(ConfigError, match="theta"):
+            small_config(theta=[0.2, 1e308])
+
+    @pytest.mark.parametrize("args, message", [
+        (["--tau", "5e307"], "4 tau must be finite, got tau = 5e+307"),
+        (["--tau", "1", "--theta", "1e308"], "2 theta must be finite, got theta = 1e+308"),
+    ])
+    def test_eval_overflowing_angle_exits_2(self, capsys, args, message):
+        # --tau 5e307 used to print "incompatible (margin +nan) threshold nan",
+        # with RuntimeWarnings, and exit 0
+        assert cli.main(["eval", "--eta", "0.5", *args]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_threshold_overflowing_angle_exits_2(self, capsys):
+        # used to exit 2 with "g=nan..nan", which does not name the cause
+        args = ["threshold", "--family", "slgi", "--theta", "1e308", "--maximize-tau"]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == "error: 2 theta must be finite, got theta = 1e+308\n"
+
     def test_range_point_cap(self, tmp_path, capsys):
         assert parse_grid("0 : 999999 : 1").size == MAX_RANGE_POINTS
         with pytest.raises(ConfigError, match=r"^line 3: .* more than 1000000 points"):
@@ -320,6 +362,20 @@ class TestInputValidation:
         path.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
         with pytest.raises(ConfigError, match=rf"^line 3: cannot parse {col} cell '{cell}'$"):
             parse_report(str(path))
+
+    @pytest.mark.parametrize("col, cell", [("value", "1_0.5"), ("spec_index", "0_0"),
+                                           ("spec_index", " 0"), ("spec_index", "+0"),
+                                           ("spec_index", "-0"), ("eta", " 0.5"),
+                                           ("eta", "0.50"), ("theta", "2e-1"), ("x", "-0.0")])
+    def test_parse_report_reads_only_written_cells(self, tmp_path, col, cell):
+        # each used to read as the number it spells, "1_0.5" as 10.5
+        path, lines = self._report_lines(tmp_path)
+        cells = lines[2].split(",")
+        cells[CSV_COLUMNS.index(col)] = cell
+        path.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+        with pytest.raises(ConfigError) as err:
+            parse_report(str(path))
+        assert str(err.value) == f"line 3: cannot parse {col} cell '{cell}'"
 
     @pytest.mark.parametrize("col, cell", [("value", "nan"), ("theta", "inf"),
                                            ("eta", "-inf"), ("x", "NaN")])
@@ -805,6 +861,15 @@ class TestThresholdEta:
         kw = dict(tau=0.7) if name == "tau" else dict(maximize_tau=True)
         kw.update({name: value}, bias_mode="fixed" if name == "x_fixed" else "zero")
         with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+            threshold_eta("slgi", **kw)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(theta=1e308, maximize_tau=True), "2 theta must be finite, got theta = 1e\\+308"),
+        (dict(theta=-1e308, tau=0.7), "2 theta must be finite"),
+        (dict(tau=5e307), "4 tau must be finite, got tau = 5e\\+307"),
+    ])
+    def test_overflowing_angle_is_config_error(self, kw, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
             threshold_eta("slgi", **kw)
 
     @settings(max_examples=300, deadline=None)

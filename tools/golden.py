@@ -9,7 +9,8 @@ the case's input files and nothing else; the old and the new tree's run of
 a case go side by side.  A
 case runs `python -m lgscan.cli`, or a `python -c` launcher that sets up
 what the command line cannot: `scan.CHUNK` patched, thousands of `eval`
-points in one process, or `threshold_eta` floats printed in full.  Exit
+points in one process, `threshold_eta` floats printed in full, or a
+`ScanTable` read as a library caller reads it.  Exit
 code, stdout, stderr and every file the run leaves in its directory are
 compared.  Each difference is one line, then a
 summary line; the exit status is 0 when every output is identical and 1
@@ -24,7 +25,10 @@ seeded and phi = 0 states, 33 ELGI `--spec-index` runs, 1e-10 and 1e-12
 tolerance runs, and every `threshold` line of the CI workflow (read from
 it); the repr of `threshold_eta` on the threshold-sweep benchmark's states
 for seeds 301-310 (720 floats: each family, and each ELGI spec, at
-tolerances 1e-4 and 1e-12); `selftest`; and runs that exit 2.
+tolerances 1e-4 and 1e-12); the table reads of the CI scan config and
+figure 3 (`len`, `.columns`, the first and last row, iteration and ==);
+`selftest`; and runs that exit 2, angles whose 2 theta or 4 tau overflows
+among them.
 
 A report file (.csv or .json) that differs is read back with the csv or
 json module, a row at a time, and accounted for per column: the cells that
@@ -179,6 +183,23 @@ for seed in range(int(sys.argv[1]), int(sys.argv[2]) + 1):
             value = f"NoBracket: {exc}"
         print(seed, repr(theta), repr(phi), family, spec, tol, value)
 """
+# the table reads that no command makes, each on a fresh table of the CI scan
+# config and of figure 3: len, a sha256 of each `.columns` array, the first and
+# last row, a sha256 of every row's repr, and ==
+TABLE_LAUNCHER = """\
+import hashlib, importlib
+from lgscan.config import load_configs
+scan_mod = importlib.import_module("lgscan.scan")
+for name, make in (("ci", lambda: scan_mod.scan(load_configs("ci.cfg")["ci"])),
+                   ("figure 3", lambda: scan_mod.figure_records(3))):
+    print(name, "len", len(make()))
+    for col, a in make().columns.items():
+        print(name, col, a.dtype.str, hashlib.sha256(a.tobytes()).hexdigest())
+    print(name, "first", repr(make()[0]))
+    print(name, "last", repr(make()[-1]))
+    print(name, "rows", hashlib.sha256(repr(list(make())).encode()).hexdigest())
+    print(name, "==", make() == make())
+"""
 
 
 def all_cases() -> list[Case]:
@@ -193,6 +214,7 @@ def all_cases() -> list[Case]:
     cases += [Case(f"scan ci {fmt}", ("scan", "--config", "ci.cfg", "--out", "out",
                                       "--format", fmt), {"ci.cfg": CI_SCAN_CONFIG})
               for fmt in ("csv", "json")]
+    cases.append(Case("table reads", (), {"ci.cfg": CI_SCAN_CONFIG}, TABLE_LAUNCHER))
     cases += [Case(f"figure {which} {fmt}", ("figure", str(which), "--out", f"figure.{fmt}",
                                              "--format", fmt))
               for which, fmt in itertools.product((1, 2, 3, 4), ("csv", "json"))]
@@ -232,6 +254,14 @@ def all_cases() -> list[Case]:
              {"bad.cfg": b"\xff\xfe[ci]\n"}),
         Case("eval invalid bias", ("eval", "--tau", "pi/4", "--eta", "0.7", "--bias", "x=0.5")),
         Case("figure unwritable", ("figure", "3", "--out", "missing/figure3.csv")),
+        # 2 theta or 4 tau past the largest float
+        Case("scan theta 1e308", ("scan", "--config", "big.cfg", "--out", "out"),
+             {"big.cfg": b"[big]\ntheta = 1e308\ntau = 0.4\n"}),
+        Case("scan tau 5e307", ("scan", "--config", "big.cfg", "--out", "out"),
+             {"big.cfg": b"[big]\ntheta = 0.2\ntau = 5e307\neta = 0.5\n"}),
+        Case("eval tau 5e307", ("eval", "--tau", "5e307", "--eta", "0.5")),
+        Case("threshold theta 1e308", ("threshold", "--family", "slgi", "--theta", "1e308",
+                                       "--maximize-tau")),
     ]
     return cases
 
