@@ -18,18 +18,24 @@ vectors so that whole parameter grids evaluate as numpy array operations:
 
 `lg_distributions` runs the seven stand-alone experiments (the nonempty
 subsets of t1 < t2 < t3) as one walk over the measurement tree, so shared
-prefixes are computed once: 14 Lueders outcome probabilities, 6
-post-updates and 6 rotations per call.  Only the 6 updates at t1 and t2
-compute post-states; the 8 leaf steps at t3 compute probabilities only,
-since nothing reads the states after the last measurement.  A caller that
-reads fewer experiments names them, and the walk skips every node,
-post-state and rotation none of them reaches: the three pairs take 10
-probabilities, 4 post-updates and 4 rotations, the pairs and singles (ELGI)
-12, 4 and 5.  The update is written once, as `luders_coefficients`,
-`luders_probability` and `luders_post`; a call computes the coefficients of
-each outcome and the cosine and sine of 2 tau once, not at every node.  The
-rotation (`_rotate`) and the update work component by component on basic
-slices of the states, with no length-3 reductions and no index copies.
+prefixes are computed once, one measurement time at a time.  The live
+states at a time are planes, one (3, states, *batch) array with the batch
+innermost.  One array op gives both outcomes' probabilities of all of them
+(`luders_probabilities`, from the `luders_terms` of both outcomes stacked
+(2, *batch)), and one op clips them; each node group that a later time
+reads takes one post-update (`luders_posts`), and the states take one
+in-place rotation (`rotate_planes`) per step.  Nothing reads the states
+after t3, so each leaf group in turn rotates only its z plane and is
+measured, and the leaves' full states are never stacked.  A full walk takes
+6 probability ops and 6 clips, 3 post-updates, 1 rotation and 4 z-plane
+rotations per call.  A caller that reads fewer experiments names them, and
+the walk skips every node, post-state and rotation none of them reaches:
+the three pairs take 4 probability ops, 2 post-updates, 1 rotation and 2
+z-plane rotations, the pairs and singles (ELGI) 5, 2, 1 and 3.  A call
+computes the Lueders terms and the cosine and sine of 2 tau once, not at
+every node.  Each experiment is stored outcome-major, (2**k, *batch), and
+returned as a (..., 2**k) view.  The rotation and the update are written
+once, on planes, and `rotate_bloch` is the rotation's (..., 3) wrapper.
 The singles are measured, not marginals, so the AoT residual stays a real
 check.
 
@@ -196,51 +202,62 @@ WLGI_SPECS: tuple[WlgiSpec, ...] = tuple(
 ELGI_SPECS: tuple[ElgiSpec, ...] = tuple(ElgiSpec(m) for m in (1, 2, 3))
 
 
+_SIGNS = np.array([1.0, -1.0])  # the outcomes of a Lueders step, + then -
+_CROSS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # (i, j, k): (axis x r)_i = a_j r_k - a_k r_j
+
+
 def rotate_bloch(r: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
     """Rodrigues rotation of Bloch vectors; r (..., 3), axis one unit
-    vector, angle broadcastable."""
-    angle = np.asarray(angle, dtype=float)[..., None]
-    return _rotate(r, axis, np.cos(angle), np.sin(angle))
-
-
-def _rotate(r, axis, cos, sin) -> np.ndarray:
-    """`rotate_bloch` by the angle whose cosine and sine are given:
-    r cos + (axis x r) sin + axis (axis.r) (1 - cos), summed in that order
-    in place and bit-identical to that expression with np.cross and np.sum.
-    The cross product and axis.r are built from basic slices of r, so no
-    index copy is taken, and the sine and (1 - cos) terms go through one
-    buffer of the output's shape: the cross product's own, unless cos has
-    a larger batch shape than r."""
+    vector, angle broadcastable.  The result is a new C-ordered (..., 3)
+    array, rotated in place as planes by `rotate_planes`."""
     r = np.asarray(r, dtype=float)
-    axis = np.asarray(axis, dtype=float)
-    a = axis.tolist()
-    out = r * cos
-    # axis x r, a component at a time from basic slices of r
-    vec, part = np.empty(r.shape), np.empty(r.shape[:-1])
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        column = np.multiply(a[j], r[..., k], out=vec[..., i])
-        np.multiply(a[k], r[..., j], out=part)
-        column -= part
-    del part
-    term = vec if vec.shape == out.shape else np.empty(out.shape)
-    np.multiply(vec, sin, out=term)
-    out += term
-    # axis.r in np.sum's order, from its +0 start: a sum of three -0 is +0
-    prod = np.multiply(r, axis, out=vec)
-    dot = np.add(prod[..., 0], prod[..., 1])
-    dot += prod[..., 2]
-    dot += 0.0
-    for i in range(3):
-        np.multiply(a[i], dot, out=term[..., i])
-    del dot
-    term *= 1.0 - cos
-    out += term
+    angle = np.asarray(angle, dtype=float)
+    cos = np.cos(angle)
+    out = np.empty(np.broadcast_shapes(r.shape[:-1], angle.shape) + (3,))
+    out[...] = r
+    planes = out.transpose(-1, *range(out.ndim - 1))
+    rotate_planes(planes, np.asarray(axis, dtype=float).tolist(), (cos, np.sin(angle), 1.0 - cos))
     return out
 
 
-def luders_coefficients(eta, x, sign: int) -> tuple:
+def rotate_planes(r: np.ndarray, axis: list, turn: tuple, first: int = 0) -> np.ndarray:
+    """Rotate Bloch vectors held as planes, r (3, ...) with r[i] the i-th
+    components, in place, about the unit `axis` (three floats) by the angle
+    whose (cos, sin, 1 - cos) are `turn` (each broadcasting against r[0]);
+    returns r[first:].  Only the planes r[first:] are rotated: first = 2
+    rotates the z plane alone and leaves r[0] and r[1] as they were.  Each
+    plane is r_i cos + (axis x r)_i sin + axis_i (axis.r) (1 - cos), summed
+    in that order: bit-identical to that expression with np.cross and
+    np.sum.  The cross product and axis.r are taken plane by plane into two
+    buffers, before any plane is written."""
+    cos, sin, one_minus_cos = turn
+    a = axis
+    rotated = r[first:]
+    vec, part = np.empty(rotated.shape), np.empty(r.shape[1:])
+    for i, j, k in _CROSS[first:]:
+        column = np.multiply(a[j], r[k], out=vec[i - first, ...])
+        np.multiply(a[k], r[j], out=part)
+        column -= part
+    # axis.r in np.sum's order, from its +0 start: a sum of three -0 is +0
+    dot = np.multiply(a[0], r[0])
+    dot += np.multiply(a[1], r[1], out=part)
+    dot += np.multiply(a[2], r[2], out=part)
+    dot += 0.0
+    del part
+    rotated *= cos
+    vec *= sin
+    rotated += vec
+    np.multiply.outer(a[first:], dot, out=vec)
+    del dot
+    vec *= one_minus_cos
+    rotated += vec
+    return rotated
+
+
+def luders_coefficients(eta, x, sign) -> tuple:
     """(c, d, p, q) of outcome `sign`: its effect is c I + d sigma_z and the
-    effect's square root p I + q sigma_z."""
+    effect's square root p I + q sigma_z.  sign is +-1 or an array of them
+    that broadcasts against eta and x."""
     eta = np.asarray(eta, dtype=float)
     x = np.asarray(x, dtype=float)
     c = 0.5 * (1.0 + sign * x)
@@ -253,26 +270,43 @@ def luders_coefficients(eta, x, sign: int) -> tuple:
     return c, d, p, q
 
 
-def luders_probability(r: np.ndarray, coefficients) -> tuple:
-    """(r_z, unclipped outcome probability c + d r_z) of one Lueders update
-    along z_hat with `luders_coefficients`."""
-    c, d, _, _ = coefficients
-    r_z = r[..., 2]
-    return r_z, c + d * r_z
+def luders_terms(eta, x) -> tuple:
+    """What a Lueders step along z_hat reads, for both outcomes: (c, d,
+    p^2 - q^2, 2 p q, 2 q^2) of `luders_coefficients`, each stacked with
+    outcome + then - on a first axis of 2.  eta and x broadcast against the
+    batch shape and must have its number of dimensions."""
+    eta, x = np.asarray(eta, dtype=float), np.asarray(x, dtype=float)
+    sign = _SIGNS.reshape((2,) + (1,) * max(eta.ndim, x.ndim))
+    c, d, p, q = luders_coefficients(eta, x, sign)
+    return c, d, p**2 - q**2, 2 * p * q, 2 * q**2
 
 
-def luders_post(r: np.ndarray, coefficients, r_z, prob) -> np.ndarray:
-    """Post-measurement Bloch vector of the update that `luders_probability`
-    gave (r_z, prob): (p^2 - q^2) r, plus 2 p q + 2 q^2 r_z on the z
-    component, over prob; 0 where the outcome has probability <= 1e-15."""
-    _, _, p, q = coefficients
-    post = (p**2 - q**2)[..., None] * r
-    z = post[..., 2]
-    z += 2 * p * q + 2 * q**2 * r_z
+def luders_probabilities(z: np.ndarray, terms) -> np.ndarray:
+    """Unclipped outcome probabilities c + d r_z of a Lueders step along
+    z_hat (`luders_terms`) of the states whose z plane is z (S, *batch):
+    (S, 2, *batch), state by state, outcome + then -."""
+    c, d = terms[:2]
+    prob = d * z[:, None]
+    prob += c
+    return prob
+
+
+def luders_posts(r: np.ndarray, terms, prob: np.ndarray) -> np.ndarray:
+    """Post-measurement states (3, 2 S, *batch) of the Lueders step of the
+    plane-form states r (3, S, *batch) that gave `luders_probabilities`
+    prob: state s, outcome o at 2 s + o.  Each is (p^2 - q^2) r, plus
+    2 p q + 2 q^2 r_z on the z plane, over prob; 0 where the outcome has
+    probability <= 1e-15."""
+    _, _, scale, shift, slope = terms
+    post = scale * r[:, :, None]
+    z_term = slope * r[2][:, None]
+    z_term += shift
+    post[2] += z_term
+    del z_term
     kept = prob > 1e-15
-    post /= np.where(kept, prob, 1.0)[..., None]
-    np.copyto(post, 0.0, where=~kept[..., None])
-    return post
+    post /= np.where(kept, prob, 1.0)
+    np.copyto(post, 0.0, where=~kept)
+    return post.reshape((3, -1) + post.shape[3:])
 
 
 @cache
@@ -284,35 +318,58 @@ def _reaches(prefixes: frozenset, done: tuple, t: int) -> bool:
                for p in prefixes)
 
 
-def _expand(done, t, weights, r, axis, turn, coefficients, prefixes, out) -> list:
-    """Visit node (done, t, weights, r) of the `lg_distributions` walk at
-    time t and return the children at t + 1 that `_reaches` keeps: the
-    post-states (t measured) and r (t skipped), each rotated by 2 tau, whose
-    cosine and sine are `turn`.  The node is measured, and its distribution
-    stored as out[done + (t,)], only if that experiment is in `prefixes`;
-    its post-states only if the measured child is kept, so a leaf (t = 3)
-    computes probabilities only.  `coefficients` holds the
-    `luders_coefficients` of outcomes + and -.  A function, not a loop body,
-    so that its temporaries are freed before the next node is visited."""
-    children = []
-    if done + (t,) in prefixes:
-        steps = [luders_probability(r, cf) for cf in coefficients]
-        # earliest time slowest: each branch b splits into (2b, 2b+1).  The outcomes
-        # are stacked by np.concatenate of [..., None] views and clipped by the
-        # ndarray method: the arrays, floats and allocations of np.stack and
-        # np.clip, without their Python-level wrappers, which show in small calls
-        batch = weights.shape[:-1]
-        probs = np.concatenate([(weights * prob.clip(0.0, 1.0))[..., None] for _, prob in steps],
-                               axis=-1).reshape(batch + (-1,))
-        out[done + (t,)] = probs
-        if _reaches(prefixes, done + (t,), t + 1):
-            post = np.concatenate([luders_post(r, cf, *step)[..., None, :]
-                                   for cf, step in zip(coefficients, steps)],
-                                  axis=-2).reshape(batch + (-1, 3))
-            children.append((done + (t,), t + 1, probs, _rotate(post, axis, *turn)))
-    if _reaches(prefixes, done, t + 1):
-        children.append((done, t + 1, weights, _rotate(r, axis, *turn)))
-    return children
+def _store(out: dict, key: tuple, prob: np.ndarray, weights) -> None:
+    """out[key] = the clipped probabilities prob (S, 2, *batch) times the
+    weights (S, *batch) of their states (None: weight 1), flat as
+    (2 S, *batch): outcome-major, earliest time slowest."""
+    if weights is not None:
+        prob *= weights[:, None]
+    out[key] = prob.reshape((-1,) + prob.shape[2:])
+
+
+def _measure(states, groups, t, terms, prefixes, out):
+    """Measure the live states (3, S, *batch) at time t, whose node groups
+    (done, weights, slice of states) partition them, and store each
+    requested experiment that ends at t.  Both outcomes' probabilities of
+    every state are one array, clipped in one op and weighted once per
+    group.  Then yield each child group at t + 1 that `_reaches` keeps, as
+    (done, weights, states (3, S', *batch)), not yet rotated: a group's
+    post-states (one `luders_posts` per group) and then the group itself if
+    t is skipped.  A generator, so that the caller can take each child's
+    leaves before the next child's post-states exist."""
+    prob = luders_probabilities(states[2], terms)
+    weighted = prob.clip(0.0, 1.0)
+    for done, weights, part in groups:
+        if done + (t,) in prefixes:
+            _store(out, done + (t,), weighted[part], weights)
+    del weighted
+    for done, weights, part in groups:
+        if done + (t,) in prefixes and _reaches(prefixes, done + (t,), t + 1):
+            yield (done + (t,), out[done + (t,)],
+                   luders_posts(states[:, part], terms, prob[part]))
+        if _reaches(prefixes, done, t + 1):
+            yield done, weights, states[:, part]
+
+
+def _stack(children) -> tuple:
+    """The node groups (done, weights, states (3, S, *batch)) that reach one
+    time as one (3, states, *batch) array of their states, in group order,
+    and the groups as (done, weights, slice of that array).  A lone group's
+    states are returned as they are."""
+    children = list(children)
+    groups, start = [], 0
+    for done, weights, r in children:
+        groups.append((done, weights, slice(start, start + r.shape[1])))
+        start += r.shape[1]
+    if len(children) == 1:
+        return children[0][2], groups
+    return np.concatenate([r for *_, r in children], axis=1), groups
+
+
+def _lift(v, ndim: int) -> np.ndarray:
+    """v as a float array with `ndim` dimensions, leading ones added."""
+    v = np.asarray(v, dtype=float)
+    return v.reshape((1,) * (ndim - v.ndim) + v.shape)
 
 
 def lg_distributions(bloch0, tau, axis, eta, x,
@@ -323,24 +380,45 @@ def lg_distributions(bloch0, tau, axis, eta, x,
     walk skips every node, post-state and rotation that no requested
     experiment reaches, and returns every experiment it measured: each
     requested one, its prefixes, and always (1,) at the root.  A returned
-    entry is bit-identical to the same entry of the full walk.
+    entry is bit-identical to the same entry of the full walk.  Each entry
+    is stored outcome-major, (2**len(s), ...), and returned as a view with
+    the outcome axis last.
 
     bloch0 has shape (..., 3); tau, eta, x broadcast against its batch
-    shape.  A node of the walk is an experiment that has measured `done` and
-    reaches time t with branch weights and states r."""
+    shape.  The walk goes one measurement time at a time; a node group is
+    an experiment that has measured `done` and reaches time t with branch
+    weights and states.  Before the last time the groups' states are one
+    (3, states, *batch) array, rotated in place; at the last time, each
+    group in turn rotates only its z plane and is measured."""
     prefixes = frozenset(s[:k] for s in (*experiments, (1,)) for k in range(1, len(s) + 1))
+    last = max(p[-1] for p in prefixes)
     bloch0 = np.asarray(bloch0, dtype=float)
     batch = np.broadcast_shapes(bloch0.shape[:-1], np.shape(tau), np.shape(eta), np.shape(x))
-    r = np.broadcast_to(bloch0, batch + (3,)).reshape(batch + (1, 3))
-    tau, eta, x = (np.asarray(v, dtype=float)[..., None] for v in (tau, eta, x))
-    angle = (2.0 * tau)[..., None]
-    turn = np.cos(angle), np.sin(angle)
-    coefficients = [luders_coefficients(eta, x, sign) for sign in (1, -1)]
+    tau, eta, x = (_lift(v, len(batch)) for v in (tau, eta, x))
+    angle = 2.0 * tau
+    cos = np.cos(angle)
+    turn = cos, np.sin(angle), 1.0 - cos
+    terms = luders_terms(eta, x)
+    axis = np.asarray(axis, dtype=float).tolist()
+    root = np.empty((3, 1) + batch)
+    root[:, 0] = np.moveaxis(_lift(bloch0, len(batch) + 1), -1, 0)
     out = {}
-    todo = [((), 1, np.ones(batch + (1,)), r)]
-    while todo:
-        todo += _expand(*todo.pop(), axis, turn, coefficients, prefixes, out)
-    return {s: out[s] for s in SUBSETS if s in out}
+    children = [((), None, root)]
+    del root
+    for t in range(1, last):
+        states, groups = _stack(children)
+        del children
+        if t > 1:
+            rotate_planes(states, axis, turn)
+        children = _measure(states, groups, t, terms, prefixes, out)
+    for done, weights, r in children:
+        z = r[2] if last == 1 else rotate_planes(r, axis, turn, first=2)[0]
+        del r
+        prob = luders_probabilities(z, terms)
+        del z
+        _store(out, done + (last,), prob.clip(0.0, 1.0, out=prob), weights)
+    outcomes_last = tuple(range(1, len(batch) + 1)) + (0,)
+    return {s: out[s].transpose(outcomes_last) for s in SUBSETS if s in out}
 
 
 def locate(outcomes) -> tuple[tuple[int, ...], int]:
@@ -377,17 +455,42 @@ def slgi_values(dists: dict, specs=SLGI_SPECS) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
+# specs per gather of a negative WLGI term: with the default 24 specs, the
+# temporaries (the stacked rows and this buffer) are as large as the values
+WLGI_TERM_ROWS = 12
+
+
+@cache
+def _wlgi_rows(specs: tuple) -> np.ndarray:
+    """(3, len(specs)) rows of every spec's P(p:u, q:v), P(p:u, r:s) and
+    P(q:v, r:-s) in the three pairs' outcomes stacked outcome-major, 4 rows
+    per pair in PAIRS order."""
+    rows = np.array([[4 * PAIRS.index(key) + i for key, i in spec.terms] for spec in specs]).T
+    rows.flags.writeable = False
+    return rows
+
+
 def wlgi_values(dists: dict, specs=WLGI_SPECS) -> np.ndarray:
     """(..., len(specs)) WLGI values, by default in the canonical spec order:
     P(p:u, q:v) - P(p:u, r:s) - P(q:v, r:-s), r the marginalized time.
 
-    Only the three pair experiments are read.
+    Only the three pair experiments are read: their outcomes are stacked
+    as (12, ...) rows, each spec's three terms gathered by `_wlgi_rows`,
+    and the result, computed spec-major, is returned as a view with the
+    spec axis last.
     """
-    cols = []
-    for spec in specs:
-        pos, neg1, neg2 = (dists[key][..., i] for key, i in spec.terms)
-        cols.append(pos - neg1 - neg2)
-    return np.stack(cols, axis=-1)
+    pos, neg1, neg2 = _wlgi_rows(tuple(specs))
+    rows = np.concatenate([np.moveaxis(dists[pair], -1, 0) for pair in PAIRS])
+    values = np.take(rows, pos, axis=0)
+    # the negative terms go WLGI_TERM_ROWS specs at a time through one buffer;
+    # mode="clip" (the rows are all in range) lets np.take write into it unbuffered
+    term = np.empty((min(len(pos), WLGI_TERM_ROWS),) + rows.shape[1:])
+    for at in range(0, len(pos), WLGI_TERM_ROWS):
+        block = values[at:at + WLGI_TERM_ROWS]
+        for neg in (neg1, neg2):
+            block -= np.take(rows, neg[at:at + WLGI_TERM_ROWS], axis=0, out=term[:len(block)],
+                             mode="clip")
+    return np.moveaxis(values, 0, -1)
 
 
 # np.sum adds a row of fewer than this many entries left to right from +0, as

@@ -436,11 +436,16 @@ def test_criterion_11_property_suites():
     m1 = np.broadcast_to(gridmod.Z_HAT, (n, 3)).astype(float)
     m2 = gridmod.rotate_bloch(m1, X_HAT, -2.0 * tau)
     hs_dev = 0.0
+    # the first step's probabilities and post-states of both outcomes, on
+    # the (3, states, n) planes of the kernel, one state per point
+    planes = np.moveaxis(bloch, -1, 0)[:, None]
+    terms = gridmod.luders_terms(eta, x)
+    probs = gridmod.luders_probabilities(planes[2], terms)
+    posts = gridmod.luders_posts(planes, terms, probs)
     for k, l in product(SIGNS, SIGNS):
-        coefficients = gridmod.luders_coefficients(eta, x, k)
-        r_z, prob = gridmod.luders_probability(bloch, coefficients)
+        prob = probs[0, _idx(k)]
         p1 = np.clip(prob, 0.0, 1.0)
-        post = gridmod.luders_post(bloch, coefficients, r_z, prob)
+        post = np.moveaxis(posts[:, _idx(k)], 0, -1)
         c2 = 0.5 * (1.0 + l * x)
         d2 = 0.5 * l * eta
         heis = p1 * (c2 + d2 * np.sum(m2 * post, axis=-1))

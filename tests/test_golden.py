@@ -56,10 +56,9 @@ def test_shifted_wlgi_form_is_found_in_value_column(tmp_path, capsys):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     grid = tmp_path / "src" / "lgscan" / "grid.py"
     text = grid.read_text()
-    stack = "        cols.append(pos - neg1 - neg2)\n    return np.stack(cols, axis=-1)\n"
-    assert text.count(stack) == 1  # the end of wlgi_values
-    grid.write_text(text.replace(stack, stack.replace("    return", "    cols[0] = cols[0] + 1e-9\n"
-                                                                      "    return")))
+    end = "    return np.moveaxis(values, 0, -1)\n"
+    assert text.count(end) == 1  # the end of wlgi_values, whose values are spec-major
+    grid.write_text(text.replace(end, "    values[0] += 1e-9\n" + end))
     figure = [case for case in CASES if case.name == "figure 3 json"]
     assert golden.main([str(ROOT), str(tmp_path)], figure) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -113,7 +112,7 @@ def test_ci_checks_the_run_count():
     with open(golden.CI_WORKFLOW, encoding="utf-8") as fh:
         counts = re.findall(r"golden: (\d+) runs, (\d+) identical, 0 differ", fh.read())
     assert counts == [(str(len(CASES)), str(len(CASES)))]
-    assert len(CASES) == 797
+    assert len(CASES) == 798
 
 
 def test_threshold_launcher_prints_each_float_in_full(tmp_path):

@@ -1,7 +1,7 @@
 import gc
 import tracemalloc
 import weakref
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from lgscan.inequalities import elgi_all, slgi_all, wlgi_all
 from lgscan.linalg import X_HAT
 from lgscan.measurement import QubitState, Schedule, run_schedule
 from lgscan.nsit import disturbance_report
-from lgscan.scan import EXACT_TAUS
+from lgscan.scan import CHUNK, EXACT_TAUS
 
 from conftest import bits, random_axis, random_point
 
@@ -62,15 +62,15 @@ class TestRotate:
             assert np.array_equal(bits(got), bits(want))
 
     def test_peak_memory(self, rng):
-        # the kernel's (n, branches, 3) states: the output, one buffer of the
-        # input's shape and one of a third of it
-        r = rng.normal(size=(4096, 4, 3))
-        angle = rng.uniform(-3, 3, (4096, 1, 1))
+        # the kernel's (3, branches, n) planes, rotated in place: one buffer
+        # of the input's shape and two of a third of it
+        r = rng.normal(size=(3, 4, 4096))
+        angle = rng.uniform(-3, 3, 4096)
         cos, sin = np.cos(angle), np.sin(angle)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = gridmod._rotate(r, X_HAT, cos, sin)
+            out = gridmod.rotate_planes(r, X_HAT.tolist(), (cos, sin, 1.0 - cos))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -257,6 +257,53 @@ class TestLgDistributions:
             assert set(experiments) | {(1,)} <= set(pruned)
             for key, probs in pruned.items():
                 assert np.array_equal(probs, full[key]), key
+
+    @pytest.mark.parametrize("mode", gridmod.BIAS_MODES)
+    @pytest.mark.parametrize("theta", [0.0, 1.1], ids=["on-z", "tilted"])
+    def test_every_experiment_set_equals_step_by_step_walk(self, rng, theta, mode):
+        # all 127 nonempty sets of experiments, on one state against an
+        # (n_eta, 5) batch and at shape (): the keys (each requested
+        # experiment, its prefixes and (1,), in SUBSETS order), the shapes
+        # and the bits.  On z at eta = 1, outcome - of t1 has probability 0
+        # and its post-state is 0
+        eta = np.concatenate([[1.0, 0.0], rng.uniform(0, 1, 5)])[:, None]
+        x = {"zero": 0.0 * eta, "eta-1": eta - 1.0,
+             "fixed": rng.uniform(-1, 1, eta.shape) * (1.0 - eta)}[mode]
+        bloch, axis = gridmod.pure_bloch(theta, 0.4), -np.abs(random_axis(rng))
+        calls = [(bloch, EXACT_TAUS, axis, eta, x),
+                 (bloch, EXACT_TAUS[1], axis, eta[2, 0], x[2, 0])]
+        for args in calls:
+            # the reference's (1,) does not read tau: broadcast it over the batch
+            batch = np.broadcast_shapes(np.shape(args[1]), np.shape(args[3]))
+            want = {s: np.broadcast_to(_experiment(args[0], s, *args[1:]), batch + (2 ** len(s),))
+                    for s in gridmod.SUBSETS}
+            for n in range(1, 8):
+                for experiments in combinations(gridmod.SUBSETS, n):
+                    dists = gridmod.lg_distributions(*args, experiments)
+                    measured = {e[:k] for e in experiments + ((1,),) for k in range(1, len(e) + 1)}
+                    assert tuple(dists) == tuple(s for s in gridmod.SUBSETS if s in measured)
+                    for subset, probs in dists.items():
+                        assert probs.shape == want[subset].shape
+                        assert np.array_equal(bits(probs), bits(want[subset])), \
+                            (experiments, subset)
+
+    def test_peak_memory_of_a_scan_block(self, rng):
+        # one full walk at scan.CHUNK points: 3.25 MiB of distributions and
+        # the walk's temporaries, with each leaf group's states rotated and
+        # measured in turn (all leaves at once peaked at 18.4 MiB)
+        n = CHUNK
+        bloch = gridmod.pure_bloch(rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))
+        tau, eta = rng.uniform(0, np.pi, n), rng.uniform(0, 1, n)
+        x = rng.uniform(-1, 1, n) * (1.0 - eta)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dists = gridmod.lg_distributions(bloch, tau, random_axis(rng), eta, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(probs.nbytes for probs in dists.values()) == 26 * 8 * n
+        assert peak <= 9.5 * 2**20
 
     def test_result_freed_without_cycle_collector(self):
         # a reference cycle in the walk would keep its arrays until gc runs

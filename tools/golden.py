@@ -9,8 +9,9 @@ the case's input files and nothing else; the old and the new tree's run of
 a case go side by side.  A
 case runs `python -m lgscan.cli`, or a `python -c` launcher that sets up
 what the command line cannot: `scan.CHUNK` patched, thousands of `eval`
-points in one process, `threshold_eta` floats printed in full, or a
-`ScanTable` read as a library caller reads it.  Exit
+points in one process, `threshold_eta` floats printed in full, the
+kernel's entries hashed, or a `ScanTable` read as a library caller reads
+it.  Exit
 code, stdout, stderr and every file the run leaves in its directory are
 compared.  Each difference is one line, then a
 summary line; the exit status is 0 when every output is identical and 1
@@ -25,8 +26,10 @@ seeded and phi = 0 states, 33 ELGI `--spec-index` runs, 1e-10 and 1e-12
 tolerance runs, and every `threshold` line of the CI workflow (read from
 it); the repr of `threshold_eta` on the threshold-sweep benchmark's states
 for seeds 301-310 (720 floats: each family, and each ELGI spec, at
-tolerances 1e-4 and 1e-12); the table reads of the CI scan config and
-figure 3 (`len`, `.columns`, the first and last row, iteration and ==);
+tolerances 1e-4 and 1e-12); the sha256 of every `lg_distributions` entry
+for all 127 sets of experiments in the three bias modes on a tilted axis;
+the table reads of the CI scan config and figure 3 (`len`, `.columns`, the
+first and last row, iteration and ==);
 `selftest`; and runs that exit 2, angles whose 2 theta or 4 tau overflows
 among them.
 
@@ -183,6 +186,32 @@ for seed in range(int(sys.argv[1]), int(sys.argv[2]) + 1):
             value = f"NoBracket: {exc}"
         print(seed, repr(theta), repr(phi), family, spec, tol, value)
 """
+# the sha256 of every `grid.lg_distributions` entry, with its key and shape, for
+# each of the 127 nonempty sets of experiments, in the three bias modes on a
+# tilted axis: 64 seeded states (half with phi = 0) and one state against an
+# (eta, 5 tau) batch, eta 0 and 1 among the etas
+KERNEL_LAUNCHER = """\
+import hashlib, importlib, itertools
+import numpy as np
+grid = importlib.import_module("lgscan.grid")
+axis = importlib.import_module("lgscan.scan").axis_from_angles(0.4, 1.1)
+rng = np.random.default_rng(2031)
+theta, phi = rng.uniform(0, np.pi, 64), rng.uniform(0, 2 * np.pi, 64)
+phi[::2] = 0.0
+points = grid.pure_bloch(theta, phi), rng.uniform(0, np.pi, 64), rng.uniform(0, 1, 64)
+grid_eta = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 9)])[:, None]
+batches = (("points",) + points,
+           ("eta x tau", grid.pure_bloch(0.7, 1.3), (np.arange(5) + 0.5) * np.pi / 5, grid_eta))
+for mode, (name, bloch, tau, eta) in itertools.product(grid.BIAS_MODES, batches):
+    eta = eta * 0.8 if mode == "fixed" else eta
+    x = grid.bias_x(mode, eta, 0.2)
+    for n in range(1, 8):
+        for experiments in itertools.combinations(grid.SUBSETS, n):
+            dists = grid.lg_distributions(bloch, tau, axis, eta, x, experiments)
+            for key, probs in dists.items():
+                digest = hashlib.sha256(probs.tobytes()).hexdigest()
+                print(mode, name, experiments, key, probs.shape, digest)
+"""
 # the table reads that no command makes, each on a fresh table of the CI scan
 # config and of figure 3: len, a sha256 of each `.columns` array, the first and
 # last row, a sha256 of every row's repr, and ==
@@ -246,6 +275,8 @@ def all_cases() -> list[Case]:
               for line in dict.fromkeys(threshold_lines)]
     cases.append(Case("threshold-sweep states, seeds 301-310", ("301", "310"),
                       launcher=THRESHOLD_LAUNCHER))
+    cases.append(Case("lg_distributions sha256, 127 experiment sets", (),
+                      launcher=KERNEL_LAUNCHER))
     cases += [
         Case("selftest", ("selftest",)),
         Case("selftest --seed -1", ("selftest", "--seed", "-1")),
