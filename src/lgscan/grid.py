@@ -48,11 +48,15 @@ evaluators in lgscan.inequalities and lgscan.nsit feed them the operator
 pipeline's distributions.  `elgi_values` also takes the six experiments it
 reads stacked as one (..., 18) table (`ELGI_STACK`), which the ELGI
 tau-maximum of lgscan.scan.threshold_eta rebuilds at many taus.  Both
-forms take p ln p from `_plogp`, the code `entropy` is.  The dict form sums
-each row with `_row_sums` (column adds for rows of fewer than
-COLUMN_ADD_WIDTH outcomes, in the order np.sum uses there); the stacked
-form makes the same adds in the same order in one pass over strided
-column views of the whole table.  So they give the same floats.
+forms end in the six entropies of ELGI_STACK as rows, p ln p from
+`_plogp` summed by np.sum, and `_elgi`, the formula, runs once on them.
+np.sum adds a row of 2 or 4 outcomes left to right from +0 in any layout,
+so the two forms give the same floats.  It is fast here only because the
+outcome axis is strided in memory (the kernel stores each entry
+outcome-major, and the rebuilt ELGI table is tau-fastest), so numpy adds
+whole columns: on C-contiguous (16384, 4) rows it takes ~273 us against
+~33 us for column adds, and a change that makes that axis contiguous must
+measure again.
 
 SLGI, WLGI, D and AoT find each outcome term by `locate`, once.  Each D
 family is a row of `DISTURBANCES` and each AoT identity a row of
@@ -493,9 +497,6 @@ def wlgi_values(dists: dict, specs=WLGI_SPECS) -> np.ndarray:
     return np.moveaxis(values, 0, -1)
 
 
-# np.sum adds a row of fewer than this many entries left to right from +0, as
-# `_row_sums` does; wider rows it sums pairwise, in another order
-COLUMN_ADD_WIDTH = 8
 _LEAST_POSITIVE = np.nextafter(0.0, 1.0)
 
 
@@ -510,30 +511,11 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """np.sum(terms, axis=-1), float for float.  A row of 2 to
-    COLUMN_ADD_WIDTH - 1 entries goes as column adds, left to right from
-    +0 as np.sum adds it, without numpy's per-row reduction.  Either way a
-    row of zeros sums to +0, whatever their signs."""
-    width = terms.shape[-1]
-    if not 2 <= width < COLUMN_ADD_WIDTH:
-        return terms.sum(axis=-1)
-    total = terms[..., 0] + terms[..., 1]
-    for i in range(2, width):
-        total += terms[..., i]
-    total += 0.0
-    return total
-
-
 def entropy(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy (nats) along the last axis with 0 ln 0 = 0."""
-    return -_row_sums(_plogp(np.asarray(probs, dtype=float)))
-
-
-def _elgi_terms(middle: int) -> tuple:
-    """Keys of H(a,c), H(a,b), H(b,c) and H(b) for middle b = `middle`."""
-    a, c = sorted({1, 2, 3} - {middle})
-    return (a, c), tuple(sorted((a, middle))), tuple(sorted((middle, c))), (middle,)
+    """Shannon entropy (nats) along the last axis with 0 ln 0 = 0: minus
+    np.sum of `_plogp`, which is fast only where the last axis is strided
+    (see the module docstring)."""
+    return -_plogp(np.asarray(probs, dtype=float)).sum(axis=-1)
 
 
 def _elgi(h_ac, h_ab, h_bc, h_b):
@@ -547,50 +529,46 @@ ELGI_STACK = ((1,), (2,), (3,)) + PAIRS
 
 
 @cache
-def _elgi_columns(specs: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Where the stacked table's entropies of `specs` are: the pair indices
-    (into PAIRS) of every spec's H(a,c), then of every H(a,b), then of every
-    H(b,c), and the single index (time - 1) of every H(b)."""
-    ac, ab, bc, b = zip(*(_elgi_terms(spec.middle) for spec in specs))
-    pairs = np.array([PAIRS.index(key) for key in ac + ab + bc])
-    singles = np.array([key[0] - 1 for key in b])
-    pairs.flags.writeable = singles.flags.writeable = False
-    return pairs, singles
+def _elgi_rows(specs: tuple) -> np.ndarray:
+    """(4, len(specs)) rows in ELGI_STACK of every spec's H(a,c), H(a,b),
+    H(b,c) and H(b), b the middle."""
+    rows = []
+    for spec in specs:
+        b = spec.middle
+        a, c = sorted({1, 2, 3} - {b})
+        keys = (a, c), tuple(sorted((a, b))), tuple(sorted((b, c))), (b,)
+        rows.append([ELGI_STACK.index(key) for key in keys])
+    rows = np.array(rows).T
+    rows.flags.writeable = False
+    return rows
 
 
 def elgi_values(dists, specs=ELGI_SPECS) -> np.ndarray:
     """(..., len(specs)) ELGI values H(a,c) - H(a,b) - H(b,c) + H(b) (`_elgi`);
-    the default specs order the middle index b 1, 2, 3.  Reads the three
-    pairs and the single at each middle.
+    the default specs order the middle index b 1, 2, 3.
 
-    `dists` is a dict of distributions, of which each distinct entropy the
-    specs read is taken once (6 for the default specs, 4 for one spec), or
-    the stacked (..., 18) table of the ELGI_STACK experiments.  The table
-    takes p ln p once for the whole table and each group's row sums in one
-    pass over strided column views, `_row_sums`' adds in its order, with no
-    copy: the singles' (..., 3) entropies from columns 0:6:2 and 1:6:2, the
-    pairs' from 6::4 through 9::4.  Every spec's four entropies are then
-    gathered by index arrays (`_elgi_columns`), so `_elgi` runs once on
-    (..., len(specs)) arrays.  Both inputs give the same floats."""
+    `dists` is a dict of distributions that holds the ELGI_STACK
+    experiments, or their stacked (..., 18) table.  Both end in the six
+    entropies of ELGI_STACK as rows: a dict by `entropy` on each experiment,
+    a table by one `_plogp` over it and np.sum over its singles' columns as
+    (3, 2) and its pairs' as (3, 4), with no copy of the table.  np.sum
+    adds a row of 2 or 4 entries left to right from +0, so both give the
+    same floats, and it is fast because the outcome axis of the kernel's
+    entries and of the tau-fastest table is strided (see the module
+    docstring).  Every spec's four entropies are gathered from the rows by
+    `_elgi_rows`, so `_elgi` runs once, on (len(specs), ...) arrays, and the
+    values come back spec-major, as a view with the spec axis last: a max
+    over specs reduces whole rows."""
     if isinstance(dists, dict):
-        terms = [_elgi_terms(spec.middle) for spec in specs]
-        h = {key: entropy(dists[key]) for key in dict.fromkeys(k for t in terms for k in t)}
-        # spec by spec, so that no temporary is larger than one entropy; the spec
-        # axis is stacked first, where a max over specs reduces whole rows
-        values = np.stack([_elgi(*(h[key] for key in t)) for t in terms])
-        return values.transpose(*range(1, values.ndim), 0)
-    plogp = _plogp(np.asarray(dists, dtype=float))
-    singles = plogp[..., 0:6:2] + plogp[..., 1:6:2]
-    singles += 0.0
-    pairs = plogp[..., 6::4] + plogp[..., 7::4]
-    pairs += plogp[..., 8::4]
-    pairs += plogp[..., 9::4]
-    pairs += 0.0
-    np.negative(singles, out=singles)
-    np.negative(pairs, out=pairs)
-    at_pairs, at_singles = _elgi_columns(tuple(specs))
-    h, k = pairs[..., at_pairs], len(at_singles)
-    return _elgi(h[..., :k], h[..., k:2 * k], h[..., 2 * k:], singles[..., at_singles])
+        h = np.stack([entropy(dists[key]) for key in ELGI_STACK])
+    else:
+        plogp = _plogp(np.asarray(dists, dtype=float))
+        batch = plogp.shape[:-1]
+        h = np.concatenate([plogp[..., :6].reshape(batch + (3, 2)).sum(axis=-1),
+                            plogp[..., 6:].reshape(batch + (3, 4)).sum(axis=-1)], axis=-1)
+        h = -h.transpose(-1, *range(h.ndim - 1))
+    values = _elgi(*h[_elgi_rows(tuple(specs))])
+    return values.transpose(*range(1, values.ndim), 0)
 
 
 @dataclass(frozen=True)

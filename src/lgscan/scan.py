@@ -16,10 +16,11 @@ flags among them; the JM flags are evaluated on the block's first (tau,
 eta) cycle and tiled over the block.  `_fill` only writes a block's cells
 and picks into a table's columns.  The table that `scan` and
 `figure_records` return is streamed: no block is computed when it is made,
-and every read computes each block once.  `ScanTable._blocks` is the one
-read path, `CHUNK` rows at a time from each block as it is computed or from
-the filled table, so `report` holds one block of rows at a time, never the
-grid; reading `ScanTable.columns` fills the whole table once.
+and every read computes each block once (a row read, only the blocks up
+to its own).  `ScanTable._blocks` is the one read path, `CHUNK` rows at a
+time from each block as it is computed or from the filled table, so
+`report` and a row read hold one block of rows at a time, never the grid;
+reading `ScanTable.columns` fills the whole table once.
 `report` splits the columns into four runs and formats each run of a
 `CHUNK`-row piece once per distinct combination of its cells, places the
 four cells of each row row-major in one object array and joins `WRITE_ROWS`
@@ -156,7 +157,10 @@ def _elgi_tau_curve(table: np.ndarray, tau, specs) -> np.ndarray:
     `_tau_weights`, kept from `_grid_weights` when tau is that grid.  The
     taus go TAU_BLOCK at a time: each block is one weights matmul into an
     array whose tau axis is the fastest in memory, one clip in place, and
-    one elgi_values call on the table it makes.  The clip is
+    one elgi_values call on the table it makes.  That layout keeps the
+    table's outcome axis strided, which is what makes elgi_values' np.sum
+    row sums fast, and elgi_values returns spec-major values, so the max
+    over specs reduces whole rows.  The clip is
     np.minimum(., 1.0): elgi_values takes p ln p as 0 wherever p <= 0
     (`gridmod._plogp`), so a probability below 0 gives the floats that 0
     gives, and the floor needs no pass of its own.  A block of one tau alone
@@ -290,8 +294,9 @@ class ScanTable:
     A table made by `streamed` (what `scan` and `figure_records` return)
     computes no row until it is read, and each read computes every block
     once: `report` and iteration walk the blocks through one block-sized
-    buffer, and `len` reads no row.  Reading `columns`, so indexing and ==,
-    fills the whole table once and keeps it.
+    buffer, and `len` reads no row.  Indexing row i walks the same buffer
+    up to the block that holds row i and stops there.  Reading `columns`,
+    so ==, fills the whole table once and keeps it.
     """
 
     def __init__(self, columns: dict[str, np.ndarray]) -> None:
@@ -340,7 +345,11 @@ class ScanTable:
 
     def __getitem__(self, i: int) -> ScanRecord:
         i = range(len(self))[i]
-        return _records({col: a[i:i + 1] for col, a in self.columns.items()})[0]
+        for block in self._blocks():  # up to the block that holds row i
+            rows = len(block["theta"])
+            if i < rows:
+                return _records({col: a[i:i + 1] for col, a in block.items()})[0]
+            i -= rows
 
     def __iter__(self) -> Iterator[ScanRecord]:
         for block in self._blocks():

@@ -1,7 +1,8 @@
 """tools/golden.py on a few of its commands: a tree against itself is
 identical, a copy that prints thresholds to 5 decimals is reported, and a
-copy that shifts one WLGI form is found in the right column and row; the
-CI step checks the gate's run count, and the threshold-sweep launcher
+copy that shifts one WLGI form is found in the right column and row, a
+copy that moves one ELGI value by one ulp is found by the family hashes;
+the CI step checks the gate's run count, and the threshold-sweep launcher
 prints each float in full."""
 
 import importlib
@@ -71,6 +72,24 @@ def test_shifted_wlgi_form_is_found_in_value_column(tmp_path, capsys):
     assert lines[-1].startswith("golden: 1 runs, 0 identical, 1 differ")
 
 
+def test_one_ulp_elgi_change_is_found(tmp_path, capsys):
+    # a report cell carries 12 digits; the family hashes see one ulp
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    grid = tmp_path / "src" / "lgscan" / "grid.py"
+    text = grid.read_text()
+    end = "    return values.transpose(*range(1, values.ndim), 0)\n"
+    assert text.count(end) == 1  # the end of elgi_values
+    grid.write_text(text.replace(end, "    values.flat[-1] = np.nextafter(values.flat[-1], 2.0)\n"
+                                      + end))
+    case = [case for case in CASES if case.launcher == golden.FAMILIES_LAUNCHER]
+    assert len(case) == 1
+    assert golden.main([str(ROOT), str(tmp_path)], case) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("DIFF [family values sha256] stdout differs at line 3: ")
+    assert " elgi 1 dict " in lines[0]
+    assert lines[-1].startswith("golden: 1 runs, 0 identical, 1 differ")
+
+
 def test_ci_threshold_lines_are_read_from_the_workflow():
     lines = golden.ci_thresholds()
     assert "--family slgi --maximize-tau" in lines
@@ -112,7 +131,7 @@ def test_ci_checks_the_run_count():
     with open(golden.CI_WORKFLOW, encoding="utf-8") as fh:
         counts = re.findall(r"golden: (\d+) runs, (\d+) identical, 0 differ", fh.read())
     assert counts == [(str(len(CASES)), str(len(CASES)))]
-    assert len(CASES) == 798
+    assert len(CASES) == 800
 
 
 def test_threshold_launcher_prints_each_float_in_full(tmp_path):

@@ -365,36 +365,47 @@ class TestFamilyEvaluators:
         assert float(np.max(gridmod.aot_residual(dists))) < 1e-12
 
     def test_elgi_takes_each_entropy_once(self, rng, monkeypatch):
+        # a dict's six entropies are taken once each, and both inputs give
+        # H(a,c) - H(a,b) - H(b,c) + H(b) bit for bit, for every spec subset
+        # in every order, in the three bias modes
         n = 30
-        dists = gridmod.lg_distributions(
-            gridmod.pure_bloch(rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n)),
-            rng.uniform(0, np.pi, n), random_axis(rng), rng.uniform(0, 1, n), 0.0)
         entropy, calls = gridmod.entropy, []
 
         def counting(probs):
             calls.append(probs.shape)
             return entropy(probs)
 
-        monkeypatch.setattr(gridmod, "entropy", counting)
-        values = gridmod.elgi_values(dists)
-        assert len(calls) == 6
-        calls.clear()
-        one = gridmod.elgi_values(dists, gridmod.ELGI_SPECS[1:2])
-        assert len(calls) == 4
-        monkeypatch.undo()
-        for j, spec in enumerate(gridmod.ELGI_SPECS):
-            b = spec.middle
-            a, c = sorted({1, 2, 3} - {b})
-            want = (entropy(dists[(a, c)]) - entropy(dists[tuple(sorted((a, b)))])
-                    - entropy(dists[tuple(sorted((b, c)))]) + entropy(dists[(b,)]))
-            assert np.array_equal(values[:, j], want)
-        assert np.array_equal(one[:, 0], values[:, 1])
+        orders = [specs for r in (1, 2, 3) for specs in permutations(gridmod.ELGI_SPECS, r)]
+        assert len(orders) == 15
+        for mode in gridmod.BIAS_MODES:
+            eta = rng.uniform(0, 1, n) * (0.8 if mode == "fixed" else 1.0)
+            dists = gridmod.lg_distributions(
+                gridmod.pure_bloch(rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n)),
+                rng.uniform(0, np.pi, n), random_axis(rng), eta, gridmod.bias_x(mode, eta, 0.2))
+            table = np.concatenate([dists[key] for key in gridmod.ELGI_STACK], axis=-1)
+            calls.clear()
+            monkeypatch.setattr(gridmod, "entropy", counting)
+            gridmod.elgi_values(dists)
+            monkeypatch.undo()
+            assert len(calls) == 6
+            want = {}
+            for spec in gridmod.ELGI_SPECS:
+                b = spec.middle
+                a, c = sorted({1, 2, 3} - {b})
+                want[spec] = (entropy(dists[(a, c)]) - entropy(dists[tuple(sorted((a, b)))])
+                              - entropy(dists[tuple(sorted((b, c)))]) + entropy(dists[(b,)]))
+            for specs in orders:
+                for values in (gridmod.elgi_values(dists, specs),
+                               gridmod.elgi_values(table, specs)):
+                    assert values.shape == (n, len(specs))
+                    for j, spec in enumerate(specs):
+                        assert np.array_equal(bits(values[:, j]), bits(want[spec])), (mode, specs)
 
     def test_entropy_equals_masked_form(self, rng):
         # 0 ln 0 = 0 through a floored log, bit-equal to masking the
         # argument and the terms: also for -0.0 and (rounding-sized)
         # negative entries, which contribute nothing, and for rows of zeros
-        # of either sign, on the column-add path and the np.sum one
+        # of either sign, on C-ordered rows of 2, 4 and 8 outcomes
         for width in (2, 4, 8):
             p = rng.dirichlet(np.ones(width), size=200)
             p[::3, 1] = 0.0
@@ -410,29 +421,56 @@ class TestFamilyEvaluators:
             for row in (7, 11):
                 assert np.array_equal(bits(gridmod.entropy(p[row])), bits(want[row]))
 
-    def test_column_adds_equal_sum_only_below_eight(self, rng):
-        # np.sum adds a row of fewer than COLUMN_ADD_WIDTH entries left to
-        # right from +0, so column adds give its float; wider rows it sums
-        # pairwise, and column adds would differ.  entropy takes each path
-        # where it equals np.sum, at every width, with exact 0 and 1
-        # probabilities, and a row of -0.0 (whose np.sum is +0)
-        assert gridmod.COLUMN_ADD_WIDTH == 8
-        differing = {}
-        for width in range(2, 17):
-            p = rng.dirichlet(np.ones(width), size=3000)
-            p[::3, 0] = 0.0
-            p[::5] = np.eye(width)[1]
-            p[7] = -0.0
-            terms = np.log(p, out=np.zeros_like(p), where=p > 0.0)
-            terms *= p
-            total = terms[:, 0] + terms[:, 1]
-            for i in range(2, width):
-                total += terms[:, i]
-            total += 0.0
-            differing[width] = np.count_nonzero(bits(total) != bits(terms.sum(axis=-1)))
-            assert np.array_equal(bits(gridmod.entropy(p)), bits(-terms.sum(axis=-1)))
-        assert all(differing[w] == 0 for w in range(2, 8))
-        assert all(differing[w] > 0 for w in range(8, 17))
+    def test_strided_row_sums_add_left_to_right(self, rng):
+        # entropy and elgi_values sum rows of 2 and 4 outcomes with np.sum on
+        # an outcome axis that is strided in memory: the kernel's entries are
+        # stored outcome-major, (2**k, *batch), and the table the ELGI tau
+        # maximum rebuilds is tau-fastest, (eta, 18, tau).  Both must give the
+        # masked p ln p summed left to right from +0, bit for bit, with rows
+        # of zeros of either sign, point masses, subnormals, 1 + 1e-9 and a
+        # NaN of either sign (one per row: which of two NaNs an add returns
+        # is the loop's choice)
+        edge = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308 / 3, 1.0 + 1e-9, -1e-17]
+
+        def strided(p, layout):
+            """p (6, 40, w) with its outcome axis slowest in memory, or in the
+            middle: the kernel's layout and the tau-fastest one."""
+            if layout == "outcome-major":
+                return np.moveaxis(np.ascontiguousarray(np.moveaxis(p, -1, 0)), 0, -1)
+            return np.ascontiguousarray(p.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+        def reference(p):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+            terms = np.where(np.isnan(p), p, terms)
+            total = np.zeros(p.shape[:-1])
+            for i in range(p.shape[-1]):
+                total = total + terms[..., i]
+            return -total
+
+        probs, h = {}, {}
+        for key in gridmod.ELGI_STACK:
+            width = 2 ** len(key)
+            p = rng.dirichlet(np.ones(width), size=(6, 40))
+            scattered = rng.random(p.shape) < 0.3
+            p[scattered] = rng.choice(edge, scattered.sum())
+            p[0, :width] = np.eye(width)  # point masses
+            p[1, :4] = np.array([0.0, -0.0, 1.0 + 1e-9, 5e-324])[:, None]
+            p[1, 4] = [-0.0, 0.0] * (width // 2)
+            p[2, ::3, 1] = np.nan
+            p[3, ::5, 0] = -np.nan
+            probs[key], h[key] = p, reference(p)
+            for layout in ("outcome-major", "tau-fastest"):
+                got = gridmod.entropy(strided(p, layout))
+                assert np.array_equal(bits(got), bits(h[key])), (key, layout)
+            assert np.isnan(got).any() and (bits(got) == bits(-0.0)).any()
+        table = np.concatenate([probs[key] for key in gridmod.ELGI_STACK], axis=-1)
+        for spec, layout in product(gridmod.ELGI_SPECS, ("outcome-major", "tau-fastest")):
+            b = spec.middle
+            a, c = sorted({1, 2, 3} - {b})
+            want = (h[(a, c)] - h[tuple(sorted((a, b)))] - h[tuple(sorted((b, c)))] + h[(b,)])
+            got = gridmod.elgi_values(strided(table, layout), (spec,))[..., 0]
+            assert np.array_equal(bits(got), bits(want)), (spec, layout)
 
     @pytest.mark.parametrize("tau_major", [False, True])
     def test_stacked_table_equals_dicts(self, rng, tau_major):

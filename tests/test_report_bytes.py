@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from lgscan import grid as gridmod
 from lgscan import jointmeas
+from lgscan.errors import ConfigError
 from lgscan.scan import (
     CSV_COLUMNS,
     FLAG_COLUMNS,
@@ -307,7 +308,8 @@ def test_block_result_freed_before_next_kernel_call(tmp_path, monkeypatch, run):
 @pytest.mark.parametrize("read", ["report", "iterate", "columns", "index", "equal"])
 def test_each_read_computes_each_block_once(tmp_path, monkeypatch, run, blocks, read):
     # making and sizing a streamed table call no kernel; any one read then
-    # computes each block exactly once
+    # computes each block exactly once, and a row read only the blocks up
+    # to the row's own
     kernel, calls = gridmod.lg_distributions, []
 
     def counted(*args, **kwargs):
@@ -323,7 +325,33 @@ def test_each_read_computes_each_block_once(tmp_path, monkeypatch, run, blocks, 
              "iterate": lambda: list(table), "columns": lambda: table.columns,
              "index": lambda: table[0], "equal": lambda: table == table}
     reads[read]()
-    assert len(calls) == blocks
+    assert len(calls) == (1 if read == "index" else blocks)
+    if read == "index":
+        table[-1]
+        assert len(calls) == 1 + blocks
+
+
+def test_row_read_holds_one_block(monkeypatch):
+    # a row of a streamed table whose whole table cannot be allocated is
+    # read through one block buffer, as `report` writes it; filling the
+    # whole table is the ConfigError
+    monkeypatch.setattr(scan_mod, "CHUNK", 100)
+    cfg = CONFIGS["tolerance"]  # 280 points x 3 families: 3 blocks of 300 rows
+    records = reference_scan(cfg)
+    empty, sizes = ScanTable.empty, []
+
+    def block_only(n):
+        sizes.append(n)
+        if n > 300:
+            raise MemoryError(f"Unable to allocate the table of {n} rows")
+        return empty(n)
+
+    monkeypatch.setattr(ScanTable, "empty", staticmethod(block_only))
+    table = scan(cfg)
+    assert (table[0], table[301], table[-1]) == (records[0], records[301], records[-1])
+    assert max(sizes) == 300
+    with pytest.raises(ConfigError, match=r"^840 report rows do not fit in memory$"):
+        table.columns
 
 
 def streaming_grid(n_theta: int) -> ScanConfig:

@@ -10,8 +10,8 @@ a case go side by side.  A
 case runs `python -m lgscan.cli`, or a `python -c` launcher that sets up
 what the command line cannot: `scan.CHUNK` patched, thousands of `eval`
 points in one process, `threshold_eta` floats printed in full, the
-kernel's entries hashed, or a `ScanTable` read as a library caller reads
-it.  Exit
+kernel's entries or the family values hashed, or a `ScanTable` read as a
+library caller reads it.  Exit
 code, stdout, stderr and every file the run leaves in its directory are
 compared.  Each difference is one line, then a
 summary line; the exit status is 0 when every output is identical and 1
@@ -28,8 +28,11 @@ it); the repr of `threshold_eta` on the threshold-sweep benchmark's states
 for seeds 301-310 (720 floats: each family, and each ELGI spec, at
 tolerances 1e-4 and 1e-12); the sha256 of every `lg_distributions` entry
 for all 127 sets of experiments in the three bias modes on a tilted axis;
-the table reads of the CI scan config and figure 3 (`len`, `.columns`, the
-first and last row, iteration and ==);
+the sha256 of the bits of every family value (SLGI, WLGI, ELGI in all 15
+spec orders from the dict and from both table layouts, each experiment's
+entropy), which a report's 12 digits can round away; the table reads of
+the CI scan config and figure 3 (`len`, `.columns`, the first and last
+row, iteration and ==);
 `selftest`; and runs that exit 2, angles whose 2 theta or 4 tau overflows
 among them.
 
@@ -212,6 +215,43 @@ for mode, (name, bloch, tau, eta) in itertools.product(grid.BIAS_MODES, batches)
                 digest = hashlib.sha256(probs.tobytes()).hexdigest()
                 print(mode, name, experiments, key, probs.shape, digest)
 """
+# the sha256 of the int64 bits of every family value, which a report's 12-digit
+# cells can round away: SLGI, WLGI, ELGI for all 15 spec orders from the dict and
+# from the stacked table (C-ordered and tau-fastest), and each experiment's
+# entropy, in the three bias modes on a tilted axis, for seeded states against an
+# (eta, tau) batch and at shape (), eta 0 and 1 among the etas
+FAMILIES_LAUNCHER = """\
+import hashlib, importlib, itertools
+import numpy as np
+grid = importlib.import_module("lgscan.grid")
+axis = importlib.import_module("lgscan.scan").axis_from_angles(0.4, 1.1)
+rng = np.random.default_rng(2032)
+states = [grid.pure_bloch(*rng.uniform((0, 0), (np.pi, 2 * np.pi))) for _ in range(4)]
+batch = rng.uniform(0, np.pi, 6), np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 7)])[:, None]
+points = [(rng.uniform(0, np.pi), rng.uniform(0, 1)) for _ in states]
+orders = [specs for n in (1, 2, 3) for specs in itertools.permutations(grid.ELGI_SPECS, n)]
+
+def show(values, *name):
+    bits = np.array(values, dtype=float, order="C").view(np.int64)
+    print(*name, bits.shape, hashlib.sha256(bits.tobytes()).hexdigest())
+
+for mode, k in itertools.product(grid.BIAS_MODES, range(len(states))):
+    for name, (tau, eta) in (("eta x tau", batch), ("()", points[k])):
+        eta = eta * 0.8 if mode == "fixed" else eta
+        dists = grid.lg_distributions(states[k], tau, axis, eta, grid.bias_x(mode, eta, 0.2))
+        show(grid.slgi_values(dists), mode, k, name, "slgi")
+        show(grid.wlgi_values(dists), mode, k, name, "wlgi")
+        table = np.concatenate([dists[key] for key in grid.ELGI_STACK], axis=-1)
+        # (eta, tau, 18) laid out (eta, 18, tau), as the ELGI tau maximum rebuilds it
+        tau_fastest = np.ascontiguousarray(table.swapaxes(-1, -2)).swapaxes(-1, -2) \
+            if table.ndim > 1 else table
+        tables = {"dict": dists, "C table": table, "tau-fastest table": tau_fastest}
+        for specs, (form, reads) in itertools.product(orders, tables.items()):
+            middles = "".join(str(spec.middle) for spec in specs)
+            show(grid.elgi_values(reads, specs), mode, k, name, "elgi", middles, form)
+        for key, probs in dists.items():
+            show(grid.entropy(probs), mode, k, name, "entropy", key)
+"""
 # the table reads that no command makes, each on a fresh table of the CI scan
 # config and of figure 3: len, a sha256 of each `.columns` array, the first and
 # last row, a sha256 of every row's repr, and ==
@@ -277,6 +317,7 @@ def all_cases() -> list[Case]:
                       launcher=THRESHOLD_LAUNCHER))
     cases.append(Case("lg_distributions sha256, 127 experiment sets", (),
                       launcher=KERNEL_LAUNCHER))
+    cases.append(Case("family values sha256", (), launcher=FAMILIES_LAUNCHER))
     cases += [
         Case("selftest", ("selftest",)),
         Case("selftest --seed -1", ("selftest", "--seed", "-1")),
