@@ -22,9 +22,12 @@ time from each block as it is computed or from the filled table, so
 `report` and a row read hold one block of rows at a time, never the grid;
 reading `ScanTable.columns` fills the whole table once.
 `report` splits the columns into four runs and formats each run of a
-`CHUNK`-row piece once per distinct combination of its cells, places the
-four cells of each row row-major in one object array and joins `WRITE_ROWS`
-rows of it at a time; `parse_report` reads a CSV report back into a table.
+`CHUNK`-row piece once per distinct combination of its cells (`_unique`
+sorts float runs or one period, `_group` groups ints by lookup table),
+places the four cells of each row row-major in one object array and writes
+`WRITE_ROWS` rows of it at a time: a CSV chunk through one `%` of its row
+template `_CSV_ROW`, whose `%.12g` formats the `value` floats, a JSON chunk
+by joining its cells; `parse_report` reads a CSV report back into a table.
 `ScanRecord` is the row view.  The family and flag columns hold indices
 into their values, read, written and parsed through one table, `_CODED`.
 
@@ -99,7 +102,7 @@ def _dtype(col: str):
 # grid points per kernel call in `scan` and `figure_records`, and rows per
 # block formatted by `report`
 CHUNK = 2**14
-WRITE_ROWS = 2**10  # rows per string that `report` joins and writes
+WRITE_ROWS = 2**10  # rows per string that `report` formats and writes
 
 DEFAULT_TAU_STEP = math.pi / 360  # threshold-resolution grid
 
@@ -742,14 +745,20 @@ _JSON_AFFIXES = {
 
 # The column runs `report` writes as one cell per row: a run's cell is its
 # columns' cells with their separators, formatted once per distinct
-# combination in a block.  `value` runs alone: nearly every row has its own.
+# combination in a block.  `value` runs alone, as nearly every row has its
+# own: a CSV row goes through _CSV_ROW, which formats the float itself, and
+# only JSON deduplicates it (`_distinct`).
 _RUNS = (
     ("theta", "phi", "tau"),
     ("eta", "x", "axis_alpha", "axis_beta", "family", "spec_index"),
     ("value",),
     ("bound",) + FLAG_COLUMNS,
 )
+# One CSV row: runs 0 and 1, the value and its separator, run 3.  "%.12g" % v
+# is f"{v:.12g}" for every float, nan, inf and -0.0 among them.
+_CSV_ROW = "%s%s%.12g,%s"
 _KEY_LIMIT = 2**62  # combination keys stay below this: int64 never overflows
+_TABLE_PER_ROW = 4  # `_group`'s lookup table holds at most this many entries per row
 
 
 def _json_float(text: str) -> str:
@@ -766,27 +775,66 @@ def _json_float(text: str) -> str:
 
 
 def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(values, return_inverse=True), without the sort when every
-    value is the first (a block-constant column)."""
-    if (values == values[0]).all():
+    """np.unique(values, return_inverse=True), sorting less than the rows
+    where it can.  Grid columns come in long runs of one value: with fewer
+    runs than half the rows, the runs' values are sorted, and one run is a
+    block-constant column.  Otherwise, a column that repeats with the period
+    from its first whole run to the next run of the same value (a block's
+    `bound` does, whatever row of the period the block starts on) sorts one
+    period; any other column is its own period, a sort of every row."""
+    starts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    if not len(starts):
         return values[:1], np.zeros(len(values), dtype=np.intp)
-    return np.unique(values, return_inverse=True)
+    if 2 * (len(starts) + 1) < len(values):
+        distinct, codes = np.unique(values[np.concatenate(([0], starts))], return_inverse=True)
+        return distinct, np.repeat(codes, np.diff(starts, prepend=0, append=len(values)))
+    again = starts[values[starts] == values[starts[0]]]
+    period = int(again[1] - again[0]) if len(again) > 1 else len(values)
+    if not (values[period:] == values[:-period]).all():
+        period = len(values)
+    distinct, codes = np.unique(values[:period], return_inverse=True)
+    return distinct, np.tile(codes, -(-len(values) // period))[:len(values)]
+
+
+def _group(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_inverse=True) for an int array: through a
+    lookup table indexed by value, in O(rows + table) and without a sort,
+    when every value is >= 0 and below _TABLE_PER_ROW times the rows;
+    otherwise by `_unique`.  The bound keeps the table within a small
+    multiple of the block (512 KiB for a CHUNK-row block): a table as wide
+    as a sparse key's range could cost more memory than the whole block."""
+    if len(values):
+        low, high = int(values.min()), int(values.max())
+        if low >= 0 and high < _TABLE_PER_ROW * len(values):
+            seen = np.zeros(high + 1, dtype=bool)
+            seen[values] = True
+            distinct = np.flatnonzero(seen)
+            index = np.empty(high + 1, dtype=np.intp)
+            index[distinct] = np.arange(len(distinct))
+            return distinct, index[values]
+    return _unique(values)
 
 
 def _distinct(column: np.ndarray, col: str, as_json: bool) -> tuple[list[str], np.ndarray]:
     """(cells, codes) of one column block: its distinct cells, each between
-    the column's affixes, and each row's index into them.
+    the column's affixes, and each row's index into them.  Any consistent
+    (cells, codes) writes the same bytes; the order of the cells is free.
 
     Floats are f"{v:.12g}" (CSV) or json's spelling of the float that text
-    reads as (JSON, see `_json_float`), deduplicated on their bit pattern,
-    not on ==, so -0.0 ("-0") stays apart from 0.0.
-    Coded columns index their cells (`_CODED`) as they are.
+    reads as (JSON, see `_json_float`), deduplicated on their bit pattern by
+    `_unique`, not on ==, so -0.0 ("-0") stays apart from 0.0.  spec_index
+    is grouped by `_group`'s lookup table (a sort for the negative or huge
+    indices a parsed report may hold).  Coded columns index their cells
+    (`_CODED`) as they are, cut after the block's largest code: a flag
+    block that holds only false and true adds a binary digit to the
+    combination key, not a ternary one, which keeps the key of the
+    ten-flag run within `_group`'s table.
     """
     pre, post = (_JSON_AFFIXES if as_json else _CSV_AFFIXES)[col]
     if col in _CODED:
-        distinct, codes = _CODED[col][1 + as_json], column
+        distinct, codes = _CODED[col][1 + as_json][:int(column.max()) + 1], column
     elif col == "spec_index":
-        values, codes = _unique(column)
+        values, codes = _group(column)
         distinct = [str(v) for v in values.tolist()]
     else:
         bits, codes = _unique(column.view(np.int64))
@@ -809,7 +857,8 @@ def _combinations(parts: list[tuple[list[str], np.ndarray]]) -> tuple[np.ndarray
     The codes fold into one int64 key per row, mixed-radix by the columns'
     distinct counts (a column of one cell adds nothing); before the count
     of possible keys would pass _KEY_LIMIT, the key is renumbered by its
-    distinct values.
+    distinct values.  The final key is grouped by `_group`: by lookup table
+    when its range is small, as a block's usually is, else by a sort.
     """
     key, size = np.zeros(len(parts[0][1]), dtype=np.int64), 1
     for cells, codes in parts:
@@ -820,7 +869,7 @@ def _combinations(parts: list[tuple[list[str], np.ndarray]]) -> tuple[np.ndarray
             size = len(distinct)
         key = key * len(cells) + codes
         size *= len(cells)
-    distinct, inverse = np.unique(key, return_inverse=True)
+    distinct, inverse = _group(key)
     rows = np.empty(len(distinct), dtype=np.intp)
     rows[inverse] = np.arange(len(key))
     return rows, inverse
@@ -850,7 +899,10 @@ def report(table: ScanTable, path: str, fmt: str = "csv") -> None:
     as it is read and holds one), and each CHUNK rows of a block are
     formatted run by run (`_cells`, `_RUNS`) into one row-major object
     array of len(_RUNS) cells per row, which is written WRITE_ROWS rows to
-    a string.
+    a string.  In CSV the `value` run's cells are the floats themselves,
+    and each WRITE_ROWS rows are one `%` of _CSV_ROW repeated, which formats
+    every value in one call.  JSON joins its cells: through `%s`, a template
+    costs about three times the join of the same strings.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
@@ -864,12 +916,15 @@ def report(table: ScanTable, path: str, fmt: str = "csv") -> None:
             for block in table._blocks():
                 cells = np.empty((len(block["theta"]), len(_RUNS)), dtype=object)
                 for j, run in enumerate(_RUNS):
-                    cells[:, j] = _cells(block, run, as_json)
+                    cells[:, j] = (block["value"].tolist() if run == ("value",) and not as_json
+                                   else _cells(block, run, as_json))
                 written += len(cells)
                 if as_json and written == n:
                     cells[-1, -1] = cells[-1, -1][:-2]  # no ",\n" after the last row
                 for i in range(0, len(cells), WRITE_ROWS):
-                    fh.write("".join(cells[i:i + WRITE_ROWS].ravel().tolist()))
+                    chunk = cells[i:i + WRITE_ROWS]
+                    fh.write("".join(chunk.ravel().tolist()) if as_json
+                             else _CSV_ROW * len(chunk) % tuple(chunk.ravel().tolist()))
                 del block, cells  # not alive through the next kernel call
             if as_json:
                 fh.write("\n]\n")

@@ -491,9 +491,9 @@ class TestFamilyEvaluators:
             assert np.array_equal(bits(got), bits(gridmod.elgi_values(dists, specs)))
 
     def test_stacked_table_equals_dicts_on_edge_values(self, rng):
-        # the stacked path's one pass of strided column adds (singles 0:6:2
-        # and 1:6:2, pairs 6::4 through 9::4, each then += 0.0) and its index
-        # gathers give the dict path's floats bit for bit, for every spec
+        # the stacked path's reshape of the table's p ln p into its singles
+        # as (3, 2) and its pairs as (3, 4), each summed by np.sum, and its
+        # index gathers give the dict path's floats bit for bit, for every spec
         # subset in every order, on synthetic tables holding exact 0 and 1,
         # -0.0, subnormals, values just above 1, NaN of either sign and tiny
         # negatives: scattered, and as whole rows of one value

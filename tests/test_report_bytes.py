@@ -572,6 +572,127 @@ def test_parse_report_reads_every_written_cell_back(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
 
 
+@pytest.mark.parametrize("write_rows", [1, 3, 1024])
+def test_csv_template_at_write_chunk_edges(tmp_path, monkeypatch, write_rows):
+    # CSV rows go through one %-template per WRITE_ROWS rows, whose "%.12g"
+    # must write f"{v:.12g}" for every float, in every chunk and in the last,
+    # partial one
+    bits = np.random.default_rng(33).integers(-(2**63), 2**63 - 1, 10**4, dtype=np.int64,
+                                              endpoint=True)
+    values = np.concatenate([EDGE_FLOATS, bits.view(np.float64)])
+    assert np.isnan(values).any() and len(values) % 3 and len(values) % 1024
+    base = scan(CONFIGS["zero"]).columns
+    table = ScanTable({c: np.resize(a, len(values)) for c, a in base.items()})
+    table.columns["value"][:] = values
+    monkeypatch.setattr(scan_mod, "WRITE_ROWS", write_rows)
+    assert_same_bytes(table, list(table), tmp_path)
+
+
+# --- column dedupe ---------------------------------------------------------------
+
+
+def assert_partition(values: np.ndarray, grouped) -> None:
+    """(distinct, codes) groups the rows of `values` as np.unique does: each
+    row's code picks its own value, and no value is listed twice."""
+    distinct, codes = grouped
+    assert codes.dtype == np.intp and codes.shape == values.shape
+    assert np.array_equal(distinct[codes], values)
+    assert len(np.unique(distinct)) == len(distinct) == len(np.unique(values))
+
+
+def _int_blocks() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(34)
+    n, limit = 1000, scan_mod._TABLE_PER_ROW * 1000
+    extremes = np.array([-(2**63), 2**63 - 1, -1, 0, 2**62])
+    blocks = {
+        "small range": rng.integers(0, 24, n),
+        "one value": np.full(n, 7),
+        "one row": np.array([5]),
+        "at the table bound": np.append(rng.integers(0, limit, n - 1), limit - 1),
+        "just past the table bound": np.append(rng.integers(0, limit, n - 1), limit),
+        "negative": rng.integers(-30, 30, n),
+        "int64 extremes": rng.choice(extremes, n),
+        "all distinct": rng.permutation(n),
+        "all distinct int64": rng.integers(-(2**63), 2**63 - 1, n, endpoint=True),
+        "alternating": np.resize([3, 9], n),
+        "period 3 from an offset": np.resize([1, 0, 0], n + 1)[1:],
+        "period broken at the end": np.append(np.resize([1, 0, 0], n - 1), 2),
+        "long runs": np.repeat(rng.integers(0, 50, 40), rng.integers(1, 60, 40)),
+        "long runs, negative": np.repeat(rng.integers(-(2**63), 0, 30), 17),
+        "long runs after a one-row run": np.append(-5, np.repeat(rng.integers(0, 50, 40), 9)),
+    }
+    return {name: values.astype(np.int64) for name, values in blocks.items()}
+
+
+INT_BLOCKS = _int_blocks()
+
+
+@pytest.mark.parametrize("name", INT_BLOCKS)
+@pytest.mark.parametrize("dedupe", ["_group", "_unique"])
+def test_dedupe_partitions_ints_as_np_unique(dedupe, name):
+    values = INT_BLOCKS[name]
+    assert_partition(values, getattr(scan_mod, dedupe)(values))
+
+
+def test_group_uses_its_table_within_the_bound_only(monkeypatch):
+    # the table holds fewer than _TABLE_PER_ROW entries per row; past that,
+    # and for a negative value, `_group` goes through `_unique`
+    sorted_blocks = []
+    unique = scan_mod._unique
+    monkeypatch.setattr(scan_mod, "_unique", lambda v: sorted_blocks.append(v) or unique(v))
+    n = 1000
+    limit = scan_mod._TABLE_PER_ROW * n
+    for values, sorts in ((np.append(np.arange(n - 1), limit - 1), False),
+                          (np.full(n, limit - 1), False),
+                          (np.append(np.arange(n - 1), limit), True),
+                          (np.append(np.arange(n - 1), -1), True)):
+        sorted_blocks.clear()
+        assert_partition(values, scan_mod._group(values))
+        assert bool(sorted_blocks) == sorts, (values.min(), values.max())
+
+
+def _float_blocks() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(35)
+    payloads = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                         0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    specials = np.concatenate([[0.0, -0.0, 0.0, -0.0], payloads.view(np.float64), EDGE_FLOATS])
+    random = rng.integers(-(2**63), 2**63 - 1, 2000, dtype=np.int64, endpoint=True)
+    return {
+        "specials": specials,
+        "specials in runs": np.repeat(specials, 5),
+        "specials periodic": np.tile(specials, 7)[3:],
+        "-0.0 next to 0.0": np.resize([0.0, -0.0], 999),
+        "nan payloads alternating": np.resize(payloads.view(np.float64)[:2], 1000),
+        "random bits": random.view(np.float64),
+        "random bits and specials": rng.permutation(np.concatenate(
+            [random.view(np.float64), np.repeat(specials, 40)])),
+    }
+
+
+FLOAT_BLOCKS = _float_blocks()
+
+
+@pytest.mark.parametrize("name", FLOAT_BLOCKS)
+def test_unique_partitions_float_bit_patterns_as_np_unique(name):
+    # floats are grouped on their bits: -0.0 apart from 0.0, each nan payload
+    # apart from the others
+    bits = FLOAT_BLOCKS[name].view(np.int64)
+    assert_partition(bits, scan_mod._unique(bits))
+
+
+@pytest.mark.parametrize("phase", range(3))
+def test_unique_sorts_one_period_of_a_periodic_block(monkeypatch, phase):
+    # a scan block's `bound` repeats (1, 0, 0), one row per family, from
+    # whichever row of the period the block starts on
+    values = np.resize(np.array([1, 0, 0], dtype=np.int64), 1000 + phase)[phase:]
+    sorted_rows = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda v, **kw: sorted_rows.append(len(v)) or unique(v, **kw))
+    grouped = scan_mod._unique(values)
+    assert sorted_rows == [3]
+    assert_partition(values, grouped)
+
+
 def test_all_distinct_table_renumbers_its_keys(tmp_path):
     # one block whose columns are all distinct: the second column run has
     # 3 n^5 > 2^63 combinations, more than an int64 key can count
