@@ -2,7 +2,8 @@
 
 Subcommands:
   eval       one parameter point: all inequality families, NSIT booleans,
-             joint-measurability verdict (uses the scalar operator pipeline)
+             joint-measurability verdict (uses the scalar operator pipeline,
+             which runs the seven experiments once, shared by every family)
   scan       run every section of a config file over its grid
   threshold  bisection for the eta threshold of one family
   figure     emit the data behind one of the four canned survey figures

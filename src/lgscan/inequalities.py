@@ -27,7 +27,8 @@ The spec tables, bounds and reductions live in lgscan.grid's FAMILY_TABLE,
 which defines each family once over outcome-probability arrays.  The
 evaluators here run the stand-alone experiments a family reads through the
 operator pipeline (lgscan.measurement) and hand their distributions to that
-family's reduction.
+family's reduction.  Each of the seven experiments runs once per (state,
+schedule) pair: the families and lgscan.nsit share its run.
 
 Closed forms for two special parameter families are provided as cross-check
 targets; the measurement pipeline is the ground truth and any mismatch above
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -68,13 +70,23 @@ def _result(value: float, bound: float, spec: object) -> InequalityResult:
                             violated=bool(grid.violated(value, bound)), spec=spec)
 
 
+# The last len(SUBSETS) runs, one point's seven experiments.  QubitState and
+# Schedule compare and hash by identity (eq=False) and hold read-only arrays,
+# and the cache keeps each key alive, so a key names one unchanging point.
+@lru_cache(maxsize=len(grid.SUBSETS))
+def _run(state: QubitState, schedule: Schedule, subset: tuple[int, ...]) -> JointDistribution:
+    return run_schedule(state, schedule.with_measured(subset))
+
+
 def experiment_probabilities(
     state: QubitState, schedule: Schedule, subsets: Iterable[tuple[int, ...]]
 ) -> dict[tuple[int, ...], np.ndarray]:
     """Outcome probabilities of the stand-alone experiments in `subsets`, run
     through the operator pipeline and keyed as the lgscan.grid reductions read
-    them."""
-    return {s: run_schedule(state, schedule.with_measured(s)).probabilities() for s in subsets}
+    them.  Each experiment runs once per (state, schedule) pair while it is
+    among the last seven run, so the families and the disturbance report at
+    one point share its run; every call returns fresh arrays."""
+    return {s: _run(state, schedule, s).probabilities() for s in subsets}
 
 
 def _family_all(family: str, state: QubitState, schedule: Schedule, specs) -> list[InequalityResult]:

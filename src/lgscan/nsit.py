@@ -80,7 +80,8 @@ def disturbance_report(state: QubitState, schedule: Schedule) -> DisturbanceRepo
     """Every D family from the operator pipeline's distributions.
 
     The schedule's `measured` field is ignored; all seven sub-experiments
-    (three singles, three pairs, the triple) are run with its parameters and
+    (three singles, three pairs, the triple) are run with its parameters, once
+    per (state, schedule) and shared with the inequality families, and
     reduced by lgscan.grid.disturbances / aot_residual.
     """
     fams, residual = _checked_disturbances(
@@ -168,7 +169,8 @@ def wlgi_threshold_check(state: QubitState, schedule: Schedule, spec: WlgiSpec) 
 
     where D of a pair is its D family (D1 for (2,3), D2 for (1,3)) and
     D = 0 for (1,2), which only a later measurement could disturb.  The seven
-    experiments run once, through the operator pipeline.
+    experiments run through the operator pipeline once per (state, schedule),
+    shared with the families and disturbance_report at the same point.
     """
     dists = experiment_probabilities(state, schedule, grid.SUBSETS)
     fams, _ = _checked_disturbances(dists)

@@ -2,8 +2,9 @@
 identical, a copy that prints thresholds to 5 decimals is reported, and a
 copy that shifts one WLGI form is found in the right column and row, a
 copy that moves one ELGI value by one ulp is found by the family hashes;
-the CI step checks the gate's run count, and the threshold-sweep launcher
-prints each float in full."""
+the CI step checks the gate's run count, the threshold-sweep launcher
+prints each float in full, and the eval-order launcher prints each point's
+A runs alike."""
 
 import importlib
 import importlib.util
@@ -131,7 +132,7 @@ def test_ci_checks_the_run_count():
     with open(golden.CI_WORKFLOW, encoding="utf-8") as fh:
         counts = re.findall(r"golden: (\d+) runs, (\d+) identical, 0 differ", fh.read())
     assert counts == [(str(len(CASES)), str(len(CASES)))]
-    assert len(CASES) == 800
+    assert len(CASES) == 801
 
 
 def test_threshold_launcher_prints_each_float_in_full(tmp_path):
@@ -154,3 +155,16 @@ def test_threshold_launcher_prints_each_float_in_full(tmp_path):
                                       spec_index=None if spec == "None" else int(spec),
                                       tol=float(tol))
         assert value == repr(want)
+
+
+def test_eval_order_launcher_prints_a_the_same_each_time(tmp_path):
+    # each point's A, B, A, A' runs: every A prints the same lines, B others
+    case = next(c for c in CASES if c.launcher == golden.EVAL_ORDER_LAUNCHER)
+    run = golden._finish(golden._start(str(ROOT), case, str(tmp_path)), str(tmp_path))
+    assert run.code == 0 and run.stderr == b""
+    runs = re.split(r"^== (\S+) .*\n", run.stdout.decode(), flags=re.M)[1:]
+    names, outputs = runs[0::2], runs[1::2]
+    assert names == ["A", "B", "A", "A'"] * 4
+    for k in range(0, len(outputs), 4):
+        a, b, a_again, a_text = outputs[k:k + 4]
+        assert a.startswith("point: ") and a == a_again == a_text and b != a

@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+from lgscan import cli, grid, inequalities
 from lgscan.inequalities import (
     ELGI_SPECS,
     SLGI_SPECS,
@@ -14,9 +18,10 @@ from lgscan.inequalities import (
     wlgi_all,
 )
 from lgscan.measurement import QubitState, Schedule, run_schedule
+from lgscan.nsit import disturbance_report
 from lgscan.scan import axis_from_angles
 
-from conftest import random_point
+from conftest import bits, random_point
 
 PLUS = QubitState.pure(np.pi / 4, 0.0)
 
@@ -309,3 +314,112 @@ class TestInequalityResult:
     def test_violation_flag_tolerance(self):
         r = slgi_all(PLUS, spin_sched(np.pi / 6, 1.0), (SLGI_SPECS[0],))[0]
         assert r.violated == (r.value > r.bound + 1e-12)
+
+
+def counting_runs(monkeypatch) -> list:
+    """The `measured` times of every run_schedule call from here on."""
+    calls = []
+
+    def counting(state, schedule):
+        calls.append(schedule.measured)
+        return run_schedule(state, schedule)
+
+    monkeypatch.setattr(inequalities, "run_schedule", counting)
+    return calls
+
+
+def _report_output(state, sched) -> list[np.ndarray]:
+    rep = disturbance_report(state, sched)
+    return [np.array(list(f.values())) for f in rep.families().values()] + [
+        np.array([rep.aot_residual])]
+
+
+# each public evaluator as a list of float arrays: the *_all values, then
+# every DisturbanceReport entry
+EVALUATORS = [lambda state, sched, f=f: [np.array([r.value for r in f(state, sched)])]
+              for f in (slgi_all, wlgi_all, elgi_all)] + [_report_output]
+
+
+def uncached_output(state, sched) -> list[np.ndarray]:
+    """What EVALUATORS return, from each experiment run afresh and reduced
+    by lgscan.grid."""
+    dists = {s: run_schedule(state, sched.with_measured(s)).probabilities() for s in grid.SUBSETS}
+    out = [grid.FAMILY_TABLE[name].values(dists) for name in ("slgi", "wlgi", "elgi")]
+    out += list(grid.disturbances(dists).values())
+    return out + [np.array([grid.aot_residual(dists)])]
+
+
+class TestSharedRuns:
+    """Each stand-alone experiment runs once per (state, schedule)."""
+
+    @pytest.mark.parametrize("bias", ["zero", "eta-1", "x=0.2"])
+    def test_eval_runs_each_experiment_once(self, monkeypatch, capsys, bias):
+        calls = counting_runs(monkeypatch)
+        code = cli.main(["eval", "--theta", "1.1", "--phi", "0.4", "--tau", "0.9",
+                         "--eta", "0.7", "--bias", bias, "--axis-alpha", "0.4"])
+        assert code == 0 and "jm triple" in capsys.readouterr().out
+        assert sorted(calls) == sorted(grid.SUBSETS)  # 19 before the runs were shared
+
+    @pytest.mark.parametrize("field", ["eta", "x"])
+    @pytest.mark.parametrize("point_major", [True, False])
+    def test_interleaved_points_match_uncached_runs(self, field, point_major):
+        # A, then B (A's state, one schedule field changed), then A again and
+        # A rebuilt as new objects; point by point, and one evaluator at a time
+        rng = np.random.default_rng(2035)
+        for mode in grid.BIAS_MODES:
+            for _ in range(3):
+                theta, phi, tau = rng.uniform((0, 0, 0), (np.pi, 2 * np.pi, np.pi))
+                eta = rng.uniform(0.05, 0.8)
+                x = float(grid.bias_x(mode, eta, 0.2))
+                axis = axis_from_angles(*rng.uniform((-0.5, 0.5), (0.5, np.pi - 0.5)))
+
+                def schedule(eta=eta, x=x):
+                    return Schedule(measured=(1, 2, 3), tau=tau, axis=axis, x=x, eta=eta)
+
+                a = QubitState.pure(theta, phi), schedule()
+                changed = {"eta": eta / 2} if field == "eta" else {"x": (x + 1 - eta) / 2}
+                b = a[0], schedule(**changed)
+                points = [a, b, a, (QubitState.pure(theta, phi), schedule())]
+                want = [uncached_output(*p) for p in points]
+                assert any(not np.array_equal(u, v) for u, v in zip(want[0], want[1]))
+                order = itertools.product(range(len(points)), range(len(EVALUATORS)))
+                got = [[] for _ in points]
+                for i, k in order if point_major else sorted(order, key=lambda ik: ik[1]):
+                    got[i] += EVALUATORS[k](*points[i])
+                for g, w in zip(got, want):
+                    assert len(g) == len(w) == 9
+                    for u, v in zip(g, w):
+                        assert np.array_equal(bits(u), bits(v))
+
+    def test_schedules_built_after_the_last_is_dropped(self):
+        # each evaluator gets a schedule that is dropped when it returns, so
+        # the next one may take its id; its runs must still be its own
+        state = QubitState.pure(1.1, 0.4)
+        for eta in np.linspace(0.1, 0.9, 30):
+            got = [u for evaluate in EVALUATORS for u in evaluate(state, spin_sched(0.9, eta))]
+            for u, v in zip(got, uncached_output(state, spin_sched(0.9, eta)), strict=True):
+                assert np.array_equal(bits(u), bits(v))
+
+    def test_returned_arrays_are_fresh(self, monkeypatch):
+        calls = counting_runs(monkeypatch)
+        state, sched = QubitState.pure(0.8, 2.1), spin_sched(1.3, 0.6)
+        first = inequalities.experiment_probabilities(state, sched, grid.SUBSETS)
+        want = {s: p.copy() for s, p in first.items()}
+        for p in first.values():
+            p[:] = 7.0
+        again = inequalities.experiment_probabilities(state, sched, grid.SUBSETS)
+        assert len(calls) == len(grid.SUBSETS)  # the second read ran nothing
+        for s, p in again.items():
+            assert np.array_equal(bits(p), bits(want[s]))
+
+    def test_memo_key_names_one_unchanging_point(self):
+        # the runs are kept by (state, schedule) identity, which is sound only
+        # while neither compares by value nor can change after construction
+        assert QubitState.__hash__ is object.__hash__
+        assert Schedule.__hash__ is object.__hash__
+        state, sched = QubitState.pure(0.3, 0.2), spin_sched(0.4, 0.9)
+        assert not sched.axis.flags.writeable
+        assert not state.rho.mat.flags.writeable
+        assert Schedule.__dataclass_params__.frozen
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sched.eta = 0.5

@@ -21,12 +21,14 @@ The set covers: a four-section scan config (seed 301's benchmark grid at
 zero bias, a fixed bias on a tilted axis, eta-1, a section without `tau`)
 in CSV and JSON, also at CHUNK = 4756; figures 1-4 in CSV and JSON; 64
 `eval` points and 3,000 seeded ones over the zero, eta-1 and x=0.2 bias
-modes; 120 `threshold` runs on hand-picked states, the 528-run grid on
-seeded and phi = 0 states, 33 ELGI `--spec-index` runs, 1e-10 and 1e-12
-tolerance runs, and every `threshold` line of the CI workflow (read from
-it); the repr of `threshold_eta` on the threshold-sweep benchmark's states
-for seeds 301-310 (720 floats: each family, and each ELGI spec, at
-tolerances 1e-4 and 1e-12); the sha256 of every `lg_distributions` entry
+modes; four `eval` points each run in one process as A, B (eta or the
+bias mode changed), A again and A with its angles given as float text; 120
+`threshold` runs on hand-picked states, the 528-run grid on seeded and
+phi = 0 states, 33 ELGI `--spec-index` runs, 1e-10 and 1e-12 tolerance
+runs, and every `threshold` line of the CI workflow (read from it); the
+repr of `threshold_eta` on the threshold-sweep benchmark's states for seeds
+301-310 (720 floats: each family, and each ELGI spec, at tolerances 1e-4
+and 1e-12); the sha256 of every `lg_distributions` entry
 for all 127 sets of experiments in the three bias modes on a tilted axis;
 the sha256 of the bits of every family value (SLGI, WLGI, ELGI in all 15
 spec orders from the dict and from both table layouts, each experiment's
@@ -165,6 +167,33 @@ for i in range(int(sys.argv[2])):
                        f"--axis-alpha={alpha!r}", f"--axis-beta={beta!r}"]))
 sys.exit(max(codes))
 """
+# `lgscan eval` in one process on each point A, then B, A and A': B changes only
+# eta or only the bias mode, and A' gives A's angles as the repr of the floats
+# their text evaluates to.  Runs shared between points under a key that misses
+# eta or x print another point's values.
+EVAL_ORDER_LAUNCHER = """\
+import sys
+from lgscan.cli import main
+from lgscan.config import eval_expr
+NAMES = ("theta", "phi", "tau", "axis-alpha")
+# (theta, phi, tau, axis-alpha), eta, bias, and what B changes
+POINTS = [(("pi/3", "pi/2", "pi/4", "0"), "0.7", "zero", "--eta=0.75"),
+          (("2*pi/5", "pi/7", "1.3", "0.4"), "0.6", "eta-1", "--bias=x=0.2"),
+          (("3*pi/5", "7*pi/4", "2*pi/3", "-0.3"), "0.45", "x=0.2", "--eta=0.5"),
+          (("pi/6", "pi", "5*pi/6", "0.2"), "0.75", "x=0.2", "--bias=eta-1")]
+codes = [0]
+for angles, eta, bias, change in POINTS:
+    def point(texts, *more):
+        return ["eval", *(f"--{k}={v}" for k, v in zip(NAMES, texts)), f"--eta={eta}",
+                f"--bias={bias}", *more]
+    a = point(angles)
+    runs = [("A", a), ("B", point(angles, change)), ("A", a),
+            ("A'", point([repr(eval_expr(t)) for t in angles]))]
+    for name, argv in runs:
+        print("==", name, *argv[1:])
+        codes.append(main(argv))
+sys.exit(max(codes))
+"""
 # threshold_eta on the benchmark's threshold-sweep states, seeds argv[1] to argv[2]
 # (each 6 states, drawn as that workload draws them), at the maximized tau and
 # zero bias: the repr of every float, which shows a flipped bisection decision
@@ -294,6 +323,7 @@ def all_cases() -> list[Case]:
                 "--bias", bias) + TILTED
         cases.append(Case(" ".join(args), args))
     cases.append(Case("eval 3000 seeded points", ("2027", "3000"), launcher=EVAL_LAUNCHER))
+    cases.append(Case("eval A, B, A, A' in one process", (), launcher=EVAL_ORDER_LAUNCHER))
     threshold_lines = [
         ("--family", family, "--theta", theta, "--phi", phi, "--bias", bias) + tau
         for family, (theta, phi), bias, tau in itertools.product(
